@@ -24,8 +24,8 @@ from .formulations import (DAY_DECOMP, DAY_FIXED, DAY_FIXED_ZERO_STABILITY,
                            add_implied_bound_cuts, add_pattern_cuts,
                            all_patterns, build_dive, build_monolithic,
                            build_surface, build_surface2, clique_separator,
-                           decode_monolithic, greedy_clique_cover,
-                           relax_to_days)
+                           decode_monolithic, decode_surface,
+                           greedy_clique_cover, relax_to_days)
 from .instance import Instance, build_conflict_graph, build_multirooms
 from .milp import MilpSolution
 from .solver import SolveConfig, SolveResult, branch_and_bound
@@ -55,7 +55,6 @@ class StrategyConfig:
     clique_separation: bool = False
     implied_bound_cuts: bool = True
     pattern_cuts: bool = False
-    stratified_bounds: bool = False
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -86,9 +85,14 @@ class LedgerEvent:
     source: str
 
 
+BOUND_TOL = 1e-6
+
+
 class BoundsLedger:
     """Monotonic bound tracker: the lower bound never decreases, the upper
-    bound never increases; non-improving reports are ignored."""
+    bound never increases; non-improving reports are ignored.  A lower bound
+    above the upper bound by more than BOUND_TOL means one of them is
+    invalid: it raises ControlError, whichever bound moved."""
 
     def __init__(self, clock=None):
         if clock is None:
@@ -103,6 +107,7 @@ class BoundsLedger:
     def record_lower(self, value: float, source: str) -> bool:
         if value <= self.lower:
             return False
+        self._check(value, self.upper)
         self.lower = value
         self.history.append(LedgerEvent(self._clock(), "lower", value, source))
         return True
@@ -111,11 +116,18 @@ class BoundsLedger:
                      solution: Solution | None = None) -> bool:
         if value >= self.upper:
             return False
+        self._check(self.lower, value)
         self.upper = value
         if solution is not None:
             self.best_solution = solution
         self.history.append(LedgerEvent(self._clock(), "upper", value, source))
         return True
+
+    @staticmethod
+    def _check(lower: float, upper: float) -> None:
+        if lower > upper + BOUND_TOL:
+            raise ControlError(
+                f"lower bound {lower:g} exceeds upper bound {upper:g}")
 
     def gap(self) -> float | None:
         if not math.isfinite(self.upper) or not math.isfinite(self.lower):
@@ -208,24 +220,9 @@ def order_dives(neighborhoods: list[Neighborhood],
                                  -n.discovery_index))
 
 
-def _basis_from_values(instance: Instance, values: dict) -> PeriodAssignment:
-    periods: dict[str, set[int]] = {c.id: set() for c in instance.courses}
-    for name, value in values.items():
-        if value < 0.5:
-            continue
-        if name.startswith("times["):
-            p, cid = name[len("times["):-1].split(",")
-            periods[cid].add(int(p))
-        elif name.startswith("m_taught["):
-            p, _key, cid = name[len("m_taught["):-1].split(",")
-            periods[cid].add(int(p))
-    return PeriodAssignment({cid: frozenset(v) for cid, v in periods.items()})
-
-
 def _prepare_surface(instance: Instance, config: StrategyConfig):
     if config.surface_model == "surface":
-        model = build_surface(instance,
-                              stratified_bounds=config.stratified_bounds)
+        model = build_surface(instance)
     else:
         multirooms = build_multirooms(instance, config.multiroom_policy)
         model = build_surface2(instance, multirooms)
@@ -260,7 +257,7 @@ def _run_dive(instance: Instance, monolithic, neighborhood: Neighborhood,
     result = branch_and_bound(model, solve_config)
     objective = None
     if result.incumbent is not None:
-        solution = decode_monolithic(instance, result.incumbent)
+        solution = decode_monolithic(model, result.incumbent)
         violations = check_hard(instance, solution)
         if violations:
             raise ControlError(
@@ -289,7 +286,8 @@ def run_strategy(instance: Instance,
     dives: list[DiveRecord] = []
 
     def harvest(values: dict, objective: float) -> None:
-        basis = _basis_from_values(instance, values)
+        basis = decode_surface(surface,
+                               MilpSolution(values, objective, "feasible"))
         sources.append((basis, objective))
         if config.strategy == "anytime":
             for kind in config.dive_kinds:
@@ -390,7 +388,7 @@ def _run_exact(instance: Instance, config: StrategyConfig,
     if math.isfinite(result.lower_bound):
         ledger.record_lower(result.lower_bound, "exact")
     if result.incumbent is not None:
-        solution = decode_monolithic(instance, result.incumbent)
+        solution = decode_monolithic(model, result.incumbent)
         violations = check_hard(instance, solution)
         if violations:
             raise ControlError(

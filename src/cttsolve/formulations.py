@@ -99,85 +99,63 @@ class Neighborhood:
                 f" {type(self.basis).__name__}")
 
 
-# -- shared naming ----------------------------------------------------------
+# -- variables by tag ---------------------------------------------------------
+#
+# Every builder records in its model's metadata the tag kind of its
+# period-assignment variables ("occupancy": times, taught or m_taught), the
+# ordered keys of its (multi-)rooms ("room_keys"), and, when it has them, the
+# tag kind of its room-usage indicators ("uses").  Variables are then found
+# through MilpModel.by_tag; names are only ever built, never parsed.
 
-def _vname(tag: tuple) -> str:
-    return f"{tag[0]}[{','.join(str(t) for t in tag[1:])}]"
-
-
-def _tag_map(model: MilpModel) -> dict[tuple, int]:
-    return {v.tag: i for i, v in enumerate(model.variables) if v.tag}
-
-
-def _taught_kind(model: MilpModel) -> str:
-    kinds = {v.tag[0] for v in model.variables if v.tag}
-    for kind in ("taught", "m_taught", "times"):
-        if kind in kinds:
-            return kind
-    raise FormulationError("model carries no period-assignment variables")
+def _add_var(model: MilpModel, tag: tuple, kind: str = "binary",
+             lower: float = 0.0, upper: float = math.inf) -> int:
+    """New variable named after its tag, e.g. ``taught[3,r1,c7]``."""
+    name = f"{tag[0]}[{','.join(str(t) for t in tag[1:])}]"
+    return model.add_variable(name, kind, lower, upper, tag=tag)
 
 
-def _room_keys(model: MilpModel) -> list:
-    kind = _taught_kind(model)
-    if kind == "times":
-        return []
-    keys = []
-    for v in model.variables:
-        if v.tag and v.tag[0] == kind and v.tag[2] not in keys:
-            keys.append(v.tag[2])
-    return keys
-
-
-def occupancy_terms(model: MilpModel, period: int, course_id: str,
-                    tags: dict[tuple, int] | None = None) -> list:
+def occupancy_terms(model: MilpModel, period: int, course_id: str) -> list:
     """Terms summing to 1 iff the course meets at the period."""
-    tags = tags if tags is not None else _tag_map(model)
-    kind = _taught_kind(model)
+    kind = model.metadata["occupancy"]
     if kind == "times":
-        return [(1.0, tags[("times", period, course_id)])]
-    return [(1.0, tags[(kind, period, key, course_id)])
-            for key in _room_keys(model)]
+        return [(1.0, model.by_tag(("times", period, course_id)))]
+    return [(1.0, model.by_tag((kind, period, key, course_id)))
+            for key in model.metadata["room_keys"]]
 
 
 # -- builders ---------------------------------------------------------------
 
-def _add_day_spread_machinery(model: MilpModel, instance: Instance,
-                              occ_of) -> None:
-    """Day indicators, min-days shortfalls, and isolated-lecture indicators.
-
-    `occ_of(p, c)` yields the terms that indicate course c meets at period p.
-    """
+def _add_day_spread_machinery(model: MilpModel, instance: Instance) -> None:
+    """Day indicators, min-days shortfalls, and isolated-lecture indicators."""
+    var = model.by_tag
     for d in range(instance.days):
         for c in instance.courses:
-            model.add_variable(_vname(("sched", d, c.id)), "binary",
-                               tag=("sched", d, c.id))
+            _add_var(model, ("sched", d, c.id))
     for c in instance.courses:
-        model.add_variable(_vname(("mdv", c.id)), "integer", 0, instance.days,
-                           tag=("mdv", c.id))
+        _add_var(model, ("mdv", c.id), "integer", 0, instance.days)
     for u in instance.curricula:
         for d in range(instance.days):
             for s in range(instance.periods_per_day):
-                model.add_variable(_vname(("single", u.id, d, s)), "binary",
-                                   tag=("single", u.id, d, s))
+                _add_var(model, ("single", u.id, d, s))
 
     for c in instance.courses:
         for d in range(instance.days):
-            sched = _vname(("sched", d, c.id))
+            sched = var(("sched", d, c.id))
             for p in instance.day_periods(d):
                 model.add_constraint(
                     f"day_ub[{c.id},{d},{p}]",
-                    occ_of(p, c.id) + [(-1.0, sched)],
+                    occupancy_terms(model, p, c.id) + [(-1.0, sched)],
                     "<=", 0.0, origin="day-aggregation")
             lower = []
             for p in instance.day_periods(d):
-                lower += occ_of(p, c.id)
+                lower += occupancy_terms(model, p, c.id)
             model.add_constraint(
                 f"day_lb[{c.id},{d}]", lower + [(-1.0, sched)],
                 ">=", 0.0, origin="day-aggregation")
         model.add_constraint(
             f"min_days[{c.id}]",
-            [(1.0, _vname(("sched", d, c.id))) for d in range(instance.days)]
-            + [(1.0, _vname(("mdv", c.id)))],
+            [(1.0, var(("sched", d, c.id))) for d in range(instance.days)]
+            + [(1.0, var(("mdv", c.id)))],
             ">=", float(c.min_days), origin="min-days")
 
     n = instance.periods_per_day
@@ -188,7 +166,7 @@ def _add_day_spread_machinery(model: MilpModel, instance: Instance,
             def occ(j):
                 terms = []
                 for cid in sorted(u.courses):
-                    terms += occ_of(day[j], cid)
+                    terms += occupancy_terms(model, day[j], cid)
                 return terms
 
             for j in range(n):
@@ -198,7 +176,7 @@ def _add_day_spread_machinery(model: MilpModel, instance: Instance,
                         terms += [(-coef, ref) for coef, ref in occ(j - 1)]
                     if j < n - 1:
                         terms += [(-coef, ref) for coef, ref in occ(j + 1)]
-                terms.append((-1.0, _vname(("single", u.id, d, j))))
+                terms.append((-1.0, var(("single", u.id, d, j))))
                 model.add_constraint(
                     f"pattern[{u.id},{d},{j}]", terms, "<=", 0.0,
                     origin="pattern")
@@ -211,99 +189,92 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
     name = "surface2" if aggregated else "monolithic"
     taught = "m_taught" if aggregated else "taught"
     uses = "m_uses" if aggregated else "uses"
+    room_keys = tuple(r.id for r in rooms)
     model = MilpModel(name, instance.name)
-    model.metadata["formulation"] = name
-    model.metadata["instance"] = instance
+    model.metadata.update(formulation=name, instance=instance,
+                          occupancy=taught, room_keys=room_keys, uses=uses)
     if aggregated:
         model.metadata["multirooms"] = tuple(rooms)
     w = instance.weights
-
-    room_keys = [r.id for r in rooms]
+    var = model.by_tag
     by_key = {r.id: r for r in rooms}
 
     obj = []
     for p in range(instance.periods):
         for key in room_keys:
             for c in instance.courses:
-                idx = model.add_variable(
-                    _vname((taught, p, key, c.id)), "binary",
-                    tag=(taught, p, key, c.id))
+                idx = _add_var(model, (taught, p, key, c.id))
                 overflow = c.students - by_key[key].capacity
                 if w.capacity and overflow > 0:
                     obj.append((float(w.capacity * overflow), idx))
 
-    def occ_of(p, cid):
-        return [(1.0, _vname((taught, p, key, cid))) for key in room_keys]
-
     for c in instance.courses:
         terms = []
         for p in range(instance.periods):
-            terms += occ_of(p, c.id)
+            terms += occupancy_terms(model, p, c.id)
         model.add_constraint(f"event_count[{c.id}]", terms, "=",
                              float(c.events), origin="event-count")
     for p in range(instance.periods):
         for key in room_keys:
             model.add_constraint(
                 f"room_clash[{p},{key}]",
-                [(1.0, _vname((taught, p, key, c.id)))
+                [(1.0, var((taught, p, key, c.id)))
                  for c in instance.courses],
                 "<=", float(by_key[key].multiplicity), origin="room-clash")
     for p in range(instance.periods):
         for c in instance.courses:
             model.add_constraint(f"course_clash[{p},{c.id}]",
-                                 occ_of(p, c.id), "<=", 1.0,
+                                 occupancy_terms(model, p, c.id), "<=", 1.0,
                                  origin="course-clash")
         for t in sorted(instance.teachers):
             terms = []
             for c in instance.courses:
                 if c.teacher == t:
-                    terms += occ_of(p, c.id)
+                    terms += occupancy_terms(model, p, c.id)
             model.add_constraint(f"teacher_clash[{p},{t}]", terms, "<=", 1.0,
                                  origin="teacher-clash")
         for u in instance.curricula:
             terms = []
             for cid in sorted(u.courses):
-                terms += occ_of(p, cid)
+                terms += occupancy_terms(model, p, cid)
             model.add_constraint(f"curriculum_clash[{p},{u.id}]", terms,
                                  "<=", 1.0, origin="curriculum-clash")
     for cid, p in sorted(instance.unavailability):
-        model.add_constraint(f"forbidden[{cid},{p}]", occ_of(p, cid), "=",
-                             0.0, origin="forbidden-period")
+        model.add_constraint(f"forbidden[{cid},{p}]",
+                             occupancy_terms(model, p, cid), "=", 0.0,
+                             origin="forbidden-period")
 
-    _add_day_spread_machinery(model, instance, occ_of)
+    _add_day_spread_machinery(model, instance)
 
     for key in room_keys:
         for c in instance.courses:
-            model.add_variable(_vname((uses, key, c.id)), "binary",
-                               tag=(uses, key, c.id))
+            _add_var(model, (uses, key, c.id))
     for p in range(instance.periods):
         for key in room_keys:
             for c in instance.courses:
                 model.add_constraint(
                     f"room_used_ub[{p},{key},{c.id}]",
-                    [(1.0, _vname((taught, p, key, c.id))),
-                     (-1.0, _vname((uses, key, c.id)))],
+                    [(1.0, var((taught, p, key, c.id))),
+                     (-1.0, var((uses, key, c.id)))],
                     "<=", 0.0, origin="room-aggregation")
     for key in room_keys:
         for c in instance.courses:
             model.add_constraint(
                 f"room_used_lb[{key},{c.id}]",
-                [(1.0, _vname((taught, p, key, c.id)))
+                [(1.0, var((taught, p, key, c.id)))
                  for p in range(instance.periods)]
-                + [(-1.0, _vname((uses, key, c.id)))],
+                + [(-1.0, var((uses, key, c.id)))],
                 ">=", 0.0, origin="room-aggregation")
 
     for c in instance.courses:
-        obj.append((float(w.spread), model.var(_vname(("mdv", c.id)))))
+        obj.append((float(w.spread), var(("mdv", c.id))))
     for u in instance.curricula:
         for d in range(instance.days):
             for s in range(instance.periods_per_day):
-                obj.append((float(w.compactness),
-                            model.var(_vname(("single", u.id, d, s)))))
+                obj.append((float(w.compactness), var(("single", u.id, d, s))))
     for key in room_keys:
         for c in instance.courses:
-            obj.append((float(w.stability),
-                        model.var(_vname((uses, key, c.id)))))
+            obj.append((float(w.stability), var((uses, key, c.id))))
     stability_constant = -float(w.stability) * len(instance.courses)
     model.metadata["stability_constant"] = stability_constant
     model.set_objective(obj, constant=stability_constant)
@@ -325,76 +296,54 @@ def build_surface2(instance: Instance,
     return _build_full(instance, list(multirooms), aggregated=True)
 
 
-def build_surface(instance: Instance,
-                  stratified_bounds: bool = False) -> MilpModel:
+def build_surface(instance: Instance) -> MilpModel:
     """Period-assignment relaxation: bounded colouring with only the
     spread and compactness terms kept in the objective."""
     model = MilpModel("surface", instance.name)
-    model.metadata["formulation"] = "surface"
-    model.metadata["instance"] = instance
+    model.metadata.update(formulation="surface", instance=instance,
+                          occupancy="times", room_keys=())
     w = instance.weights
+    var = model.by_tag
 
     for p in range(instance.periods):
         for c in instance.courses:
-            model.add_variable(_vname(("times", p, c.id)), "binary",
-                               tag=("times", p, c.id))
-
-    def occ_of(p, cid):
-        return [(1.0, _vname(("times", p, cid)))]
+            _add_var(model, ("times", p, c.id))
 
     for c in instance.courses:
         model.add_constraint(
             f"event_count[{c.id}]",
-            [(1.0, _vname(("times", p, c.id))) for p in range(instance.periods)],
+            [(1.0, var(("times", p, c.id))) for p in range(instance.periods)],
             "=", float(c.events), origin="event-count")
     for p in range(instance.periods):
         for u in instance.curricula:
             model.add_constraint(
                 f"curriculum_clash[{p},{u.id}]",
-                [(1.0, _vname(("times", p, cid))) for cid in sorted(u.courses)],
+                [(1.0, var(("times", p, cid))) for cid in sorted(u.courses)],
                 "<=", 1.0, origin="curriculum-clash")
         for t in sorted(instance.teachers):
             model.add_constraint(
                 f"teacher_clash[{p},{t}]",
-                [(1.0, _vname(("times", p, c.id)))
+                [(1.0, var(("times", p, c.id)))
                  for c in instance.courses if c.teacher == t],
                 "<=", 1.0, origin="teacher-clash")
         model.add_constraint(
             f"room_bound[{p}]",
-            [(1.0, _vname(("times", p, c.id))) for c in instance.courses],
+            [(1.0, var(("times", p, c.id))) for c in instance.courses],
             "<=", float(len(instance.rooms)), origin="room-bound")
     for cid, p in sorted(instance.unavailability):
         model.add_constraint(f"forbidden[{cid},{p}]",
-                             [(1.0, _vname(("times", p, cid)))], "=", 0.0,
+                             [(1.0, var(("times", p, cid)))], "=", 0.0,
                              origin="forbidden-period")
 
-    if stratified_bounds:
-        # Optional variant: also bound large courses by the count of rooms
-        # above each capacity threshold.  This restricts the surface search
-        # space; it is NOT a relaxation of the full problem, so lower bounds
-        # from a stratified surface are not globally valid.
-        caps = sorted({r.capacity for r in instance.rooms})
-        for a in caps[:-1]:
-            large_rooms = sum(1 for r in instance.rooms if r.capacity > a)
-            big = [c.id for c in instance.courses if c.students > a]
-            if not big:
-                continue
-            for p in range(instance.periods):
-                model.add_constraint(
-                    f"room_bound_gt{a}[{p}]",
-                    [(1.0, _vname(("times", p, cid))) for cid in big],
-                    "<=", float(large_rooms), origin="room-bound")
-
-    _add_day_spread_machinery(model, instance, occ_of)
+    _add_day_spread_machinery(model, instance)
 
     obj = []
     for c in instance.courses:
-        obj.append((float(w.spread), model.var(_vname(("mdv", c.id)))))
+        obj.append((float(w.spread), var(("mdv", c.id))))
     for u in instance.curricula:
         for d in range(instance.days):
             for s in range(instance.periods_per_day):
-                obj.append((float(w.compactness),
-                            model.var(_vname(("single", u.id, d, s)))))
+                obj.append((float(w.compactness), var(("single", u.id, d, s))))
     model.set_objective(obj)
     return model
 
@@ -407,13 +356,11 @@ def restrict_period_fixed(monolithic: MilpModel,
     basis.validate(instance)
     model = monolithic.copy(name=f"{monolithic.name}+{PERIOD_FIXED}")
     model.metadata["dive"] = PERIOD_FIXED
-    tags = _tag_map(model)
     for c in instance.courses:
         used = basis.periods.get(c.id, frozenset())
         for p in range(instance.periods):
             model.add_constraint(
-                f"period_fix[{p},{c.id}]",
-                occupancy_terms(model, p, c.id, tags),
+                f"period_fix[{p},{c.id}]", occupancy_terms(model, p, c.id),
                 "=", 1.0 if p in used else 0.0, origin="period-fix")
     return model
 
@@ -431,24 +378,21 @@ def restrict_day_fixed(monolithic: MilpModel, basis: DayAssignment,
     model.metadata["dive"] = {
         "plain": DAY_FIXED, "decomp": DAY_DECOMP,
         "zero-stability": DAY_FIXED_ZERO_STABILITY}[variant]
-    tags = _tag_map(model)
     for c in instance.courses:
         per_day = basis.counts[c.id]
         for d in range(instance.days):
             terms = []
             for p in instance.day_periods(d):
-                terms += occupancy_terms(model, p, c.id, tags)
+                terms += occupancy_terms(model, p, c.id)
             model.add_constraint(f"day_fix[{c.id},{d}]", terms, "=",
                                  float(per_day[d]), origin="day-fix")
     if variant == "zero-stability":
-        uses_kind = "m_uses" if ("m_taught" in {v.tag[0] for v in
-                                                model.variables if v.tag}
-                                 ) else "uses"
+        uses = model.metadata.get("uses")
         for c in instance.courses:
             if c.events < 1:
                 continue
-            terms = [(1.0, idx) for tag, idx in tags.items()
-                     if tag[0] == uses_kind and tag[2] == c.id]
+            terms = [(1.0, model.by_tag((uses, key, c.id)))
+                     for key in model.metadata["room_keys"]]
             model.add_constraint(f"one_room[{c.id}]", terms, "=", 1.0,
                                  origin="one-room")
     return model
@@ -457,30 +401,25 @@ def restrict_day_fixed(monolithic: MilpModel, basis: DayAssignment,
 def _strip_room_stability(model: MilpModel) -> MilpModel:
     """Copy without the room-usage indicators and their aggregation rows;
     the stability objective term (and its constant) goes with them."""
-    instance: Instance = model.metadata["instance"]
     out = MilpModel(model.name, model.instance_name)
     out.metadata = dict(model.metadata)
     out.metadata.pop("stability_constant", None)
-    dropped = {i for i, v in enumerate(model.variables)
-               if v.tag and v.tag[0] in ("uses", "m_uses")}
-    keep_name: dict[int, str] = {}
+    uses = out.metadata.pop("uses", None)
+    kept: dict[int, int] = {}  # index in model -> index in out
     for i, v in enumerate(model.variables):
-        if i in dropped:
-            continue
-        keep_name[i] = v.name
-        out.add_variable(v.name, v.kind, v.lower, v.upper, v.tag)
+        if v.tag[:1] != (uses,):
+            kept[i] = out.add_variable(v.name, v.kind, v.lower, v.upper,
+                                       v.tag)
     for con in model.constraints:
-        if any(idx in dropped for _, idx in con.terms):
-            continue
-        out.add_constraint(
-            con.name, [(coef, keep_name[idx]) for coef, idx in con.terms],
-            con.sense, con.rhs, con.origin)
-    obj = [(coef, keep_name[idx]) for coef, idx in model.objective_terms
-           if idx not in dropped]
+        if all(idx in kept for _, idx in con.terms):
+            out.add_constraint(
+                con.name, [(coef, kept[idx]) for coef, idx in con.terms],
+                con.sense, con.rhs, con.origin)
+    obj = [(coef, kept[idx]) for coef, idx in model.objective_terms
+           if idx in kept]
     constant = model.objective_constant - model.metadata.get(
         "stability_constant", 0.0)
     out.set_objective(obj, constant=constant)
-    assert instance is out.metadata["instance"]
     return out
 
 
@@ -500,39 +439,39 @@ def _integral(value: float, context: str) -> int:
     return int(round(value))
 
 
-def decode_monolithic(instance: Instance,
-                      milp_solution: MilpSolution) -> Solution:
+def _checked_values(milp_solution: MilpSolution) -> dict[str, float]:
     if milp_solution.status not in ("optimal", "feasible"):
         raise FormulationError(
             f"cannot decode solution with status {milp_solution.status}")
+    return milp_solution.values
+
+
+def decode_monolithic(model: MilpModel,
+                      milp_solution: MilpSolution) -> Solution:
+    """Timetable of a solution of the monolithic model or one of its dives."""
+    values = _checked_values(milp_solution)
+    instance: Instance = model.metadata["instance"]
     assignments: dict[str, list[tuple[int, str]]] = {
         c.id: [] for c in instance.courses}
-    for name, value in milp_solution.values.items():
-        if not name.startswith("taught["):
-            continue
-        if _integral(value, name):
-            p, room, cid = name[len("taught["):-1].split(",")
-            assignments[cid].append((int(p), room))
+    for v in model.variables:
+        if v.tag[:1] == ("taught",) and _integral(values.get(v.name, 0.0),
+                                                   v.name):
+            _, p, room, cid = v.tag
+            assignments[cid].append((p, room))
     return Solution({cid: tuple(sorted(v)) for cid, v in assignments.items()})
 
 
-def decode_surface(instance: Instance,
+def decode_surface(model: MilpModel,
                    milp_solution: MilpSolution) -> PeriodAssignment:
-    """Invert the variable tagging of a surface or aggregated-surface
-    solution into the periods used by each course."""
-    if milp_solution.status not in ("optimal", "feasible"):
-        raise FormulationError(
-            f"cannot decode solution with status {milp_solution.status}")
+    """Periods used by each course in a solution of any model that records
+    its period-assignment variables (surface, surface2 or monolithic)."""
+    values = _checked_values(milp_solution)
+    instance: Instance = model.metadata["instance"]
+    kind = (model.metadata["occupancy"],)
     periods: dict[str, set[int]] = {c.id: set() for c in instance.courses}
-    for name, value in milp_solution.values.items():
-        if name.startswith("times["):
-            if _integral(value, name):
-                p, cid = name[len("times["):-1].split(",")
-                periods[cid].add(int(p))
-        elif name.startswith(("taught[", "m_taught[")):
-            if _integral(value, name):
-                p, _key, cid = name.split("[", 1)[1][:-1].split(",")
-                periods[cid].add(int(p))
+    for v in model.variables:
+        if v.tag[:1] == kind and _integral(values.get(v.name, 0.0), v.name):
+            periods[v.tag[-1]].add(v.tag[1])
     return PeriodAssignment({cid: frozenset(v) for cid, v in periods.items()})
 
 
@@ -556,17 +495,13 @@ def encode_solution(instance: Instance, model: MilpModel,
                     solution: Solution) -> dict[str, float]:
     """Variable values realising a full solution in a full-formulation model
     (auxiliaries at their forced minima)."""
-    taught_kind = _taught_kind(model)
-    multirooms: tuple[MultiRoom, ...] = model.metadata.get("multirooms", ())
-    room_to_key = {}
-    if taught_kind == "m_taught":
-        for mr in multirooms:
-            for member in mr.members:
-                room_to_key[member] = mr.id
-    else:
-        room_to_key = {r.id: r.id for r in instance.rooms}
+    kind = model.metadata["occupancy"]
+    uses = model.metadata.get("uses")
+    room_to_key = {r.id: r.id for r in instance.rooms}
+    for mr in model.metadata.get("multirooms", ()):
+        room_to_key.update((member, mr.id) for member in mr.members)
 
-    values = {v.name: 0.0 for v in model.variables}
+    values: dict[tuple, float] = {}  # by tag; unlisted variables stay 0
     days_used: dict[str, set[int]] = {c.id: set() for c in instance.courses}
     rooms_used: dict[str, set[str]] = {c.id: set() for c in instance.courses}
     curriculum_periods: dict[str, set[int]] = {
@@ -574,10 +509,10 @@ def encode_solution(instance: Instance, model: MilpModel,
 
     for cid, period, room in solution.events():
         key = room_to_key[room]
-        if taught_kind == "times":
-            values[_vname(("times", period, cid))] = 1.0
+        if kind == "times":
+            values[("times", period, cid)] = 1.0
         else:
-            values[_vname((taught_kind, period, key, cid))] = 1.0
+            values[(kind, period, key, cid)] = 1.0
         days_used[cid].add(instance.day_of(period))
         rooms_used[cid].add(key)
         for u in instance.curricula:
@@ -586,17 +521,11 @@ def encode_solution(instance: Instance, model: MilpModel,
 
     for c in instance.courses:
         for d in days_used[c.id]:
-            name = _vname(("sched", d, c.id))
-            if name in values:
-                values[name] = 1.0
-        name = _vname(("mdv", c.id))
-        if name in values:
-            values[name] = float(max(0, c.min_days - len(days_used[c.id])))
-        uses_kind = "m_uses" if taught_kind == "m_taught" else "uses"
+            values[("sched", d, c.id)] = 1.0
+        values[("mdv", c.id)] = float(
+            max(0, c.min_days - len(days_used[c.id])))
         for key in rooms_used[c.id]:
-            name = _vname((uses_kind, key, c.id))
-            if name in values:
-                values[name] = 1.0
+            values[(uses, key, c.id)] = 1.0
 
     for u in instance.curricula:
         for d in range(instance.days):
@@ -608,10 +537,8 @@ def encode_solution(instance: Instance, model: MilpModel,
                 left = j > 0 and occ[j - 1]
                 right = j < len(occ) - 1 and occ[j + 1]
                 if not left and not right:
-                    name = _vname(("single", u.id, d, j))
-                    if name in values:
-                        values[name] = 1.0
-    return values
+                    values[("single", u.id, d, j)] = 1.0
+    return {v.name: values.get(v.tag, 0.0) for v in model.variables}
 
 
 # -- cuts ---------------------------------------------------------------------
@@ -620,7 +547,6 @@ def add_clique_cuts(model: MilpModel, cliques, graph: ConflictGraph) -> int:
     """One at-most-one row per (clique, period); duplicates by name are
     skipped.  Returns the number of rows added."""
     instance: Instance = model.metadata["instance"]
-    tags = _tag_map(model)
     added = 0
     for clique in cliques:
         members = sorted(clique)
@@ -634,7 +560,7 @@ def add_clique_cuts(model: MilpModel, cliques, graph: ConflictGraph) -> int:
                 continue
             terms = []
             for cid in members:
-                terms += occupancy_terms(model, p, cid, tags)
+                terms += occupancy_terms(model, p, cid)
             model.add_constraint(name, terms, "<=", 1.0, origin="clique-cut")
             added += 1
     return added
@@ -710,18 +636,11 @@ def clique_separator(graph: ConflictGraph):
 
     def separate(model: MilpModel, point: dict[str, float]):
         instance: Instance = model.metadata["instance"]
-        tags = _tag_map(model)
-        fractional: dict[tuple[int, str], float] = {}
-        for v in model.variables:
-            if not v.tag:
-                continue
-            if v.tag[0] == "times":
-                _, p, cid = v.tag
-                fractional[(p, cid)] = point.get(v.name, 0.0)
-            elif v.tag[0] in ("taught", "m_taught"):
-                _, p, _key, cid = v.tag
-                fractional[(p, cid)] = fractional.get((p, cid), 0.0) \
-                    + point.get(v.name, 0.0)
+        names = [v.name for v in model.variables]
+        fractional: dict[tuple[int, str], float] = {
+            (p, c.id): sum(point.get(names[idx], 0.0) for _, idx in
+                           occupancy_terms(model, p, c.id))
+            for p in range(instance.periods) for c in instance.courses}
         cuts = []
         for clique in separate_cliques(graph, fractional):
             members = sorted(clique)
@@ -730,7 +649,7 @@ def clique_separator(graph: ConflictGraph):
                     continue
                 terms = []
                 for cid in members:
-                    terms += occupancy_terms(model, p, cid, tags)
+                    terms += occupancy_terms(model, p, cid)
                 cuts.append((terms, 1.0))
         return cuts
 
@@ -741,32 +660,27 @@ def add_implied_bound_cuts(model: MilpModel) -> int:
     """Static at-least-one rows on day indicators and, when present, on
     room-usage indicators."""
     instance: Instance = model.metadata["instance"]
-    tags = _tag_map(model)
-    kinds = {tag[0] for tag in tags}
+    uses = model.metadata.get("uses")
     added = 0
     for c in instance.courses:
         if c.events < 1:
             continue
-        if "sched" in kinds:
-            name = f"implied_days[{c.id}]"
-            if not model.has_constraint(name):
-                model.add_constraint(
-                    name,
-                    [(1.0, tags[("sched", d, c.id)])
-                     for d in range(instance.days)],
-                    ">=", 1.0, origin="implied-bound-cut")
-                added += 1
-        for uses_kind in ("uses", "m_uses"):
-            if uses_kind not in kinds:
-                continue
-            name = f"implied_rooms[{c.id}]"
-            if not model.has_constraint(name):
-                model.add_constraint(
-                    name,
-                    [(1.0, idx) for tag, idx in sorted(tags.items())
-                     if tag[0] == uses_kind and tag[2] == c.id],
-                    ">=", 1.0, origin="implied-bound-cut")
-                added += 1
+        name = f"implied_days[{c.id}]"
+        if not model.has_constraint(name):
+            model.add_constraint(
+                name,
+                [(1.0, model.by_tag(("sched", d, c.id)))
+                 for d in range(instance.days)],
+                ">=", 1.0, origin="implied-bound-cut")
+            added += 1
+        name = f"implied_rooms[{c.id}]"
+        if uses is not None and not model.has_constraint(name):
+            model.add_constraint(
+                name,
+                [(1.0, model.by_tag((uses, key, c.id)))
+                 for key in sorted(model.metadata["room_keys"])],
+                ">=", 1.0, origin="implied-bound-cut")
+            added += 1
     return added
 
 
@@ -775,7 +689,6 @@ def add_pattern_cuts(model: MilpModel, patterns) -> int:
     a +1/-1 pattern exactly, its isolated-lecture indicators must absorb
     that pattern's penalty."""
     instance: Instance = model.metadata["instance"]
-    tags = _tag_map(model)
     n = instance.periods_per_day
     added = 0
     for pattern, penalty in patterns:
@@ -802,9 +715,9 @@ def add_pattern_cuts(model: MilpModel, patterns) -> int:
                 for j, a in enumerate(pattern):
                     for cid in sorted(u.courses):
                         terms += [(float(penalty * a), ref) for _, ref in
-                                  occupancy_terms(model, day[j], cid, tags)]
+                                  occupancy_terms(model, day[j], cid)]
                 for s in range(n):
-                    terms.append((-1.0, tags[("single", u.id, d, s)]))
+                    terms.append((-1.0, model.by_tag(("single", u.id, d, s))))
                 model.add_constraint(name, terms, "<=",
                                      float(penalty * (m - 1)),
                                      origin="pattern-cut")

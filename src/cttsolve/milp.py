@@ -59,6 +59,7 @@ class MilpModel:
         self.objective_constant: float = 0.0
         self.metadata: dict = {}
         self._var_index: dict[str, int] = {}
+        self._tag_index: dict[tuple, int] = {}
         self._con_index: dict[str, int] = {}
         self._frozen = False
 
@@ -74,6 +75,8 @@ class MilpModel:
         self._check_mutable()
         if name in self._var_index:
             raise MilpError(f"duplicate variable name {name!r}")
+        if tag and tag in self._tag_index:
+            raise MilpError(f"duplicate variable tag {tag!r}")
         if kind not in ("binary", "integer", "continuous"):
             raise MilpError(f"unknown variable kind {kind!r}")
         if kind == "binary":
@@ -86,6 +89,8 @@ class MilpModel:
         idx = len(self.variables)
         self.variables.append(Variable(name, kind, lower, upper, tag))
         self._var_index[name] = idx
+        if tag:
+            self._tag_index[tag] = idx
         return idx
 
     def var(self, name: str) -> int:
@@ -93,6 +98,13 @@ class MilpModel:
             return self._var_index[name]
         except KeyError:
             raise MilpError(f"unknown variable {name!r}")
+
+    def by_tag(self, tag: tuple) -> int:
+        """Index of the variable carrying the (non-empty) tag."""
+        try:
+            return self._tag_index[tag]
+        except KeyError:
+            raise MilpError(f"unknown variable tag {tag!r}")
 
     def has_variable(self, name: str) -> bool:
         return name in self._var_index
@@ -144,6 +156,7 @@ class MilpModel:
         out.objective_constant = self.objective_constant
         out.metadata = dict(self.metadata)
         out._var_index = dict(self._var_index)
+        out._tag_index = dict(self._tag_index)
         out._con_index = dict(self._con_index)
         return out
 

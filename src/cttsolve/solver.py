@@ -58,7 +58,8 @@ class SolveConfig:
 
 @dataclass
 class SolveResult:
-    status: str  # optimal | feasible | infeasible | unbounded | limit-reached
+    # optimal | feasible | infeasible | cutoff | unbounded | limit-reached
+    status: str
     incumbent: MilpSolution | None
     lower_bound: float
     nodes_explored: int
@@ -180,6 +181,9 @@ def branch_and_bound(model: MilpModel, config: SolveConfig | None = None,
     Branches on the most fractional integer variable (ties to the lowest
     index); nodes are pruned once their bound reaches the lesser of the
     cutoff and the incumbent.  Deterministic when no time limit binds.
+    Status ``cutoff`` means the tree was exhausted without an incumbent
+    after pruning against the cutoff: nothing better than the cutoff
+    exists, though the model may be feasible.
     """
     config = config or SolveConfig()
     start = time.monotonic()
@@ -203,9 +207,8 @@ def branch_and_bound(model: MilpModel, config: SolveConfig | None = None,
         return min(config.cutoff, inc_obj)
 
     def open_lower() -> float:
-        candidates = [b for b, *_ in heap] + [pruned_min]
-        lb = min(candidates) if candidates else math.inf
-        return min(lb, inc_obj)
+        # the heap is ordered by bound, so its head holds the least one
+        return min(heap[0][0] if heap else math.inf, pruned_min, inc_obj)
 
     while heap:
         if config.node_limit is not None and explored >= config.node_limit:
@@ -265,10 +268,10 @@ def branch_and_bound(model: MilpModel, config: SolveConfig | None = None,
         sol = _as_solution(model, incumbent, inc_obj, "feasible")
         return SolveResult(status, sol, lb, explored, wall)
 
-    # tree exhausted
+    # tree exhausted; without an incumbent every prune was against the cutoff
     if incumbent is None:
-        lb = pruned_min if math.isfinite(pruned_min) else math.inf
-        return SolveResult("infeasible", None, lb, explored, wall)
+        status = "cutoff" if pruned_min < math.inf else "infeasible"
+        return SolveResult(status, None, pruned_min, explored, wall)
     lb = min(pruned_min, inc_obj)
     status = "optimal" if lb >= inc_obj - BOUND_TOL else "feasible"
     sol = _as_solution(model, incumbent, inc_obj,

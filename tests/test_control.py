@@ -42,6 +42,20 @@ class TestLedger:
         ledger.record_upper(9.0, "dive")
         assert ledger.gap() == 44.4
 
+    def test_lower_above_upper_rejected(self):
+        ledger = BoundsLedger()
+        ledger.record_upper(5.0, "dive")
+        assert ledger.record_lower(5.0 + 1e-7, "surface")  # within tolerance
+        with pytest.raises(ControlError):
+            ledger.record_lower(6.0, "surface")
+
+    def test_upper_below_lower_rejected(self):
+        ledger = BoundsLedger()
+        ledger.record_lower(5.0, "surface")
+        assert ledger.record_upper(5.0 - 1e-7, "dive")  # within tolerance
+        with pytest.raises(ControlError):
+            ledger.record_upper(4.0, "dive")
+
     def test_best_solution_tracked(self):
         ledger = BoundsLedger()
         solution = Solution({"c1": ((0, "r1"),)})

@@ -78,11 +78,12 @@ class TestMonolithic:
         for solution in feasible_solutions(instance, rng):
             values = encode_solution(instance, model, solution)
             milp_solution = MilpSolution(values, 0.0, "feasible")
-            assert decode_monolithic(instance, milp_solution) == solution
+            assert decode_monolithic(model, milp_solution) == solution
 
     def test_decode_rejects_infeasible_status(self, toy_instance):
         with pytest.raises(FormulationError):
-            decode_monolithic(toy_instance, MilpSolution({}, 0.0, "infeasible"))
+            decode_monolithic(build_monolithic(toy_instance),
+                              MilpSolution({}, 0.0, "infeasible"))
 
 
 class TestSurface:
@@ -132,11 +133,6 @@ class TestSurface:
     def test_forbidden_period_constraint(self, toy_instance):
         model = build_surface(toy_instance)
         assert model.has_constraint("forbidden[c1,0]")
-
-    def test_stratified_bounds_adds_rows(self, toy_instance):
-        plain = build_surface(toy_instance)
-        strat = build_surface(toy_instance, stratified_bounds=True)
-        assert len(strat.constraints) > len(plain.constraints)
 
 
 class TestSurface2:
@@ -261,7 +257,7 @@ class TestRestrictions:
         dive = restrict_day_fixed(mono, basis, variant="zero-stability")
         result = branch_and_bound(dive)
         assert result.status == "optimal"
-        solution = decode_monolithic(toy_instance, result.incumbent)
+        solution = decode_monolithic(dive, result.incumbent)
         for pairs in solution.assignments.values():
             assert len({room for _, room in pairs}) == 1
 
@@ -307,8 +303,7 @@ class TestDecoders:
             "c3": ((4, "rB"), (5, "rB")),
         })
         values = encode_solution(toy_instance, model, solution)
-        basis = decode_surface(toy_instance,
-                               MilpSolution(values, 0.0, "feasible"))
+        basis = decode_surface(model, MilpSolution(values, 0.0, "feasible"))
         assert basis == project_solution(toy_instance, solution)
 
     def test_decode_surface_rejects_fractional(self, toy_instance):
@@ -316,7 +311,7 @@ class TestDecoders:
         values = {v.name: 0.0 for v in model.variables}
         values["times[1,c1]"] = 0.5
         with pytest.raises(FormulationError):
-            decode_surface(toy_instance, MilpSolution(values, 0.0, "feasible"))
+            decode_surface(model, MilpSolution(values, 0.0, "feasible"))
 
 
 class TestCliqueCuts:

@@ -52,6 +52,16 @@ class TestBuilding:
         with pytest.raises(MilpError):
             model.add_constraint("cover", [(1.0, "x")], "<=", 1.0)
 
+    def test_lookup_by_tag(self):
+        model = simple_model()
+        idx = model.add_variable("t[1,a]", "binary", tag=("t", 1, "a"))
+        assert model.by_tag(("t", 1, "a")) == idx
+        assert model.copy().by_tag(("t", 1, "a")) == idx
+        with pytest.raises(MilpError):
+            model.by_tag(("t", 2, "a"))
+        with pytest.raises(MilpError):
+            model.add_variable("other", "binary", tag=("t", 1, "a"))
+
     def test_unknown_variable_reference(self):
         model = simple_model()
         with pytest.raises(MilpError):

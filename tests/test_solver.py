@@ -104,8 +104,19 @@ class TestBranchAndBound:
     def test_cutoff_prunes_at_optimum(self):
         model = knapsack_model()
         result = branch_and_bound(model, SolveConfig(cutoff=-9.0))
+        assert result.status == "cutoff"
         assert result.incumbent is None
         assert result.lower_bound >= -9.0 - 1e-6
+
+    def test_cutoff_is_not_infeasible(self):
+        model = MilpModel("one")
+        model.add_variable("x", "binary")
+        model.add_constraint("c", [(1.0, "x")], ">=", 1.0)
+        model.set_objective([(1.0, "x")])
+        result = branch_and_bound(model, SolveConfig(cutoff=1.0))
+        assert result.status == "cutoff"
+        assert result.incumbent is None
+        assert result.lower_bound == pytest.approx(1.0)
 
     def test_cutoff_allows_strictly_better(self):
         result = branch_and_bound(knapsack_model(), SolveConfig(cutoff=-8.0))
