@@ -7,54 +7,37 @@ strategy, then prints one table row per instance.  Any disagreement between
 the exact routes, or a contract bound that fails to bracket the optimum, is
 reported and makes the script exit non-zero.
 
-Usage:
-    python3 scripts/run_tiny_corpus.py [--count 25] [--seed 0]
+The instances come from `random_tiny_instance` in the test suite's
+`tests/conftest.py`, loaded by file path, so the script and the tests
+sweep the same generator.
+
+Usage, from the repository root:
+    PYTHONPATH=src python3 scripts/run_tiny_corpus.py [--count 25] [--seed 0]
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import random
 import sys
 import time
+from pathlib import Path
 
 from cttsolve.control import StrategyConfig, run_strategy
-from cttsolve.instance import (Course, Curriculum, Instance, Room,
-                               CttSemanticError)
 from cttsolve.solver import brute_force_instance
 
+CONFTEST = Path(__file__).resolve().parent.parent / "tests" / "conftest.py"
 
-def random_tiny_instance(rng: random.Random) -> Instance:
-    """A validated instance small enough for exhaustive enumeration."""
-    while True:
-        n_courses = rng.randint(1, 3)
-        days = rng.randint(1, 2)
-        ppd = rng.randint(2, 4)
-        courses = tuple(
-            Course(id=f"c{i}", teacher=f"t{rng.randint(1, 2)}",
-                   events=rng.randint(1, 2),
-                   min_days=rng.randint(1, days),
-                   students=rng.randint(5, 40))
-            for i in range(1, n_courses + 1))
-        rooms = tuple(Room(id=f"r{i}", capacity=rng.randint(10, 35))
-                      for i in range(1, rng.randint(1, 2) + 1))
-        curricula = ()
-        if rng.random() < 0.8 and n_courses >= 2:
-            members = rng.sample([c.id for c in courses], 2)
-            curricula = (Curriculum(id="q1", courses=frozenset(members)),)
-        unavailable = set()
-        for c in courses:
-            for _ in range(rng.randint(0, 2)):
-                unavailable.add((c.id, rng.randrange(days * ppd)))
-        instance = Instance(name="tiny", courses=courses, rooms=rooms,
-                            curricula=curricula, days=days,
-                            periods_per_day=ppd,
-                            unavailability=frozenset(unavailable))
-        try:
-            instance.validate()
-        except CttSemanticError:
-            continue
-        return instance
+
+def load_generator():
+    """`random_tiny_instance` from the test suite's `tests/conftest.py`."""
+    spec = importlib.util.spec_from_file_location("tiny_conftest", CONFTEST)
+    if spec is None or spec.loader is None:
+        raise FileNotFoundError(CONFTEST)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.random_tiny_instance
 
 
 def main() -> int:
@@ -65,6 +48,7 @@ def main() -> int:
                         help="RNG seed (default 0)")
     args = parser.parse_args()
 
+    random_tiny_instance = load_generator()
     rng = random.Random(args.seed)
     header = (f"{'#':>3}  {'crs':>3} {'rms':>3} {'slots':>5}  "
               f"{'brute':>7}  {'exact':>7}  {'LB':>7}  {'UB':>7}  "

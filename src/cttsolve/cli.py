@@ -123,7 +123,6 @@ def cmd_solve(args) -> int:
         dive_nodes=args.dive_nodes,
         dive_gap_stop=args.dive_gap_stop,
         clique_cover_cuts=not args.no_clique_cuts,
-        clique_separation=args.separation,
         pattern_cuts=args.pattern_cuts,
     )
     report = run_strategy(instance, config)
@@ -213,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dive-nodes", type=int, default=None)
     p.add_argument("--dive-gap-stop", type=float, default=0.02)
     p.add_argument("--no-clique-cuts", action="store_true")
-    p.add_argument("--separation", action="store_true",
-                   help="separate clique cuts at the root node")
     p.add_argument("--pattern-cuts", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None,

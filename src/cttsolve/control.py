@@ -9,23 +9,20 @@ improving assignment.  All bound movements go through a monotonic ledger.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
-from . import formulations
-from .evaluation import (PenaltyVector, Solution, check_hard, evaluate, gap,
-                         penalties)
-from .formulations import (DAY_DECOMP, DAY_FIXED, DAY_FIXED_ZERO_STABILITY,
-                           DIVE_KINDS, PERIOD_FIXED, Neighborhood,
+from .evaluation import Solution, check_hard, evaluate, gap, penalties
+from .formulations import (DAY_FIXED, DIVE_KINDS, PERIOD_FIXED, Neighborhood,
                            PeriodAssignment, add_clique_cuts,
                            add_implied_bound_cuts, add_pattern_cuts,
                            all_patterns, build_dive, build_monolithic,
-                           build_surface, build_surface2, clique_separator,
-                           decode_monolithic, decode_surface,
-                           greedy_clique_cover, relax_to_days)
+                           build_surface, build_surface2, decode_monolithic,
+                           decode_surface, greedy_clique_cover, relax_to_days)
 from .instance import Instance, build_conflict_graph, build_multirooms
 from .milp import MilpSolution
 from .solver import SolveConfig, SolveResult, branch_and_bound
@@ -49,11 +46,8 @@ class StrategyConfig:
     total_time: float | None = None
     surface_nodes: int | None = None
     dive_nodes: int | None = None
-    max_dive_sources: int | None = None
     dive_gap_stop: float = 0.02
     clique_cover_cuts: bool = True
-    clique_separation: bool = False
-    implied_bound_cuts: bool = True
     pattern_cuts: bool = False
 
     def __post_init__(self):
@@ -226,14 +220,13 @@ def _prepare_surface(instance: Instance, config: StrategyConfig):
     else:
         multirooms = build_multirooms(instance, config.multiroom_policy)
         model = build_surface2(instance, multirooms)
-    graph = build_conflict_graph(instance)
     if config.clique_cover_cuts:
+        graph = build_conflict_graph(instance)
         add_clique_cuts(model, greedy_clique_cover(graph), graph)
-    if config.implied_bound_cuts:
-        add_implied_bound_cuts(model)
+    add_implied_bound_cuts(model)
     if config.pattern_cuts and instance.periods_per_day <= 6:
         add_pattern_cuts(model, all_patterns(instance.periods_per_day))
-    return model.freeze(), graph
+    return model.freeze()
 
 
 def _budget(limit_time, limit_nodes, deadline, **extra) -> SolveConfig:
@@ -244,26 +237,41 @@ def _budget(limit_time, limit_nodes, deadline, **extra) -> SolveConfig:
     return SolveConfig(time_limit=limit_time, node_limit=limit_nodes, **extra)
 
 
-def _run_dive(instance: Instance, monolithic, neighborhood: Neighborhood,
-              ledger: BoundsLedger, config: StrategyConfig,
-              deadline) -> DiveRecord:
-    model = build_dive(monolithic, neighborhood)
-    if config.implied_bound_cuts:
-        add_implied_bound_cuts(model)
-    model.freeze()
-    cutoff = ledger.upper if math.isfinite(ledger.upper) else None
-    solve_config = _budget(config.per_dive_time, config.dive_nodes, deadline,
-                           cutoff=cutoff, gap_target=config.dive_gap_stop)
+def _solve_and_record(instance: Instance, model, solve_config: SolveConfig,
+                      ledger: BoundsLedger, source: str,
+                      global_bound: bool = False) -> tuple[SolveResult,
+                                                          float | None]:
+    """Solve a full-formulation model, re-check its timetable against the
+    hard constraints, and record its objective as an upper bound.  With
+    `global_bound` the model is the whole problem, so its lower bound is
+    recorded first."""
     result = branch_and_bound(model, solve_config)
+    if global_bound and math.isfinite(result.lower_bound):
+        ledger.record_lower(result.lower_bound, source)
     objective = None
     if result.incumbent is not None:
         solution = decode_monolithic(model, result.incumbent)
         violations = check_hard(instance, solution)
         if violations:
-            raise ControlError(
-                f"dive produced an infeasible timetable: {violations[0]}")
+            raise ControlError(f"{source} produced an infeasible timetable:"
+                               f" {violations[0]}")
         objective = evaluate(instance, solution)
-        ledger.record_upper(objective, f"dive:{neighborhood.kind}", solution)
+        ledger.record_upper(objective, source, solution)
+    return result, objective
+
+
+def _run_dive(instance: Instance, monolithic, neighborhood: Neighborhood,
+              ledger: BoundsLedger, config: StrategyConfig,
+              deadline) -> DiveRecord:
+    """`monolithic` returns the frozen monolithic model the dive restricts."""
+    model = build_dive(monolithic(), neighborhood)
+    add_implied_bound_cuts(model)
+    model.freeze()
+    cutoff = ledger.upper if math.isfinite(ledger.upper) else None
+    solve_config = _budget(config.per_dive_time, config.dive_nodes, deadline,
+                           cutoff=cutoff, gap_target=config.dive_gap_stop)
+    result, objective = _solve_and_record(instance, model, solve_config,
+                                          ledger, f"dive:{neighborhood.kind}")
     return DiveRecord(neighborhood.kind, neighborhood.source_objective,
                       neighborhood.discovery_index, result.status,
                       objective, result.nodes_explored)
@@ -280,8 +288,10 @@ def run_strategy(instance: Instance,
     if config.strategy == "exact":
         return _run_exact(instance, config, ledger, deadline)
 
-    monolithic = build_monolithic(instance).freeze()
-    surface, graph = _prepare_surface(instance, config)
+    # built at the first dive: a surface that yields no source needs none
+    monolithic = functools.cache(
+        lambda: build_monolithic(instance).freeze())
+    surface = _prepare_surface(instance, config)
     sources: list[tuple[PeriodAssignment, float]] = []
     dives: list[DiveRecord] = []
 
@@ -296,11 +306,8 @@ def run_strategy(instance: Instance,
                 dives.append(_run_dive(instance, monolithic, neighborhood,
                                        ledger, config, deadline))
 
-    surface_config = _budget(
-        config.surface_time, config.surface_nodes, deadline,
-        on_incumbent=harvest,
-        separation=config.clique_separation,
-        separator=clique_separator(graph) if config.clique_separation else None)
+    surface_config = _budget(config.surface_time, config.surface_nodes,
+                             deadline, on_incumbent=harvest)
     surface_result = branch_and_bound(surface, surface_config)
 
     if surface_result.status == "infeasible":
@@ -311,15 +318,10 @@ def run_strategy(instance: Instance,
         ledger.record_lower(surface_result.lower_bound, "surface")
 
     if config.strategy == "contract":
-        neighborhoods = []
-        picked = sources
-        if config.max_dive_sources is not None:
-            picked = sources[-config.max_dive_sources:]
-        offset = len(sources) - len(picked)
-        for i, (basis, objective) in enumerate(picked):
-            for kind in config.dive_kinds:
-                neighborhoods.append(_make_neighborhood(
-                    instance, kind, basis, objective, offset + i))
+        neighborhoods = [
+            _make_neighborhood(instance, kind, basis, objective, i)
+            for i, (basis, objective) in enumerate(sources)
+            for kind in config.dive_kinds]
         for neighborhood in order_dives(neighborhoods, config.dive_kinds):
             if deadline is not None and time.monotonic() >= deadline:
                 break
@@ -328,30 +330,6 @@ def run_strategy(instance: Instance,
 
     status = _final_status(ledger, surface_result)
     return _report(instance, config, ledger, status, surface_result, dives)
-
-
-def run_contract(instance: Instance,
-                 config: StrategyConfig | None = None) -> RunReport:
-    config = config or StrategyConfig(strategy="contract")
-    if config.strategy != "contract":
-        raise ControlError("run_contract requires the contract strategy")
-    return run_strategy(instance, config)
-
-
-def run_anytime(instance: Instance,
-                config: StrategyConfig | None = None) -> RunReport:
-    config = config or StrategyConfig(strategy="anytime")
-    if config.strategy != "anytime":
-        raise ControlError("run_anytime requires the anytime strategy")
-    return run_strategy(instance, config)
-
-
-def report(run_report: RunReport, format: str = "text") -> str:
-    if format == "text":
-        return run_report.to_text()
-    if format == "json":
-        return run_report.to_json()
-    raise ControlError(f"unknown report format {format!r}")
 
 
 def _make_neighborhood(instance: Instance, kind: str,
@@ -378,23 +356,13 @@ def _run_exact(instance: Instance, config: StrategyConfig,
     if config.clique_cover_cuts:
         graph = build_conflict_graph(instance)
         add_clique_cuts(model, greedy_clique_cover(graph), graph)
-    if config.implied_bound_cuts:
-        add_implied_bound_cuts(model)
+    add_implied_bound_cuts(model)
     model.freeze()
     solve_config = _budget(config.total_time, config.surface_nodes, deadline)
-    result = branch_and_bound(model, solve_config)
+    result, _ = _solve_and_record(instance, model, solve_config, ledger,
+                                  "exact", global_bound=True)
     if result.status == "infeasible":
         return _report(instance, config, ledger, "infeasible", result, [])
-    if math.isfinite(result.lower_bound):
-        ledger.record_lower(result.lower_bound, "exact")
-    if result.incumbent is not None:
-        solution = decode_monolithic(model, result.incumbent)
-        violations = check_hard(instance, solution)
-        if violations:
-            raise ControlError(
-                f"exact solve produced an infeasible timetable:"
-                f" {violations[0]}")
-        ledger.record_upper(evaluate(instance, solution), "exact", solution)
     status = ("optimal" if result.status == "optimal"
               else _final_status(ledger, result))
     return _report(instance, config, ledger, status, result, [])

@@ -282,10 +282,9 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
 
 
 def build_monolithic(instance: Instance) -> MilpModel:
-    rooms = build_multirooms(instance, "identity")
-    by_member = {next(iter(r.members)): r for r in rooms}
-    ordered = [by_member[r.id] for r in instance.rooms]
-    return _build_full(instance, ordered, aggregated=False)
+    # identity multirooms come in instance.rooms order
+    return _build_full(instance, list(build_multirooms(instance, "identity")),
+                       aggregated=False)
 
 
 def build_surface2(instance: Instance,
@@ -365,19 +364,22 @@ def restrict_period_fixed(monolithic: MilpModel,
     return model
 
 
+# model name suffix of each day-level dive kind (it is the MPS NAME too)
+_DAY_DIVE_NAMES = {DAY_FIXED: "day-plain", DAY_DECOMP: "day-decomp",
+                   DAY_FIXED_ZERO_STABILITY: "day-zero-stability"}
+
+
 def restrict_day_fixed(monolithic: MilpModel, basis: DayAssignment,
-                       variant: str = "plain") -> MilpModel:
-    if variant not in ("plain", "decomp", "zero-stability"):
-        raise FormulationError(f"unknown day-fixed variant {variant!r}")
+                       kind: str = DAY_FIXED) -> MilpModel:
+    if kind not in _DAY_DIVE_NAMES:
+        raise FormulationError(f"unknown day-level dive kind {kind!r}")
     instance: Instance = monolithic.metadata["instance"]
     basis.validate(instance)
     source = monolithic
-    if variant == "decomp":
+    if kind == DAY_DECOMP:
         source = _strip_room_stability(monolithic)
-    model = source.copy(name=f"{monolithic.name}+day-{variant}")
-    model.metadata["dive"] = {
-        "plain": DAY_FIXED, "decomp": DAY_DECOMP,
-        "zero-stability": DAY_FIXED_ZERO_STABILITY}[variant]
+    model = source.copy(name=f"{monolithic.name}+{_DAY_DIVE_NAMES[kind]}")
+    model.metadata["dive"] = kind
     for c in instance.courses:
         per_day = basis.counts[c.id]
         for d in range(instance.days):
@@ -386,7 +388,7 @@ def restrict_day_fixed(monolithic: MilpModel, basis: DayAssignment,
                 terms += occupancy_terms(model, p, c.id)
             model.add_constraint(f"day_fix[{c.id},{d}]", terms, "=",
                                  float(per_day[d]), origin="day-fix")
-    if variant == "zero-stability":
+    if kind == DAY_FIXED_ZERO_STABILITY:
         uses = model.metadata.get("uses")
         for c in instance.courses:
             if c.events < 1:
@@ -426,9 +428,8 @@ def _strip_room_stability(model: MilpModel) -> MilpModel:
 def build_dive(monolithic: MilpModel, neighborhood: Neighborhood) -> MilpModel:
     if neighborhood.kind == PERIOD_FIXED:
         return restrict_period_fixed(monolithic, neighborhood.basis)
-    variant = {DAY_FIXED: "plain", DAY_DECOMP: "decomp",
-               DAY_FIXED_ZERO_STABILITY: "zero-stability"}[neighborhood.kind]
-    return restrict_day_fixed(monolithic, neighborhood.basis, variant)
+    return restrict_day_fixed(monolithic, neighborhood.basis,
+                              neighborhood.kind)
 
 
 # -- decoding ----------------------------------------------------------------
@@ -586,74 +587,6 @@ def greedy_clique_cover(graph: ConflictGraph) -> list[frozenset[str]]:
         if len(clique) >= 2:
             cliques.append(frozenset(clique))
     return cliques
-
-
-def separate_cliques(graph: ConflictGraph, fractional: dict,
-                     keep_ungrown: bool = True,
-                     tol: float = 1e-6) -> list[frozenset[str]]:
-    """Find cliques whose per-period fractional occupancy exceeds one.
-
-    Triangles are enumerated; each violated one is greedily grown by
-    vertices adjacent to all members that increase the violated sum.
-    """
-    periods = sorted({p for p, _ in fractional})
-    vertices = sorted(graph.vertices)
-    found: list[frozenset[str]] = []
-    seen: set[frozenset[str]] = set()
-    for tri in itertools.combinations(vertices, 3):
-        a, b, c = tri
-        if not (graph.are_adjacent(a, b) and graph.are_adjacent(a, c)
-                and graph.are_adjacent(b, c)):
-            continue
-        for p in periods:
-            val = {v: fractional.get((p, v), 0.0) for v in vertices}
-            total = val[a] + val[b] + val[c]
-            if total <= 1.0 + tol:
-                continue
-            clique = set(tri)
-            grown = False
-            while True:
-                extensions = [
-                    v for v in vertices
-                    if v not in clique and val[v] > tol
-                    and all(graph.are_adjacent(v, m) for m in clique)]
-                if not extensions:
-                    break
-                best = max(extensions, key=lambda v: (val[v], v))
-                clique.add(best)
-                grown = True
-            if not grown and not keep_ungrown:
-                continue
-            key = frozenset(clique)
-            if key not in seen:
-                seen.add(key)
-                found.append(key)
-    return found
-
-
-def clique_separator(graph: ConflictGraph):
-    """Root-node separation callback for the built-in solver."""
-
-    def separate(model: MilpModel, point: dict[str, float]):
-        instance: Instance = model.metadata["instance"]
-        names = [v.name for v in model.variables]
-        fractional: dict[tuple[int, str], float] = {
-            (p, c.id): sum(point.get(names[idx], 0.0) for _, idx in
-                           occupancy_terms(model, p, c.id))
-            for p in range(instance.periods) for c in instance.courses}
-        cuts = []
-        for clique in separate_cliques(graph, fractional):
-            members = sorted(clique)
-            for p in range(instance.periods):
-                if sum(fractional.get((p, c), 0.0) for c in members) <= 1 + 1e-6:
-                    continue
-                terms = []
-                for cid in members:
-                    terms += occupancy_terms(model, p, cid)
-                cuts.append((terms, 1.0))
-        return cuts
-
-    return separate
 
 
 def add_implied_bound_cuts(model: MilpModel) -> int:

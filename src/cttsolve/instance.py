@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Iterable, Literal
 
 DEFAULT_WEIGHTS = (1, 5, 2, 1)
-LEGACY_WEIGHTS = (1, 5, 2, 0)  # pre-competition weight vector
 
 
 class CttError(Exception):

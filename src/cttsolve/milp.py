@@ -9,7 +9,7 @@ tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 FEAS_TOL = 1e-6
 

@@ -10,7 +10,7 @@ import itertools
 import math
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable
@@ -45,8 +45,6 @@ class SolveConfig:
     cutoff: float | None = None  # prune nodes whose bound reaches this value
     gap_target: float | None = None  # e.g. 0.02 stops at a 2% relative gap
     node_limit: int | None = None
-    separation: bool = False
-    separator: Callable | None = None  # (model, fractional values) -> cut specs
     on_incumbent: Callable | None = None  # (values, objective) -> None
 
     def __post_init__(self):
@@ -78,7 +76,6 @@ class _Arrays:
 
     def __init__(self, model: MilpModel):
         n = len(model.variables)
-        self.model = model
         self.c = np.zeros(n)
         for coef, idx in model.objective_terms:
             self.c[idx] += coef
@@ -90,20 +87,22 @@ class _Arrays:
             dtype=int)
 
         ub_rows, eq_rows = [], []
-        self.b_ub, self.b_eq = [], []
+        b_ub, b_eq = [], []
         for con in model.constraints:
             row = [(idx, coef) for coef, idx in con.terms]
             if con.sense == "<=":
                 ub_rows.append(row)
-                self.b_ub.append(con.rhs)
+                b_ub.append(con.rhs)
             elif con.sense == ">=":
                 ub_rows.append([(i, -c) for i, c in row])
-                self.b_ub.append(-con.rhs)
+                b_ub.append(-con.rhs)
             else:
                 eq_rows.append(row)
-                self.b_eq.append(con.rhs)
+                b_eq.append(con.rhs)
         self.A_ub = self._matrix(ub_rows, n)
         self.A_eq = self._matrix(eq_rows, n)
+        self.b_ub = np.array(b_ub) if b_ub else None
+        self.b_eq = np.array(b_eq) if b_eq else None
 
         obj_vars_integer = all(
             model.variables[idx].is_integer()
@@ -125,21 +124,11 @@ class _Arrays:
                 data.append(coef)
         return sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
 
-    def add_ub_row(self, terms: list[tuple[float, int]], rhs: float) -> None:
-        n = len(self.model.variables)
-        row = sparse.csr_matrix(
-            ([c for c, _ in terms], ([0] * len(terms), [i for _, i in terms])),
-            shape=(1, n))
-        self.A_ub = row if self.A_ub is None else sparse.vstack(
-            [self.A_ub, row], format="csr")
-        self.b_ub.append(rhs)
-
     def solve_lp(self, lo=None, hi=None):
         """Returns (status, value incl. constant, point array or None)."""
         lo = self.lo if lo is None else lo
         hi = self.hi if hi is None else hi
-        b_ub = np.array(self.b_ub) if self.b_ub else None
-        b_eq = np.array(self.b_eq) if self.b_eq else None
+        b_ub, b_eq = self.b_ub, self.b_eq
         if len(self.c) == 0:
             feasible = (b_ub is None or (b_ub >= -BOUND_TOL).all()) and (
                 b_eq is None or (np.abs(b_eq) <= BOUND_TOL).all())
@@ -189,9 +178,6 @@ def branch_and_bound(model: MilpModel, config: SolveConfig | None = None,
     start = time.monotonic()
     arrays = arrays or _Arrays(model)
     integral = arrays.integral_objective
-
-    if config.separation and config.separator is not None:
-        _root_separation(model, arrays, config)
 
     incumbent: dict[str, float] | None = None
     inc_obj = math.inf
@@ -264,9 +250,9 @@ def branch_and_bound(model: MilpModel, config: SolveConfig | None = None,
     wall = time.monotonic() - start
     if stop_status == "limit-reached":
         lb = open_lower()
-        status = "limit-reached"
-        sol = _as_solution(model, incumbent, inc_obj, "feasible")
-        return SolveResult(status, sol, lb, explored, wall)
+        sol = (None if incumbent is None
+               else MilpSolution(incumbent, inc_obj, "feasible"))
+        return SolveResult("limit-reached", sol, lb, explored, wall)
 
     # tree exhausted; without an incumbent every prune was against the cutoff
     if incumbent is None:
@@ -274,9 +260,8 @@ def branch_and_bound(model: MilpModel, config: SolveConfig | None = None,
         return SolveResult(status, None, pruned_min, explored, wall)
     lb = min(pruned_min, inc_obj)
     status = "optimal" if lb >= inc_obj - BOUND_TOL else "feasible"
-    sol = _as_solution(model, incumbent, inc_obj,
-                       "optimal" if status == "optimal" else "feasible")
-    return SolveResult(status, sol, lb, explored, wall)
+    return SolveResult(status, MilpSolution(incumbent, inc_obj, status), lb,
+                       explored, wall)
 
 
 def _relative_gap(upper: float, lower: float) -> float:
@@ -288,12 +273,14 @@ def _relative_gap(upper: float, lower: float) -> float:
 
 
 def _most_fractional(arrays: _Arrays, x) -> int | None:
-    best, best_frac = None, INT_TOL
-    for idx in arrays.int_idx:
-        frac = abs(x[idx] - round(x[idx]))
-        if frac > best_frac:
-            best, best_frac = int(idx), frac
-    return best
+    """Index of the integer variable farthest from integral, ties to the
+    lowest index; None when all are integral within INT_TOL."""
+    if not len(arrays.int_idx):
+        return None
+    values = x[arrays.int_idx]
+    frac = np.abs(values - np.round(values))
+    best = int(np.argmax(frac))
+    return int(arrays.int_idx[best]) if frac[best] > INT_TOL else None
 
 
 def _integral_point(model: MilpModel, arrays: _Arrays, x) -> dict[str, float]:
@@ -301,28 +288,6 @@ def _integral_point(model: MilpModel, arrays: _Arrays, x) -> dict[str, float]:
     for i, v in enumerate(model.variables):
         values[v.name] = float(round(x[i])) if v.is_integer() else float(x[i])
     return values
-
-
-def _as_solution(model, values, obj, status) -> MilpSolution | None:
-    if values is None:
-        return None
-    return MilpSolution(values, obj, status)
-
-
-def _root_separation(model: MilpModel, arrays: _Arrays,
-                     config: SolveConfig, rounds: int = 3) -> None:
-    """Root-node cutting loop: solve the relaxation, ask the separator for
-    violated cuts, add them, repeat up to `rounds` times."""
-    for _ in range(rounds):
-        status, _value, x = arrays.solve_lp()
-        if status != "optimal":
-            return
-        point = {v.name: float(x[i]) for i, v in enumerate(model.variables)}
-        cuts = config.separator(model, point)
-        if not cuts:
-            return
-        for terms, rhs in cuts:
-            arrays.add_ub_row(terms, rhs)
 
 
 # -- brute force oracles ----------------------------------------------------

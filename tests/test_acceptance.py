@@ -19,7 +19,7 @@ from pathlib import Path
 
 from conftest import TIGHT_CTT, make_instance, random_tiny_instance
 from cttsolve.cli import main as cli_main
-from cttsolve.control import StrategyConfig, run_contract, run_strategy
+from cttsolve.control import StrategyConfig, run_strategy
 from cttsolve.evaluation import (PenaltyVector, Solution, check_hard,
                                  count_isolated, evaluate, gap, objective)
 from cttsolve.formulations import (PeriodAssignment, add_clique_cuts,
@@ -300,7 +300,7 @@ def test_criterion_7_end_to_end_sanity():
         detail = ("DEGRADED: comp01.ctt unavailable; contract strategy run"
                   " on a synthetic instance with scaled budgets instead"
                   " (set CTT_INSTANCE_DIR to enable the full check)")
-    result = run_contract(instance, config)
+    result = run_strategy(instance, config)
     ok = result.status in ("optimal", "feasible")
     ok &= result.lower_bound is not None and result.lower_bound >= 0
     if ok:

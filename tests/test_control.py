@@ -3,9 +3,9 @@ import random
 import pytest
 
 from conftest import make_instance, random_tiny_instance
+from cttsolve import control
 from cttsolve.control import (BoundsLedger, ControlError, RunReport,
-                              StrategyConfig, order_dives, report,
-                              run_anytime, run_contract, run_strategy,
+                              StrategyConfig, order_dives, run_strategy,
                               solution_from_payload)
 from cttsolve.evaluation import Solution, check_hard, evaluate
 from cttsolve.formulations import (DAY_FIXED, PERIOD_FIXED, DayAssignment,
@@ -103,12 +103,6 @@ class TestConfig:
         with pytest.raises(ControlError):
             StrategyConfig(surface_time=10.0, total_time=5.0)
 
-    def test_wrapper_strategy_mismatch(self, tight_instance):
-        with pytest.raises(ControlError):
-            run_contract(tight_instance, StrategyConfig(strategy="anytime"))
-        with pytest.raises(ControlError):
-            run_anytime(tight_instance, StrategyConfig(strategy="contract"))
-
 
 class TestStrategies:
     def test_contract_brackets_optimum(self):
@@ -117,7 +111,7 @@ class TestStrategies:
         while checked < 6:
             instance = random_tiny_instance(rng)
             exact = brute_force_instance(instance)
-            result = run_contract(instance)
+            result = run_strategy(instance)
             if exact.status == "infeasible":
                 assert result.status == "infeasible"
                 continue
@@ -129,7 +123,7 @@ class TestStrategies:
             checked += 1
 
     def test_best_solution_feasible_and_consistent(self, tight_instance):
-        result = run_contract(tight_instance)
+        result = run_strategy(tight_instance)
         assert result.upper_bound is not None
         solution = solution_from_payload(result.solution)
         assert check_hard(tight_instance, solution) == []
@@ -138,7 +132,7 @@ class TestStrategies:
     def test_anytime_one_dive_per_incumbent(self, tight_instance):
         config = StrategyConfig(strategy="anytime",
                                 dive_kinds=(PERIOD_FIXED,))
-        result = run_anytime(tight_instance, config)
+        result = run_strategy(tight_instance, config)
         indices = [d.discovery_index for d in result.dives]
         assert indices == sorted(set(indices))  # one episode per incumbent
 
@@ -147,8 +141,8 @@ class TestStrategies:
         agreements = 0
         while agreements < 4:
             instance = random_tiny_instance(rng)
-            a = run_contract(instance)
-            b = run_anytime(instance, StrategyConfig(strategy="anytime"))
+            a = run_strategy(instance)
+            b = run_strategy(instance, StrategyConfig(strategy="anytime"))
             assert a.lower_bound == b.lower_bound
             if a.upper_bound is None and b.upper_bound is None:
                 continue
@@ -160,7 +154,7 @@ class TestStrategies:
             [("c1", "t1", 2, 1, 5), ("c2", "t2", 2, 1, 5)],
             [("r1", 9)], [("q1", ["c1", "c2"])],
             days=1, periods_per_day=2)
-        result = run_contract(instance)
+        result = run_strategy(instance)
         assert result.status == "infeasible"
         assert result.upper_bound is None
 
@@ -170,8 +164,25 @@ class TestStrategies:
         assert result.status == "optimal"
         assert result.upper_bound == exact.lower_bound
 
+    def test_monolithic_built_at_first_dive(self, tight_instance,
+                                            monkeypatch):
+        built = []
+        real = control.build_monolithic
+
+        def counting(instance):
+            built.append(instance.name)
+            return real(instance)
+
+        monkeypatch.setattr(control, "build_monolithic", counting)
+        result = run_strategy(tight_instance, StrategyConfig(surface_nodes=0))
+        assert result.dives == []
+        assert built == []
+        result = run_strategy(tight_instance)
+        assert len(result.dives) > 1
+        assert built == ["tight"]  # once, shared by every dive
+
     def test_history_monotone(self, tight_instance):
-        result = run_contract(tight_instance)
+        result = run_strategy(tight_instance)
         lowers = [e.value for e in result.history if e.kind == "lower"]
         uppers = [e.value for e in result.history if e.kind == "upper"]
         assert lowers == sorted(lowers)
@@ -184,7 +195,7 @@ class TestStrategies:
             exact = brute_force_instance(instance)
             if exact.status != "optimal":
                 continue
-            result = run_contract(instance)
+            result = run_strategy(instance)
             assert result.lower_bound <= exact.lower_bound + 1e-9
 
     def test_determinism_without_time_limits(self, tight_instance):
@@ -196,16 +207,14 @@ class TestStrategies:
 
 class TestReports:
     def test_json_round_trip(self, tight_instance):
-        result = run_contract(tight_instance)
+        result = run_strategy(tight_instance)
         again = RunReport.from_json(result.to_json())
         assert again.to_json() == result.to_json()
 
     def test_report_formats(self, tight_instance):
-        result = run_contract(tight_instance)
-        assert "instance: tight" in report(result, "text")
-        assert '"strategy"' in report(result, "json")
-        with pytest.raises(ControlError):
-            report(result, "xml")
+        result = run_strategy(tight_instance)
+        assert "instance: tight" in result.to_text()
+        assert '"strategy"' in result.to_json()
 
     def test_gap_in_report(self):
         ledger = BoundsLedger()
@@ -218,7 +227,7 @@ class TestReports:
             [("c1", "t1", 2, 2, 5)], [("r1", 9)], [("q1", ["c1"])],
             days=2, periods_per_day=2)
         config = StrategyConfig(surface_nodes=0, dive_nodes=0)
-        result = run_contract(instance, config)
+        result = run_strategy(instance, config)
         assert result.upper_bound is None
         assert result.gap is None
         assert "n/a" in result.to_text()

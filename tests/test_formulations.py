@@ -5,17 +5,18 @@ import pytest
 
 from conftest import make_instance, random_tiny_instance
 from cttsolve.evaluation import Solution, check_hard, count_isolated, evaluate
-from cttsolve.formulations import (DAY_FIXED, PERIOD_FIXED, FormulationError,
-                                   DayAssignment, Neighborhood,
-                                   PeriodAssignment, add_clique_cuts,
+from cttsolve.formulations import (DAY_DECOMP, DAY_FIXED,
+                                   DAY_FIXED_ZERO_STABILITY, PERIOD_FIXED,
+                                   DayAssignment, FormulationError,
+                                   Neighborhood, PeriodAssignment,
+                                   add_clique_cuts,
                                    add_implied_bound_cuts, add_pattern_cuts,
                                    all_patterns, build_dive, build_monolithic,
                                    build_surface, build_surface2,
                                    decode_monolithic, decode_surface,
                                    encode_solution, greedy_clique_cover,
                                    project_solution, relax_to_days,
-                                   restrict_day_fixed, restrict_period_fixed,
-                                   separate_cliques)
+                                   restrict_day_fixed, restrict_period_fixed)
 from cttsolve.instance import build_conflict_graph, build_multirooms
 from cttsolve.milp import MilpSolution
 from cttsolve.solver import branch_and_bound, brute_force_instance
@@ -234,7 +235,7 @@ class TestRestrictions:
     def test_decomp_variant_drops_room_machinery(self, toy_instance):
         mono = build_monolithic(toy_instance).freeze()
         basis = DayAssignment({"c1": (2, 1), "c2": (1, 1), "c3": (1, 1)})
-        dive = restrict_day_fixed(mono, basis, variant="decomp")
+        dive = restrict_day_fixed(mono, basis, DAY_DECOMP)
         tags = {v.tag[0] for v in dive.variables}
         assert "uses" not in tags
         assert "room-aggregation" not in dive.origins()
@@ -246,7 +247,7 @@ class TestRestrictions:
         mono = build_monolithic(tight_instance).freeze()
         basis = DayAssignment({"c1": (1, 1), "c2": (1, 1), "c3": (1, 1)})
         plain = branch_and_bound(restrict_day_fixed(mono, basis))
-        decomp = branch_and_bound(restrict_day_fixed(mono, basis, "decomp"))
+        decomp = branch_and_bound(restrict_day_fixed(mono, basis, DAY_DECOMP))
         assert plain.status == decomp.status == "optimal"
         assert plain.incumbent.objective_value == pytest.approx(
             decomp.incumbent.objective_value)
@@ -254,7 +255,8 @@ class TestRestrictions:
     def test_zero_stability_forces_one_room(self, toy_instance):
         mono = build_monolithic(toy_instance).freeze()
         basis = DayAssignment({"c1": (2, 1), "c2": (1, 1), "c3": (1, 1)})
-        dive = restrict_day_fixed(mono, basis, variant="zero-stability")
+        dive = restrict_day_fixed(mono, basis,
+                                  DAY_FIXED_ZERO_STABILITY)
         result = branch_and_bound(dive)
         assert result.status == "optimal"
         solution = decode_monolithic(dive, result.incumbent)
@@ -362,23 +364,6 @@ class TestCliqueCuts:
         for clique in greedy_clique_cover(graph):
             for a, b in itertools.combinations(sorted(clique), 2):
                 assert graph.are_adjacent(a, b)
-
-    def test_separation_triangle(self):
-        graph = build_conflict_graph(self.triangle_instance())
-        fractional = {(0, "a"): 0.5, (0, "b"): 0.5, (0, "c"): 0.5}
-        found = separate_cliques(graph, fractional)
-        assert any({"a", "b", "c"} <= clique for clique in found)
-
-    def test_separation_grows_to_four_clique(self):
-        graph = build_conflict_graph(self.triangle_instance())
-        fractional = {(0, v): 0.4 for v in "abcd"}
-        found = separate_cliques(graph, fractional)
-        assert frozenset("abcd") in found
-
-    def test_no_violation_on_integral_point(self):
-        graph = build_conflict_graph(self.triangle_instance())
-        fractional = {(0, "a"): 1.0, (1, "b"): 1.0, (1, "c"): 0.0}
-        assert separate_cliques(graph, fractional) == []
 
 
 class TestImpliedBoundCuts:

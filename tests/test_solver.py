@@ -4,6 +4,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cttsolve
@@ -12,8 +13,9 @@ from cttsolve.formulations import build_monolithic
 from cttsolve.milp import MilpModel
 from cttsolve.solver import (AdapterConfig, ExternalSolverError,
                              SearchSpaceError, SolveConfig, SolverError,
-                             branch_and_bound, brute_force_instance,
-                             brute_force_model, external_solve, solve_lp)
+                             _Arrays, _most_fractional, branch_and_bound,
+                             brute_force_instance, brute_force_model,
+                             external_solve, solve_lp)
 
 
 def knapsack_model():
@@ -159,6 +161,17 @@ class TestBranchAndBound:
         assert result.status == "optimal"
         assert result.incumbent.objective_value == pytest.approx(2.0)
         assert result.lower_bound == pytest.approx(2.0)
+
+    def test_branching_variable(self):
+        model = MilpModel("frac")
+        model.add_variable("y")  # continuous: never branched on
+        for name in "abc":
+            model.add_variable(name, "binary")
+        arrays = _Arrays(model)
+        # y, b and c are equally fractional; b is the lower integer index
+        assert _most_fractional(arrays, np.array([0.5, 1.0, 0.5, 0.5])) == 2
+        assert _most_fractional(arrays, np.array([0.5, 0.0, 1.0, 1e-9])) \
+            is None
 
     def test_config_validation(self):
         with pytest.raises(SolverError):
