@@ -46,7 +46,6 @@ def main() -> int:
 
     with open(args.instance, encoding="utf-8") as handle:
         instance = parse_ctt(handle.read())
-    instance.validate()
 
     surface_time = (args.surface_time if args.surface_time is not None
                     else args.total_time / 2.0)

@@ -121,8 +121,6 @@ def cmd_solve(args) -> int:
         total_time=total_time,
         surface_nodes=args.surface_nodes,
         dive_nodes=args.dive_nodes,
-        dive_gap_stop=args.dive_gap_stop,
-        clique_cover_cuts=not args.no_clique_cuts,
         pattern_cuts=args.pattern_cuts,
     )
     report = run_strategy(instance, config)
@@ -150,9 +148,8 @@ def cmd_solve_mps(args) -> int:
         return 1 if result.status == "infeasible" else 0
     print(f"objective: {result.incumbent.objective_value}")
     if args.output:
-        nonzero = {k: v for k, v in result.incumbent.values.items() if v != 0}
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(format_values(nonzero))
+            handle.write(format_values(model, result.incumbent.values))
         print(f"wrote {args.output}")
     return 0
 
@@ -210,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f" ({SECONDS_PER_CPU_UNIT:.0f} s each)")
     p.add_argument("--surface-nodes", type=int, default=None)
     p.add_argument("--dive-nodes", type=int, default=None)
-    p.add_argument("--dive-gap-stop", type=float, default=0.02)
-    p.add_argument("--no-clique-cuts", action="store_true")
     p.add_argument("--pattern-cuts", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None,

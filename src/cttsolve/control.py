@@ -28,6 +28,7 @@ from .milp import MilpSolution
 from .solver import SolveConfig, SolveResult, branch_and_bound
 
 STRATEGIES = ("exact", "contract", "anytime")
+DIVE_GAP_STOP = 0.02  # a dive stops once within 2% of its own bound
 
 
 class ControlError(Exception):
@@ -46,8 +47,6 @@ class StrategyConfig:
     total_time: float | None = None
     surface_nodes: int | None = None
     dive_nodes: int | None = None
-    dive_gap_stop: float = 0.02
-    clique_cover_cuts: bool = True
     pattern_cuts: bool = False
 
     def __post_init__(self):
@@ -60,8 +59,6 @@ class StrategyConfig:
         for kind in self.dive_kinds:
             if kind not in DIVE_KINDS:
                 raise ControlError(f"unknown dive kind {kind!r}")
-        if not 0 <= self.dive_gap_stop < 1:
-            raise ControlError("dive gap stop must lie in [0, 1)")
         if (self.total_time is not None and self.surface_time is not None
                 and self.total_time < self.surface_time):
             raise ControlError("total time must cover the surface time")
@@ -220,13 +217,17 @@ def _prepare_surface(instance: Instance, config: StrategyConfig):
     else:
         multirooms = build_multirooms(instance, config.multiroom_policy)
         model = build_surface2(instance, multirooms)
-    if config.clique_cover_cuts:
-        graph = build_conflict_graph(instance)
-        add_clique_cuts(model, greedy_clique_cover(graph), graph)
-    add_implied_bound_cuts(model)
+    _add_static_cuts(instance, model)
     if config.pattern_cuts and instance.periods_per_day <= 6:
         add_pattern_cuts(model, all_patterns(instance.periods_per_day))
     return model.freeze()
+
+
+def _add_static_cuts(instance: Instance, model) -> None:
+    """Clique-cover rows, then implied-bound rows."""
+    graph = build_conflict_graph(instance)
+    add_clique_cuts(model, greedy_clique_cover(graph), graph)
+    add_implied_bound_cuts(model)
 
 
 def _budget(limit_time, limit_nodes, deadline, **extra) -> SolveConfig:
@@ -269,7 +270,7 @@ def _run_dive(instance: Instance, monolithic, neighborhood: Neighborhood,
     model.freeze()
     cutoff = ledger.upper if math.isfinite(ledger.upper) else None
     solve_config = _budget(config.per_dive_time, config.dive_nodes, deadline,
-                           cutoff=cutoff, gap_target=config.dive_gap_stop)
+                           cutoff=cutoff, gap_target=DIVE_GAP_STOP)
     result, objective = _solve_and_record(instance, model, solve_config,
                                           ledger, f"dive:{neighborhood.kind}")
     return DiveRecord(neighborhood.kind, neighborhood.source_objective,
@@ -295,7 +296,7 @@ def run_strategy(instance: Instance,
     sources: list[tuple[PeriodAssignment, float]] = []
     dives: list[DiveRecord] = []
 
-    def harvest(values: dict, objective: float) -> None:
+    def harvest(values, objective: float) -> None:
         basis = decode_surface(surface,
                                MilpSolution(values, objective, "feasible"))
         sources.append((basis, objective))
@@ -309,11 +310,6 @@ def run_strategy(instance: Instance,
     surface_config = _budget(config.surface_time, config.surface_nodes,
                              deadline, on_incumbent=harvest)
     surface_result = branch_and_bound(surface, surface_config)
-
-    if surface_result.status == "infeasible":
-        # the surface relaxes the full problem, so its infeasibility is final
-        return _report(instance, config, ledger, "infeasible",
-                       surface_result, dives)
     if math.isfinite(surface_result.lower_bound):
         ledger.record_lower(surface_result.lower_bound, "surface")
 
@@ -341,11 +337,14 @@ def _make_neighborhood(instance: Instance, kind: str,
                         discovery)
 
 
-def _final_status(ledger: BoundsLedger, surface_result: SolveResult) -> str:
+def _final_status(ledger: BoundsLedger, result: SolveResult) -> str:
+    """Status of a run from its ledger and its surface (or exact) solve; the
+    surface relaxes the full problem, so its infeasibility is final."""
+    if result.status == "infeasible":
+        return "infeasible"
     if not math.isfinite(ledger.upper):
         return "bounds-only"
-    if (surface_result.status == "optimal"
-            and ledger.upper <= ledger.lower + 1e-6):
+    if result.status == "optimal" and ledger.upper <= ledger.lower + 1e-6:
         return "optimal"
     return "feasible"
 
@@ -353,19 +352,13 @@ def _final_status(ledger: BoundsLedger, surface_result: SolveResult) -> str:
 def _run_exact(instance: Instance, config: StrategyConfig,
                ledger: BoundsLedger, deadline) -> RunReport:
     model = build_monolithic(instance)
-    if config.clique_cover_cuts:
-        graph = build_conflict_graph(instance)
-        add_clique_cuts(model, greedy_clique_cover(graph), graph)
-    add_implied_bound_cuts(model)
+    _add_static_cuts(instance, model)
     model.freeze()
     solve_config = _budget(config.total_time, config.surface_nodes, deadline)
     result, _ = _solve_and_record(instance, model, solve_config, ledger,
                                   "exact", global_bound=True)
-    if result.status == "infeasible":
-        return _report(instance, config, ledger, "infeasible", result, [])
-    status = ("optimal" if result.status == "optimal"
-              else _final_status(ledger, result))
-    return _report(instance, config, ledger, status, result, [])
+    return _report(instance, config, ledger, _final_status(ledger, result),
+                   result, [])
 
 
 def _report(instance: Instance, config: StrategyConfig, ledger: BoundsLedger,

@@ -10,6 +10,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .evaluation import Solution, count_isolated
 from .instance import ConflictGraph, Instance, MultiRoom, build_multirooms
 from .milp import MilpModel, MilpSolution
@@ -440,23 +442,27 @@ def _integral(value: float, context: str) -> int:
     return int(round(value))
 
 
-def _checked_values(milp_solution: MilpSolution) -> dict[str, float]:
+def _checked_values(model: MilpModel, milp_solution: MilpSolution):
     if milp_solution.status not in ("optimal", "feasible"):
         raise FormulationError(
             f"cannot decode solution with status {milp_solution.status}")
-    return milp_solution.values
+    values = milp_solution.values
+    if len(values) != len(model.variables):
+        raise FormulationError(
+            f"solution has {len(values)} values for"
+            f" {len(model.variables)} variables")
+    return values.tolist()
 
 
 def decode_monolithic(model: MilpModel,
                       milp_solution: MilpSolution) -> Solution:
     """Timetable of a solution of the monolithic model or one of its dives."""
-    values = _checked_values(milp_solution)
+    values = _checked_values(model, milp_solution)
     instance: Instance = model.metadata["instance"]
     assignments: dict[str, list[tuple[int, str]]] = {
         c.id: [] for c in instance.courses}
-    for v in model.variables:
-        if v.tag[:1] == ("taught",) and _integral(values.get(v.name, 0.0),
-                                                   v.name):
+    for v, x in zip(model.variables, values):
+        if v.tag[:1] == ("taught",) and _integral(x, v.name):
             _, p, room, cid = v.tag
             assignments[cid].append((p, room))
     return Solution({cid: tuple(sorted(v)) for cid, v in assignments.items()})
@@ -466,12 +472,12 @@ def decode_surface(model: MilpModel,
                    milp_solution: MilpSolution) -> PeriodAssignment:
     """Periods used by each course in a solution of any model that records
     its period-assignment variables (surface, surface2 or monolithic)."""
-    values = _checked_values(milp_solution)
+    values = _checked_values(model, milp_solution)
     instance: Instance = model.metadata["instance"]
     kind = (model.metadata["occupancy"],)
     periods: dict[str, set[int]] = {c.id: set() for c in instance.courses}
-    for v in model.variables:
-        if v.tag[:1] == kind and _integral(values.get(v.name, 0.0), v.name):
+    for v, x in zip(model.variables, values):
+        if v.tag[:1] == kind and _integral(x, v.name):
             periods[v.tag[-1]].add(v.tag[1])
     return PeriodAssignment({cid: frozenset(v) for cid, v in periods.items()})
 
@@ -493,8 +499,8 @@ def project_solution(instance: Instance, solution: Solution) -> PeriodAssignment
 
 
 def encode_solution(instance: Instance, model: MilpModel,
-                    solution: Solution) -> dict[str, float]:
-    """Variable values realising a full solution in a full-formulation model
+                    solution: Solution) -> np.ndarray:
+    """Point realising a full solution in a full-formulation model
     (auxiliaries at their forced minima)."""
     kind = model.metadata["occupancy"]
     uses = model.metadata.get("uses")
@@ -539,7 +545,7 @@ def encode_solution(instance: Instance, model: MilpModel,
                 right = j < len(occ) - 1 and occ[j + 1]
                 if not left and not right:
                     values[("single", u.id, d, j)] = 1.0
-    return {v.name: values.get(v.tag, 0.0) for v in model.variables}
+    return np.array([values.get(v.tag, 0.0) for v in model.variables])
 
 
 # -- cuts ---------------------------------------------------------------------

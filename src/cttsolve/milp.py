@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 FEAS_TOL = 1e-6
 
 VarKind = str  # "binary" | "integer" | "continuous"
@@ -42,9 +44,9 @@ class LinearConstraint:
     origin: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MilpSolution:
-    values: dict[str, float]
+    values: np.ndarray  # one entry per model variable, in model order
     objective_value: float
     status: str  # optimal | feasible | infeasible | unbounded | limit-reached
 
@@ -162,28 +164,31 @@ class MilpModel:
 
     # -- evaluation -------------------------------------------------------
 
-    def objective_value(self, values: dict[str, float]) -> float:
+    def _point(self, values) -> list[float]:
+        """A point's entries as floats, after checking there is one per
+        variable."""
+        if len(values) != len(self.variables):
+            raise MilpError(f"point has {len(values)} entries for"
+                            f" {len(self.variables)} variables")
+        return np.asarray(values, dtype=float).tolist()
+
+    def objective_value(self, values) -> float:
+        values = self._point(values)
         total = self.objective_constant
         for coef, idx in self.objective_terms:
-            total += coef * values.get(self.variables[idx].name, 0.0)
+            total += coef * values[idx]
         return total
 
-    def constraint_activity(self, con: LinearConstraint,
-                            values: dict[str, float]) -> float:
-        return sum(coef * values.get(self.variables[idx].name, 0.0)
-                   for coef, idx in con.terms)
-
-    def first_violation(self, values: dict[str, float],
-                        tol: float = FEAS_TOL) -> str | None:
+    def first_violation(self, values, tol: float = FEAS_TOL) -> str | None:
         """Name of the first violated bound or constraint, or None."""
-        for v in self.variables:
-            x = values.get(v.name, 0.0)
+        values = self._point(values)
+        for v, x in zip(self.variables, values):
             if x < v.lower - tol or x > v.upper + tol:
                 return f"bound:{v.name}"
             if v.is_integer() and abs(x - round(x)) > tol:
                 return f"integrality:{v.name}"
         for con in self.constraints:
-            lhs = self.constraint_activity(con, values)
+            lhs = sum(coef * values[idx] for coef, idx in con.terms)
             if con.sense == "<=" and lhs > con.rhs + tol:
                 return con.name
             if con.sense == ">=" and lhs < con.rhs - tol:
@@ -358,7 +363,7 @@ def import_solution(model: MilpModel, text: str) -> MilpSolution:
     Unlisted variables default to zero.  Status is ``feasible`` when every
     constraint holds within tolerance, else ``infeasible``.
     """
-    values: dict[str, float] = {}
+    values = np.zeros(len(model.variables))
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -369,13 +374,14 @@ def import_solution(model: MilpModel, text: str) -> MilpSolution:
         name, value = fields
         if not model.has_variable(name):
             raise MilpError(f"solution line {idx}: unknown variable {name!r}")
-        values[name] = float(value)
-    full = {v.name: values.get(v.name, 0.0) for v in model.variables}
-    violated = model.first_violation(full)
+        values[model.var(name)] = float(value)
+    violated = model.first_violation(values)
     status = "feasible" if violated is None else "infeasible"
-    return MilpSolution(full, model.objective_value(full), status)
+    return MilpSolution(values, model.objective_value(values), status)
 
 
-def format_values(values: dict[str, float]) -> str:
-    lines = [f"{name} {_num(float(v))}" for name, v in values.items()]
+def format_values(model: MilpModel, values) -> str:
+    """``name value`` lines for the nonzero entries of a point."""
+    lines = [f"{v.name} {_num(float(x))}"
+             for v, x in zip(model.variables, values) if x != 0]
     return "\n".join(lines) + "\n" if lines else ""

@@ -45,7 +45,7 @@ class SolveConfig:
     cutoff: float | None = None  # prune nodes whose bound reaches this value
     gap_target: float | None = None  # e.g. 0.02 stops at a 2% relative gap
     node_limit: int | None = None
-    on_incumbent: Callable | None = None  # (values, objective) -> None
+    on_incumbent: Callable | None = None  # (point, objective) -> None
 
     def __post_init__(self):
         if self.time_limit is not None and self.time_limit <= 0:
@@ -68,7 +68,6 @@ class SolveResult:
 class LpResult:
     status: str  # optimal | infeasible | unbounded | limit-reached
     value: float
-    point: dict[str, float]
 
 
 class _Arrays:
@@ -149,12 +148,8 @@ class _Arrays:
 
 def solve_lp(model: MilpModel) -> LpResult:
     """Solve the LP relaxation (integrality relaxed to bounds)."""
-    arrays = _Arrays(model)
-    status, value, x = arrays.solve_lp()
-    point = {}
-    if x is not None:
-        point = {v.name: float(x[i]) for i, v in enumerate(model.variables)}
-    return LpResult(status, value, point)
+    status, value, _ = _Arrays(model).solve_lp()
+    return LpResult(status, value)
 
 
 def _round_bound(value: float, integral: bool) -> float:
@@ -179,7 +174,7 @@ def branch_and_bound(model: MilpModel, config: SolveConfig | None = None,
     arrays = arrays or _Arrays(model)
     integral = arrays.integral_objective
 
-    incumbent: dict[str, float] | None = None
+    incumbent: np.ndarray | None = None
     inc_obj = math.inf
     pruned_min = math.inf
     explored = 0
@@ -228,13 +223,13 @@ def branch_and_bound(model: MilpModel, config: SolveConfig | None = None,
 
         branch_var = _most_fractional(arrays, x)
         if branch_var is None:
-            values = _integral_point(model, arrays, x)
-            exact = model.objective_value(values)
+            x[arrays.int_idx] = np.round(x[arrays.int_idx])
+            exact = model.objective_value(x)
             if exact < cut_line() - BOUND_TOL:
-                incumbent = values
+                incumbent = x
                 inc_obj = exact
                 if config.on_incumbent is not None:
-                    config.on_incumbent(dict(values), exact)
+                    config.on_incumbent(x.copy(), exact)
             else:
                 pruned_min = min(pruned_min, exact)
             continue
@@ -283,13 +278,6 @@ def _most_fractional(arrays: _Arrays, x) -> int | None:
     return int(arrays.int_idx[best]) if frac[best] > INT_TOL else None
 
 
-def _integral_point(model: MilpModel, arrays: _Arrays, x) -> dict[str, float]:
-    values = {}
-    for i, v in enumerate(model.variables):
-        values[v.name] = float(round(x[i])) if v.is_integer() else float(x[i])
-    return values
-
-
 # -- brute force oracles ----------------------------------------------------
 
 BRUTE_FORCE_GUARD = 10 ** 7
@@ -315,10 +303,9 @@ def brute_force_model(model: MilpModel,
     if space > guard:
         raise SearchSpaceError(f"search space {space} exceeds guard {guard}")
 
-    names = [v.name for v in model.variables]
     best, best_obj = None, math.inf
     for combo in itertools.product(*ranges):
-        values = dict(zip(names, (float(c) for c in combo)))
+        values = np.array(combo, dtype=float)
         if model.first_violation(values) is not None:
             continue
         obj = model.objective_value(values)
@@ -353,24 +340,15 @@ def brute_force_instance(instance: Instance,
             raise SearchSpaceError(f"search space exceeds guard {guard}")
         per_course.append((c.id, options))
 
-    best, best_obj = None, math.inf
+    best_obj = math.inf
     stack_ids = [cid for cid, _ in per_course]
     for combo in itertools.product(*(opts for _, opts in per_course)):
         solution = evaluation.Solution(dict(zip(stack_ids, combo)))
-        if evaluation.check_hard(instance, solution):
-            continue
-        obj = evaluation.evaluate(instance, solution)
-        if obj < best_obj:
-            best, best_obj = solution, obj
-    wall = time.monotonic() - start
-    if best is None:
-        return SolveResult("infeasible", None, math.inf, space, wall)
-    values = {"objective": best_obj}
-    result = SolveResult("optimal",
-                         MilpSolution(values, best_obj, "optimal"),
-                         best_obj, space, wall)
-    result.solution = best  # domain Solution rides along
-    return result
+        if not evaluation.check_hard(instance, solution):
+            best_obj = min(best_obj, evaluation.evaluate(instance, solution))
+    status = "infeasible" if best_obj == math.inf else "optimal"
+    return SolveResult(status, None, best_obj, space,
+                       time.monotonic() - start)
 
 
 # -- external adapter --------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import make_instance, random_tiny_instance
@@ -80,6 +81,14 @@ class TestMonolithic:
             values = encode_solution(instance, model, solution)
             milp_solution = MilpSolution(values, 0.0, "feasible")
             assert decode_monolithic(model, milp_solution) == solution
+
+    def test_decoders_reject_wrong_length(self, toy_instance):
+        for model, decode in ((build_monolithic(toy_instance),
+                               decode_monolithic),
+                              (build_surface(toy_instance), decode_surface)):
+            short = np.zeros(len(model.variables) - 1)
+            with pytest.raises(FormulationError):
+                decode(model, MilpSolution(short, 0.0, "feasible"))
 
     def test_decode_rejects_infeasible_status(self, toy_instance):
         with pytest.raises(FormulationError):
@@ -310,8 +319,8 @@ class TestDecoders:
 
     def test_decode_surface_rejects_fractional(self, toy_instance):
         model = build_surface(toy_instance)
-        values = {v.name: 0.0 for v in model.variables}
-        values["times[1,c1]"] = 0.5
+        values = np.zeros(len(model.variables))
+        values[model.by_tag(("times", 1, "c1"))] = 0.5
         with pytest.raises(FormulationError):
             decode_surface(model, MilpSolution(values, 0.0, "feasible"))
 

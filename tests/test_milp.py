@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cttsolve.milp import (MilpError, MilpModel, export_mps, format_values,
@@ -88,11 +89,19 @@ class TestBuilding:
 
     def test_first_violation(self):
         model = simple_model()
-        assert model.first_violation({"x": 0.0, "y": 0.0}) == "cover"
-        assert model.first_violation({"x": 1.0, "y": 0.0}) is None
-        assert model.first_violation({"x": 0.5, "y": 1.0}).startswith(
+        assert model.first_violation(np.array([0.0, 0.0])) == "cover"
+        assert model.first_violation(np.array([1.0, 0.0])) is None
+        assert model.first_violation(np.array([0.5, 1.0])).startswith(
             "integrality:")
-        assert model.first_violation({"x": 2.0, "y": 0.0}).startswith("bound:")
+        assert model.first_violation(np.array([2.0, 0.0])).startswith(
+            "bound:")
+
+    def test_point_length_checked(self):
+        model = simple_model()
+        with pytest.raises(MilpError):
+            model.first_violation(np.array([1.0]))
+        with pytest.raises(MilpError):
+            model.objective_value(np.array([1.0, 0.0, 0.0]))
 
     def test_origin_tags(self):
         assert simple_model().origins() == {"test"}
@@ -172,12 +181,13 @@ class TestImportSolution:
             import_solution(simple_model(), "z 1\n")
 
     def test_missing_names_default_zero(self):
-        result = import_solution(simple_model(), "y 1\n")
-        assert result.values["x"] == 0.0
+        model = simple_model()
+        result = import_solution(model, "y 1\n")
+        assert result.values[model.var("x")] == 0.0
         assert result.status == "feasible"
 
     def test_format_round_trip(self):
         model = simple_model()
-        values = {"x": 1.0, "y": 0.0}
-        again = import_solution(model, format_values(values))
-        assert again.values == values
+        values = np.array([1.0, 0.0])
+        again = import_solution(model, format_values(model, values))
+        assert np.array_equal(again.values, values)

@@ -141,7 +141,15 @@ class TestBranchAndBound:
         a = branch_and_bound(model, SolveConfig(node_limit=100))
         b = branch_and_bound(model, SolveConfig(node_limit=100))
         assert a.nodes_explored == b.nodes_explored
-        assert a.incumbent.values == b.incumbent.values
+        assert np.array_equal(a.incumbent.values, b.incumbent.values)
+
+    def test_incumbent_is_a_vector(self):
+        model = knapsack_model()
+        incumbent = branch_and_bound(model).incumbent
+        assert isinstance(incumbent.values, np.ndarray)
+        assert incumbent.values.shape == (len(model.variables),)
+        assert (model.objective_value(incumbent.values)
+                == incumbent.objective_value)
 
     def test_incumbent_sequence_strictly_decreasing(self):
         seen = []
