@@ -17,7 +17,12 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+# scipy's bundled HiGHS bindings are private; tests/test_solver.py
+# cross-checks them against the public scipy.optimize.linprog
+from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus,
+                                           HighsOptions, HighsStatus,
+                                           MatrixFormat, _Highs,
+                                           simplex_constants)
 
 from . import evaluation
 from .instance import Instance
@@ -25,6 +30,23 @@ from .milp import MilpModel, MilpSolution, export_mps, import_solution
 
 INT_TOL = 1e-6
 BOUND_TOL = 1e-6
+# linprog's result check: a point may leave its bounds or rows by at most
+# 10 * sqrt(tol), with linprog's default tol of 1e-9
+RESIDUAL_TOL = 10 * math.sqrt(1e-9)
+
+# the options scipy.optimize.linprog(method="highs") passes to HiGHS
+_HIGHS_OPTIONS = HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.simplex_strategy = (
+    simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+
+_LP_STATUS = {
+    HighsModelStatus.kOptimal: "optimal",
+    HighsModelStatus.kInfeasible: "infeasible",
+    HighsModelStatus.kUnbounded: "unbounded",
+}
 
 
 class SolverError(Exception):
@@ -66,12 +88,13 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str  # optimal | infeasible | unbounded | limit-reached
+    status: str  # optimal | infeasible | unbounded
     value: float
 
 
 class _Arrays:
-    """Dense objective plus sparse constraint matrices for one model."""
+    """Dense objective, sparse constraint matrices and the HiGHS LP of one
+    model; node LPs differ from it only in their column bounds."""
 
     def __init__(self, model: MilpModel):
         n = len(model.variables)
@@ -100,8 +123,8 @@ class _Arrays:
                 b_eq.append(con.rhs)
         self.A_ub = self._matrix(ub_rows, n)
         self.A_eq = self._matrix(eq_rows, n)
-        self.b_ub = np.array(b_ub) if b_ub else None
-        self.b_eq = np.array(b_eq) if b_eq else None
+        self.b_ub = np.array(b_ub, dtype=float)
+        self.b_eq = np.array(b_eq, dtype=float)
 
         obj_vars_integer = all(
             model.variables[idx].is_integer()
@@ -111,10 +134,26 @@ class _Arrays:
         ) and float(self.constant).is_integer()
         self.integral_objective = obj_vars_integer and obj_coefs_integral
 
+        # rows lower <= A x <= upper, assembled as linprog's HiGHS path does
+        row_lower = np.concatenate(
+            (np.full(len(self.b_ub), -np.inf), self.b_eq))
+        self.row_upper = np.concatenate((self.b_ub, self.b_eq))
+        a = sparse.csc_array(sparse.vstack(
+            (sparse.coo_array(self.A_ub), sparse.coo_array(self.A_eq))))
+        lp = HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(self.row_upper)
+        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        lp.a_matrix_.start_ = a.indptr
+        lp.a_matrix_.index_ = a.indices
+        lp.a_matrix_.value_ = a.data
+        lp.col_cost_ = self.c
+        lp.row_lower_ = row_lower
+        lp.row_upper_ = self.row_upper
+        self.lp = lp
+
     @staticmethod
     def _matrix(rows, n):
-        if not rows:
-            return None
         data, ri, ci = [], [], []
         for r, row in enumerate(rows):
             for idx, coef in row:
@@ -127,23 +166,56 @@ class _Arrays:
         """Returns (status, value incl. constant, point array or None)."""
         lo = self.lo if lo is None else lo
         hi = self.hi if hi is None else hi
-        b_ub, b_eq = self.b_ub, self.b_eq
         if len(self.c) == 0:
-            feasible = (b_ub is None or (b_ub >= -BOUND_TOL).all()) and (
-                b_eq is None or (np.abs(b_eq) <= BOUND_TOL).all())
+            feasible = ((self.b_ub >= -BOUND_TOL).all()
+                        and (np.abs(self.b_eq) <= BOUND_TOL).all())
             if feasible:
                 return "optimal", self.constant, np.zeros(0)
             return "infeasible", math.inf, None
-        res = linprog(self.c, A_ub=self.A_ub, b_ub=b_ub,
-                      A_eq=self.A_eq, b_eq=b_eq,
-                      bounds=np.column_stack([lo, hi]), method="highs")
-        status = {0: "optimal", 1: "limit-reached", 2: "infeasible",
-                  3: "unbounded", 4: "infeasible"}[res.status]
-        if status == "limit-reached":
-            raise SolverError("LP iteration limit exceeded")
-        if status != "optimal":
-            return status, math.inf if status == "infeasible" else -math.inf, None
-        return status, res.fun + self.constant, res.x
+        return linprog(self, lo, hi)
+
+
+def linprog(arrays: _Arrays, lo, hi):
+    """Solve the LP of ``arrays`` under column bounds ``lo``..``hi`` on a
+    fresh HiGHS instance, so no basis carries over between nodes.  The LP,
+    options and result check are those of ``scipy.optimize.linprog``
+    with ``method="highs"``, so points and values match it bit for bit.
+
+    Returns what ``_Arrays.solve_lp`` does, with status optimal, infeasible
+    or unbounded; any other HiGHS status, and an optimal point outside its
+    bounds or rows, raises SolverError.  ``bench/run.py`` traces node LPs
+    by this function's name, so callers reach it through the module global.
+    """
+    lp = arrays.lp
+    lp.col_lower_ = lo
+    lp.col_upper_ = hi
+    highs = _Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    # a rejected model would leave HiGHS to solve an empty one
+    if highs.passModel(lp) == HighsStatus.kError:
+        raise SolverError("HiGHS rejected the LP")
+    highs.run()
+    model_status = highs.getModelStatus()
+    status = _LP_STATUS.get(model_status)
+    if status is None:
+        raise SolverError("HiGHS ended the LP with status "
+                          + highs.modelStatusToString(model_status))
+    if status != "optimal":
+        return status, math.inf if status == "infeasible" else -math.inf, None
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    value = highs.getInfo().objective_function_value
+    slack = arrays.row_upper - np.array(solution.row_value)
+    n_ub = len(arrays.b_ub)
+    tol = RESIDUAL_TOL
+    feasible = (not math.isnan(value)
+                and (x >= lo - tol).all() and (x <= hi + tol).all()
+                and (slack[:n_ub] >= -tol).all()
+                and (np.abs(slack[n_ub:]) <= tol).all())
+    if not feasible:
+        raise SolverError("HiGHS returned an optimal LP point outside its "
+                          f"bounds or rows by more than {tol:.2e}")
+    return status, value + arrays.constant, x
 
 
 def solve_lp(model: MilpModel) -> LpResult:
@@ -158,8 +230,8 @@ def _round_bound(value: float, integral: bool) -> float:
     return value
 
 
-def branch_and_bound(model: MilpModel, config: SolveConfig | None = None,
-                     arrays: _Arrays | None = None) -> SolveResult:
+def branch_and_bound(model: MilpModel,
+                     config: SolveConfig | None = None) -> SolveResult:
     """Best-bound branch and bound over the model's integer variables.
 
     Branches on the most fractional integer variable (ties to the lowest
@@ -171,7 +243,7 @@ def branch_and_bound(model: MilpModel, config: SolveConfig | None = None,
     """
     config = config or SolveConfig()
     start = time.monotonic()
-    arrays = arrays or _Arrays(model)
+    arrays = _Arrays(model)
     integral = arrays.integral_objective
 
     incumbent: np.ndarray | None = None

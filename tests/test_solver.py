@@ -3,13 +3,17 @@ import os
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import cttsolve
 from conftest import random_tiny_instance
-from cttsolve.formulations import build_monolithic
+from cttsolve import solver
+from cttsolve.formulations import build_monolithic, build_surface2
+from cttsolve.instance import build_multirooms
 from cttsolve.milp import MilpModel
 from cttsolve.solver import (AdapterConfig, ExternalSolverError,
                              SearchSpaceError, SolveConfig, SolverError,
@@ -57,6 +61,86 @@ class TestLp:
         lp = solve_lp(model)
         milp = branch_and_bound(model)
         assert lp.value <= milp.incumbent.objective_value + 1e-9
+
+    def test_crossed_column_bounds_are_infeasible(self):
+        arrays = _Arrays(knapsack_model())
+        lo, hi = arrays.lo.copy(), arrays.hi.copy()
+        lo[1], hi[1] = 1.0, 0.0
+        assert arrays.solve_lp(lo, hi)[0] == "infeasible"
+
+    @pytest.mark.parametrize("status", ["kSolveError",
+                                        "kUnboundedOrInfeasible"])
+    def test_other_highs_status_raises(self, monkeypatch, status):
+        class FakeHighs(solver._Highs):
+            def getModelStatus(self):
+                return getattr(solver.HighsModelStatus, status)
+
+        monkeypatch.setattr(solver, "_Highs", FakeHighs)
+        with pytest.raises(SolverError, match="status"):
+            solve_lp(knapsack_model())
+
+    def test_rejected_model_raises(self):
+        arrays = _Arrays(knapsack_model())
+        lo = arrays.lo.copy()
+        lo[0] = math.nan
+        with pytest.raises(SolverError, match="rejected"):
+            arrays.solve_lp(lo, arrays.hi)
+
+    def test_optimal_point_violating_a_row_raises(self, monkeypatch):
+        # x >= 0.5 is held as -x <= -0.5; the faked point x = 0.4 breaks it
+        class FakeHighs(solver._Highs):
+            def getSolution(self):
+                return SimpleNamespace(col_value=[0.4], row_value=[-0.4])
+
+        model = MilpModel("m")
+        model.add_variable("x", "continuous", 0, 1)
+        model.add_constraint("c", [(1.0, "x")], ">=", 0.5)
+        model.set_objective([(1.0, "x")])
+        assert solve_lp(model).status == "optimal"
+        monkeypatch.setattr(solver, "_Highs", FakeHighs)
+        with pytest.raises(SolverError, match="outside"):
+            solve_lp(model)
+
+
+def cross_check_models(instance):
+    rng = random.Random(29)
+    yield build_monolithic(instance)
+    yield build_surface2(instance, build_multirooms(instance, "median-split"))
+    for _ in range(3):
+        yield build_monolithic(random_tiny_instance(rng))
+
+
+class TestPublicLinprogCrossCheck:
+    """Every node LP of a search must equal scipy.optimize.linprog's answer
+    bit for bit; this guards the private HiGHS bindings the solver uses."""
+
+    def test_node_lps_match_linprog(self, monkeypatch, toy_instance):
+        nodes = []
+        real = solver.linprog
+
+        def record(arrays, lo, hi):
+            nodes.append((arrays, lo.copy(), hi.copy()))
+            return real(arrays, lo, hi)
+
+        monkeypatch.setattr(solver, "linprog", record)
+        searched = 0
+        for model in cross_check_models(toy_instance):
+            branch_and_bound(model, SolveConfig(node_limit=200))
+            searched += 1
+        monkeypatch.undo()
+        assert searched == 5 and len(nodes) > searched
+
+        statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+        for arrays, lo, hi in nodes:
+            status, value, x = arrays.solve_lp(lo, hi)
+            res = scipy.optimize.linprog(
+                arrays.c, A_ub=arrays.A_ub, b_ub=arrays.b_ub,
+                A_eq=arrays.A_eq, b_eq=arrays.b_eq,
+                bounds=np.column_stack([lo, hi]), method="highs")
+            assert status == statuses[res.status]
+            if status == "optimal":
+                assert value == res.fun + arrays.constant
+                assert np.array_equal(x, res.x)
 
 
 class TestBranchAndBound:
