@@ -9,7 +9,7 @@ Usage:
     python3 scripts/run_strategies.py instance.ctt \
         [--strategies contract anytime] [--total-time 60] \
         [--surface-time 30] [--per-dive-time 10] \
-        [--surface-model surface2] [--multiroom-policy single]
+        [--surface-model surface2]
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ def main() -> int:
                         help="budget for each restricted solve in seconds")
     parser.add_argument("--surface-model", default="surface",
                         choices=["surface", "surface2"])
-    parser.add_argument("--multiroom-policy", default="median-split",
-                        choices=["single", "median-split", "identity"])
     args = parser.parse_args()
 
     with open(args.instance, encoding="utf-8") as handle:
@@ -54,7 +52,6 @@ def main() -> int:
         config = StrategyConfig(
             strategy=strategy,
             surface_model=args.surface_model,
-            multiroom_policy=args.multiroom_policy,
             surface_time=None if strategy == "exact" else surface_time,
             per_dive_time=None if strategy == "exact" else args.per_dive_time,
             total_time=args.total_time,

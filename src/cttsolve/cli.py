@@ -18,7 +18,7 @@ from .formulations import (DIVE_KINDS, build_monolithic, build_surface,
                            build_surface2)
 from .instance import (CttError, CttSemanticError, CttSyntaxError,
                        build_multirooms, instance_stats, parse_ctt)
-from .milp import export_mps, format_values, parse_mps
+from .milp import MilpError, export_mps, format_values, parse_mps
 from .solver import SolveConfig, SolverError, branch_and_bound
 
 SECONDS_PER_CPU_UNIT = 780.0
@@ -93,8 +93,8 @@ def cmd_build(args) -> int:
     elif args.formulation == "surface":
         model = build_surface(instance)
     else:
-        multirooms = build_multirooms(instance, args.multiroom_policy)
-        model = build_surface2(instance, multirooms)
+        model = build_surface2(instance,
+                               build_multirooms(instance, "median-split"))
     text = export_mps(model)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -114,7 +114,6 @@ def cmd_solve(args) -> int:
     config = StrategyConfig(
         strategy=args.strategy,
         surface_model=args.surface_model,
-        multiroom_policy=args.multiroom_policy,
         dive_kinds=tuple(args.dive_kinds),
         surface_time=args.surface_time,
         per_dive_time=args.per_dive_time,
@@ -185,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_arg(p)
     p.add_argument("--formulation", default="monolithic",
                    choices=("monolithic", "surface", "surface2"))
-    p.add_argument("--multiroom-policy", default="median-split",
-                   choices=("single", "median-split", "identity"))
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_build)
 
@@ -195,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="contract", choices=STRATEGIES)
     p.add_argument("--surface-model", default="surface",
                    choices=("surface", "surface2"))
-    p.add_argument("--multiroom-policy", default="median-split",
-                   choices=("single", "median-split", "identity"))
     p.add_argument("--dive-kinds", nargs="+", default=list(DIVE_KINDS[:2]),
                    choices=list(DIVE_KINDS))
     p.add_argument("--surface-time", type=float, default=None)
@@ -237,7 +232,7 @@ def main(argv=None) -> int:
     except (CttSemanticError, ControlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CttError, SolverError, ValueError) as exc:
+    except (CttError, MilpError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from .formulations import (DAY_FIXED, DIVE_KINDS, PERIOD_FIXED, Neighborhood,
                            add_implied_bound_cuts, add_pattern_cuts,
                            all_patterns, build_dive, build_monolithic,
                            build_surface, build_surface2, decode_monolithic,
-                           decode_surface, greedy_clique_cover, relax_to_days)
+                           decode_surface, greedy_clique_cover)
 from .instance import Instance, build_conflict_graph, build_multirooms
 from .milp import MilpSolution
 from .solver import SolveConfig, SolveResult, branch_and_bound
@@ -39,7 +39,6 @@ class ControlError(Exception):
 class StrategyConfig:
     strategy: str = "contract"
     surface_model: str = "surface"  # "surface" | "surface2"
-    multiroom_policy: str = "median-split"
     dive_kinds: tuple[str, ...] = (PERIOD_FIXED, DAY_FIXED)
     # budgets; node budgets keep runs deterministic, time budgets do not
     surface_time: float | None = None
@@ -215,8 +214,8 @@ def _prepare_surface(instance: Instance, config: StrategyConfig):
     if config.surface_model == "surface":
         model = build_surface(instance)
     else:
-        multirooms = build_multirooms(instance, config.multiroom_policy)
-        model = build_surface2(instance, multirooms)
+        model = build_surface2(instance,
+                               build_multirooms(instance, "median-split"))
     _add_static_cuts(instance, model)
     if config.pattern_cuts and instance.periods_per_day <= 6:
         add_pattern_cuts(model, all_patterns(instance.periods_per_day))
@@ -302,8 +301,8 @@ def run_strategy(instance: Instance,
         sources.append((basis, objective))
         if config.strategy == "anytime":
             for kind in config.dive_kinds:
-                neighborhood = _make_neighborhood(
-                    instance, kind, basis, objective, len(sources) - 1)
+                neighborhood = Neighborhood(kind, basis, objective,
+                                            len(sources) - 1)
                 dives.append(_run_dive(instance, monolithic, neighborhood,
                                        ledger, config, deadline))
 
@@ -315,7 +314,7 @@ def run_strategy(instance: Instance,
 
     if config.strategy == "contract":
         neighborhoods = [
-            _make_neighborhood(instance, kind, basis, objective, i)
+            Neighborhood(kind, basis, objective, i)
             for i, (basis, objective) in enumerate(sources)
             for kind in config.dive_kinds]
         for neighborhood in order_dives(neighborhoods, config.dive_kinds):
@@ -326,15 +325,6 @@ def run_strategy(instance: Instance,
 
     status = _final_status(ledger, surface_result)
     return _report(instance, config, ledger, status, surface_result, dives)
-
-
-def _make_neighborhood(instance: Instance, kind: str,
-                       basis: PeriodAssignment, objective: float,
-                       discovery: int) -> Neighborhood:
-    if kind == PERIOD_FIXED:
-        return Neighborhood(kind, basis, objective, discovery)
-    return Neighborhood(kind, relax_to_days(basis, instance), objective,
-                        discovery)
 
 
 def _final_status(ledger: BoundsLedger, result: SolveResult) -> str:

@@ -65,40 +65,17 @@ class PeriodAssignment:
 
 
 @dataclass(frozen=True)
-class DayAssignment:
-    """Events per (course, day)."""
-
-    counts: dict[str, tuple[int, ...]]
-
-    def validate(self, instance: Instance) -> None:
-        for c in instance.courses:
-            per_day = self.counts.get(c.id)
-            if per_day is None or len(per_day) != instance.days:
-                raise FormulationError(f"course {c.id} day counts missing")
-            if sum(per_day) != c.events:
-                raise FormulationError(
-                    f"course {c.id} day counts sum to {sum(per_day)},"
-                    f" needs {c.events}")
-            if max(per_day) > instance.periods_per_day:
-                raise FormulationError(
-                    f"course {c.id} exceeds periods per day")
-
-
-@dataclass(frozen=True)
 class Neighborhood:
+    """A dive of one kind around a surface solution's period assignment."""
+
     kind: str
-    basis: PeriodAssignment | DayAssignment
+    basis: PeriodAssignment
     source_objective: float
     discovery_index: int = 0
 
     def __post_init__(self):
         if self.kind not in DIVE_KINDS:
             raise FormulationError(f"unknown dive kind {self.kind!r}")
-        needs_periods = self.kind == PERIOD_FIXED
-        if needs_periods != isinstance(self.basis, PeriodAssignment):
-            raise FormulationError(
-                f"dive kind {self.kind} does not match basis type"
-                f" {type(self.basis).__name__}")
 
 
 # -- variables by tag ---------------------------------------------------------
@@ -371,8 +348,10 @@ _DAY_DIVE_NAMES = {DAY_FIXED: "day-plain", DAY_DECOMP: "day-decomp",
                    DAY_FIXED_ZERO_STABILITY: "day-zero-stability"}
 
 
-def restrict_day_fixed(monolithic: MilpModel, basis: DayAssignment,
+def restrict_day_fixed(monolithic: MilpModel, basis: PeriodAssignment,
                        kind: str = DAY_FIXED) -> MilpModel:
+    """Fix each course's number of events on each day to its count in the
+    period assignment, leaving periods within the day free."""
     if kind not in _DAY_DIVE_NAMES:
         raise FormulationError(f"unknown day-level dive kind {kind!r}")
     instance: Instance = monolithic.metadata["instance"]
@@ -383,7 +362,9 @@ def restrict_day_fixed(monolithic: MilpModel, basis: DayAssignment,
     model = source.copy(name=f"{monolithic.name}+{_DAY_DIVE_NAMES[kind]}")
     model.metadata["dive"] = kind
     for c in instance.courses:
-        per_day = basis.counts[c.id]
+        per_day = [0] * instance.days
+        for p in basis.periods.get(c.id, ()):
+            per_day[instance.day_of(p)] += 1
         for d in range(instance.days):
             terms = []
             for p in instance.day_periods(d):
@@ -480,16 +461,6 @@ def decode_surface(model: MilpModel,
         if v.tag[:1] == kind and _integral(x, v.name):
             periods[v.tag[-1]].add(v.tag[1])
     return PeriodAssignment({cid: frozenset(v) for cid, v in periods.items()})
-
-
-def relax_to_days(basis: PeriodAssignment, instance: Instance) -> DayAssignment:
-    counts = {}
-    for cid, used in basis.periods.items():
-        per_day = [0] * instance.days
-        for p in used:
-            per_day[instance.day_of(p)] += 1
-        counts[cid] = tuple(per_day)
-    return DayAssignment(counts)
 
 
 def project_solution(instance: Instance, solution: Solution) -> PeriodAssignment:

@@ -195,7 +195,7 @@ class MultiRoom:
         return "+".join(sorted(self.members))
 
 
-AggregationPolicy = Literal["single", "median-split", "identity"]
+AggregationPolicy = Literal["median-split", "identity"]
 
 
 def parse_ctt(text: str, weights: tuple[int, int, int, int] | None = None) -> Instance:
@@ -381,15 +381,12 @@ def build_multirooms(
 ) -> tuple[MultiRoom, ...]:
     """Partition the rooms into multi-rooms.
 
-    ``single`` joins all rooms, ``identity`` keeps each room separate, and
-    ``median-split`` makes two groups: rooms with capacity at most the
-    lower median versus the rest.
+    ``identity`` keeps each room separate, and ``median-split`` makes two
+    groups: rooms with capacity at most the lower median versus the rest.
     """
     rooms = instance.rooms
     if not rooms:
         return ()
-    if policy == "single":
-        return (_make_multiroom(rooms),)
     if policy == "identity":
         return tuple(_make_multiroom([r]) for r in rooms)
     if policy == "median-split":

@@ -268,11 +268,21 @@ def export_mps(model: MilpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SECTIONS = ("ROWS", "COLUMNS", "RHS", "BOUNDS")
+
+
 def parse_mps(text: str) -> MilpModel:
-    """Inverse of export_mps for the subset it emits (tags are not carried)."""
+    """Inverse of export_mps for the subset it emits (tags are not carried).
+
+    The first N row is the objective, whatever its name; later N rows are
+    free rows and are dropped.  Any other section (OBJSENSE, RANGES, ...),
+    an unknown row type, and an entry on an undeclared row or column raise
+    MilpError rather than change the model silently.
+    """
     model = MilpModel("mps")
     section = None
-    row_sense: dict[str, str] = {}
+    objective = None
+    row_sense: dict[str, str] = {}  # every declared row, N rows too
     row_order: list[str] = []
     col_entries: dict[str, list[tuple[str, float]]] = {}
     col_order: list[str] = []
@@ -286,20 +296,25 @@ def parse_mps(text: str) -> MilpModel:
             continue
         fields = raw.split()
         head = fields[0]
-        indented = raw[0] in " \t"  # section headers start at column one
-        if not indented and head == "NAME":
-            model.name = fields[1] if len(fields) > 1 else "mps"
-            continue
-        if not indented and head in ("ROWS", "COLUMNS", "RHS", "BOUNDS",
-                                     "RANGES", "ENDATA"):
-            section = head
+        if raw[0] not in " \t":  # section headers start at column one
+            if head == "ENDATA":
+                break
+            if head == "NAME":
+                model.name = fields[1] if len(fields) > 1 else "mps"
+            elif head in _SECTIONS:
+                section = head
+            else:
+                raise MilpError(f"unsupported MPS section {head!r}")
             continue
         if section == "ROWS":
             sense, name = fields[0], fields[1]
-            if sense == "N":
-                continue
+            if sense != "N" and sense not in _ROW_TO_SENSE:
+                raise MilpError(f"unknown MPS row type {sense!r} of {name!r}")
             row_sense[name] = sense
-            row_order.append(name)
+            if sense != "N":
+                row_order.append(name)
+            elif objective is None:
+                objective = name
         elif section == "COLUMNS":
             if len(fields) >= 3 and fields[1] == "'MARKER'":
                 in_int = fields[2] == "'INTORG'"
@@ -315,9 +330,13 @@ def parse_mps(text: str) -> MilpModel:
         elif section == "RHS":
             pairs = fields[1:]
             for row, value in zip(pairs[0::2], pairs[1::2]):
+                if row not in row_sense:
+                    raise MilpError(f"MPS entry on undeclared row {row!r}")
                 rhs[row] = float(value)
         elif section == "BOUNDS":
             btype, name = fields[0], fields[2]
+            if name not in col_entries:
+                raise MilpError(f"MPS bound on undeclared column {name!r}")
             lohi = bounds.setdefault(name, [0.0, math.inf])
             if btype == "LO":
                 lohi[0] = float(fields[3])
@@ -333,6 +352,8 @@ def parse_mps(text: str) -> MilpModel:
                 lohi[0], lohi[1] = 0.0, 1.0
             else:
                 raise MilpError(f"unsupported bound type {btype!r}")
+        else:
+            raise MilpError(f"MPS data line outside a section: {raw!r}")
 
     for name in col_order:
         lo, hi = bounds.get(name, [0.0, math.inf])
@@ -345,15 +366,17 @@ def parse_mps(text: str) -> MilpModel:
     row_terms: dict[str, list[tuple[float, str]]] = {r: [] for r in row_order}
     for name in col_order:
         for row, coef in col_entries[name]:
-            if row == _OBJ_ROW:
-                if coef != 0.0:
-                    obj_terms.append((coef, name))
-            else:
-                row_terms[row].append((coef, name))
+            terms = row_terms.get(row)
+            if terms is not None:
+                terms.append((coef, name))
+            elif row not in row_sense:
+                raise MilpError(f"MPS entry on undeclared row {row!r}")
+            elif row == objective and coef != 0.0:
+                obj_terms.append((coef, name))
     for row in row_order:
         model.add_constraint(row, row_terms[row], _ROW_TO_SENSE[row_sense[row]],
                              rhs.get(row, 0.0))
-    model.set_objective(obj_terms, constant=-rhs.get(_OBJ_ROW, 0.0))
+    model.set_objective(obj_terms, constant=-rhs.get(objective, 0.0))
     return model
 
 

@@ -83,7 +83,6 @@ class SolveResult:
     incumbent: MilpSolution | None
     lower_bound: float
     nodes_explored: int
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -286,8 +285,7 @@ def branch_and_bound(model: MilpModel,
         if status == "infeasible":
             continue
         if status == "unbounded":
-            return SolveResult("unbounded", None, -math.inf, explored,
-                               time.monotonic() - start)
+            return SolveResult("unbounded", None, -math.inf, explored)
         node_bound = _round_bound(value, integral)
         if node_bound >= cut_line() - BOUND_TOL:
             pruned_min = min(pruned_min, node_bound)
@@ -314,21 +312,20 @@ def branch_and_bound(model: MilpModel,
         heappush(heap, (node_bound, next(seq), lo, down_hi))
         heappush(heap, (node_bound, next(seq), up_lo, hi))
 
-    wall = time.monotonic() - start
-    if stop_status == "limit-reached":
-        lb = open_lower()
-        sol = (None if incumbent is None
-               else MilpSolution(incumbent, inc_obj, "feasible"))
-        return SolveResult("limit-reached", sol, lb, explored, wall)
-
-    # tree exhausted; without an incumbent every prune was against the cutoff
+    lb = open_lower()
     if incumbent is None:
-        status = "cutoff" if pruned_min < math.inf else "infeasible"
-        return SolveResult(status, None, pruned_min, explored, wall)
-    lb = min(pruned_min, inc_obj)
-    status = "optimal" if lb >= inc_obj - BOUND_TOL else "feasible"
-    return SolveResult(status, MilpSolution(incumbent, inc_obj, status), lb,
-                       explored, wall)
+        if stop_status is None:
+            # tree exhausted; every prune was against the cutoff, if any
+            stop_status = "cutoff" if pruned_min < math.inf else "infeasible"
+        return SolveResult(stop_status, None, lb, explored)
+    # an open bound that has reached the incumbent proves it, stop or not
+    if lb >= inc_obj - BOUND_TOL:
+        status = "optimal"
+    else:
+        status = stop_status or "feasible"
+    inc_status = "feasible" if status == "limit-reached" else status
+    return SolveResult(status, MilpSolution(incumbent, inc_obj, inc_status),
+                       lb, explored)
 
 
 def _relative_gap(upper: float, lower: float) -> float:
@@ -358,7 +355,6 @@ BRUTE_FORCE_GUARD = 10 ** 7
 def brute_force_model(model: MilpModel,
                       guard: int = BRUTE_FORCE_GUARD) -> SolveResult:
     """Exhaustive enumeration over integer variable assignments."""
-    start = time.monotonic()
     ranges = []
     for v in model.variables:
         if not v.is_integer():
@@ -383,17 +379,15 @@ def brute_force_model(model: MilpModel,
         obj = model.objective_value(values)
         if obj < best_obj:
             best, best_obj = values, obj
-    wall = time.monotonic() - start
     if best is None:
-        return SolveResult("infeasible", None, math.inf, space, wall)
+        return SolveResult("infeasible", None, math.inf, space)
     return SolveResult("optimal", MilpSolution(best, best_obj, "optimal"),
-                       best_obj, space, wall)
+                       best_obj, space)
 
 
 def brute_force_instance(instance: Instance,
                          guard: int = BRUTE_FORCE_GUARD) -> SolveResult:
     """Exhaustive enumeration over event -> (period, room) assignments."""
-    start = time.monotonic()
     room_ids = [r.id for r in instance.rooms]
     per_course: list[tuple[str, list[tuple[tuple[int, str], ...]]]] = []
     space = 1
@@ -405,8 +399,7 @@ def brute_force_instance(instance: Instance,
             for rooms in itertools.product(room_ids, repeat=c.events):
                 options.append(tuple(zip(periods, rooms)))
         if not options:
-            return SolveResult("infeasible", None, math.inf, 0,
-                               time.monotonic() - start)
+            return SolveResult("infeasible", None, math.inf, 0)
         space *= len(options)
         if space > guard:
             raise SearchSpaceError(f"search space exceeds guard {guard}")
@@ -419,8 +412,7 @@ def brute_force_instance(instance: Instance,
         if not evaluation.check_hard(instance, solution):
             best_obj = min(best_obj, evaluation.evaluate(instance, solution))
     status = "infeasible" if best_obj == math.inf else "optimal"
-    return SolveResult(status, None, best_obj, space,
-                       time.monotonic() - start)
+    return SolveResult(status, None, best_obj, space)
 
 
 # -- external adapter --------------------------------------------------------
@@ -440,7 +432,6 @@ def external_solve(model: MilpModel, adapter: AdapterConfig) -> SolveResult:
     The external point is re-checked against the model; a constraint-violating
     file is reported as an inconsistency, never trusted.
     """
-    start = time.monotonic()
     workdir = Path(adapter.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     mps_path = workdir / f"{model.name}.mps"
@@ -477,5 +468,4 @@ def external_solve(model: MilpModel, adapter: AdapterConfig) -> SolveResult:
             if len(fields) != 2 or fields[0] != "LOWER_BOUND":
                 raise ExternalSolverError("malformed bound file")
             lower = float(fields[1])
-    return SolveResult("feasible", imported, lower, 0,
-                       time.monotonic() - start)
+    return SolveResult("feasible", imported, lower, 0)

@@ -26,7 +26,7 @@ from cttsolve.formulations import (PeriodAssignment, add_clique_cuts,
                                    add_implied_bound_cuts, add_pattern_cuts,
                                    all_patterns, build_monolithic,
                                    build_surface, encode_solution,
-                                   greedy_clique_cover, relax_to_days,
+                                   greedy_clique_cover,
                                    restrict_day_fixed, restrict_period_fixed)
 from cttsolve.instance import (WeightVector, build_conflict_graph,
                                instance_stats, parse_ctt, serialize_ctt)
@@ -193,7 +193,7 @@ def test_criterion_4_relaxation_restriction_ordering():
             violations += 1
         for basis in _enumerate_surface_feasible(instance):
             day_r = branch_and_bound(
-                restrict_day_fixed(mono_model, relax_to_days(basis, instance)))
+                restrict_day_fixed(mono_model, basis))
             per_r = branch_and_bound(restrict_period_fixed(mono_model, basis))
             bases += 1
             if not (mono.incumbent.objective_value

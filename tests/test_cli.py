@@ -102,6 +102,14 @@ class TestBuildAndSolveMps:
         assert "status: optimal" in out
         assert "objective: 14" in out
 
+    def test_unsupported_mps_exit_2(self, tmp_path, capsys):
+        mps = tmp_path / "ranged.mps"
+        mps.write_text("NAME r\nROWS\n N  OBJ\n L  c\nCOLUMNS\n"
+                       "    x  OBJ  1  c  1\nRHS\n    RHS  c  4\n"
+                       "RANGES\n    RNG  c  2\nENDATA\n")
+        assert main(["solve-mps", str(mps)]) == 2
+        assert "unsupported MPS section 'RANGES'" in capsys.readouterr().err
+
     def test_build_to_stdout(self, toy_path, capsys):
         assert main(["build", toy_path, "--formulation", "surface"]) == 0
         assert "ENDATA" in capsys.readouterr().out

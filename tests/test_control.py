@@ -8,7 +8,7 @@ from cttsolve.control import (BoundsLedger, ControlError, RunReport,
                               StrategyConfig, order_dives, run_strategy,
                               solution_from_payload)
 from cttsolve.evaluation import Solution, check_hard, evaluate
-from cttsolve.formulations import (DAY_FIXED, PERIOD_FIXED, DayAssignment,
+from cttsolve.formulations import (DAY_FIXED, DIVE_KINDS, PERIOD_FIXED,
                                    Neighborhood, PeriodAssignment)
 from cttsolve.solver import brute_force_instance
 
@@ -66,9 +66,7 @@ class TestLedger:
 
 class TestOrderDives:
     def neighborhood(self, kind, cost, idx):
-        basis = (PeriodAssignment({}) if kind == PERIOD_FIXED
-                 else DayAssignment({}))
-        return Neighborhood(kind, basis, cost, idx)
+        return Neighborhood(kind, PeriodAssignment({}), cost, idx)
 
     def test_cost_ascending_within_kind(self):
         a = self.neighborhood(PERIOD_FIXED, 40.0, 0)
@@ -120,6 +118,29 @@ class TestStrategies:
             assert result.lower_bound <= optimum + 1e-9
             if result.upper_bound is not None:
                 assert result.upper_bound >= optimum - 1e-9
+            checked += 1
+
+    @pytest.mark.parametrize("strategy", ["contract", "anytime"])
+    def test_surface2_brackets_optimum(self, strategy):
+        rng = random.Random(89)
+        checked = 0
+        while checked < 5:
+            instance = random_tiny_instance(rng)
+            exact = brute_force_instance(instance)
+            config = StrategyConfig(strategy=strategy,
+                                    surface_model="surface2",
+                                    dive_kinds=DIVE_KINDS)
+            result = run_strategy(instance, config)
+            if exact.status == "infeasible":
+                assert result.status == "infeasible"
+                continue
+            optimum = exact.lower_bound
+            assert result.lower_bound <= optimum + 1e-9
+            assert result.upper_bound is not None
+            assert result.upper_bound >= optimum - 1e-9
+            solution = solution_from_payload(result.solution)
+            assert check_hard(instance, solution) == []
+            assert evaluate(instance, solution) == result.upper_bound
             checked += 1
 
     def test_best_solution_feasible_and_consistent(self, tight_instance):

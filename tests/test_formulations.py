@@ -6,9 +6,8 @@ import pytest
 
 from conftest import make_instance, random_tiny_instance
 from cttsolve.evaluation import Solution, check_hard, count_isolated, evaluate
-from cttsolve.formulations import (DAY_DECOMP, DAY_FIXED,
-                                   DAY_FIXED_ZERO_STABILITY, PERIOD_FIXED,
-                                   DayAssignment, FormulationError,
+from cttsolve.formulations import (DAY_DECOMP, DAY_FIXED_ZERO_STABILITY,
+                                   DIVE_KINDS, PERIOD_FIXED, FormulationError,
                                    Neighborhood, PeriodAssignment,
                                    add_clique_cuts,
                                    add_implied_bound_cuts, add_pattern_cuts,
@@ -16,7 +15,7 @@ from cttsolve.formulations import (DAY_DECOMP, DAY_FIXED,
                                    build_surface, build_surface2,
                                    decode_monolithic, decode_surface,
                                    encode_solution, greedy_clique_cover,
-                                   project_solution, relax_to_days,
+                                   project_solution,
                                    restrict_day_fixed, restrict_period_fixed)
 from cttsolve.instance import build_conflict_graph, build_multirooms
 from cttsolve.milp import MilpSolution
@@ -26,6 +25,15 @@ from test_evaluation import random_solution
 HARD_ORIGINS = {"event-count", "room-clash", "course-clash", "teacher-clash",
                 "curriculum-clash", "day-aggregation", "min-days", "pattern",
                 "room-aggregation"}
+
+
+# a valid period assignment of the toy instance: events per day (2, 1),
+# (1, 1) and (1, 1)
+TOY_BASIS = PeriodAssignment({
+    "c1": frozenset({1, 2, 3}),
+    "c2": frozenset({0, 4}),
+    "c3": frozenset({0, 5}),
+})
 
 
 def feasible_solutions(instance, rng, want=3, tries=400):
@@ -160,13 +168,6 @@ class TestSurface2:
                 assert a.incumbent.objective_value == pytest.approx(
                     b.incumbent.objective_value)
 
-    def test_single_multiroom_occupancy_bound(self, toy_instance):
-        model = build_surface2(
-            toy_instance, build_multirooms(toy_instance, "single"))
-        clash = next(c for c in model.constraints
-                     if c.origin == "room-clash")
-        assert clash.rhs == len(toy_instance.rooms)
-
     def test_variable_count_median_split(self, toy_instance):
         multirooms = build_multirooms(toy_instance, "median-split")
         model = build_surface2(toy_instance, multirooms)
@@ -232,7 +233,7 @@ class TestRestrictions:
                 period_dive = branch_and_bound(
                     restrict_period_fixed(mono, basis))
                 day_dive = branch_and_bound(
-                    restrict_day_fixed(mono, relax_to_days(basis, instance)))
+                    restrict_day_fixed(mono, basis))
                 assert period_dive.status == "optimal"
                 assert day_dive.status == "optimal"
                 assert full.incumbent.objective_value \
@@ -243,8 +244,7 @@ class TestRestrictions:
 
     def test_decomp_variant_drops_room_machinery(self, toy_instance):
         mono = build_monolithic(toy_instance).freeze()
-        basis = DayAssignment({"c1": (2, 1), "c2": (1, 1), "c3": (1, 1)})
-        dive = restrict_day_fixed(mono, basis, DAY_DECOMP)
+        dive = restrict_day_fixed(mono, TOY_BASIS, DAY_DECOMP)
         tags = {v.tag[0] for v in dive.variables}
         assert "uses" not in tags
         assert "room-aggregation" not in dive.origins()
@@ -254,7 +254,9 @@ class TestRestrictions:
         # single room: any solution has stability 0, so decomp optimum
         # equals the plain day-fixed optimum there
         mono = build_monolithic(tight_instance).freeze()
-        basis = DayAssignment({"c1": (1, 1), "c2": (1, 1), "c3": (1, 1)})
+        basis = PeriodAssignment({"c1": frozenset({0, 3}),
+                                  "c2": frozenset({1, 4}),
+                                  "c3": frozenset({2, 5})})
         plain = branch_and_bound(restrict_day_fixed(mono, basis))
         decomp = branch_and_bound(restrict_day_fixed(mono, basis, DAY_DECOMP))
         assert plain.status == decomp.status == "optimal"
@@ -263,9 +265,7 @@ class TestRestrictions:
 
     def test_zero_stability_forces_one_room(self, toy_instance):
         mono = build_monolithic(toy_instance).freeze()
-        basis = DayAssignment({"c1": (2, 1), "c2": (1, 1), "c3": (1, 1)})
-        dive = restrict_day_fixed(mono, basis,
-                                  DAY_FIXED_ZERO_STABILITY)
+        dive = restrict_day_fixed(mono, TOY_BASIS, DAY_FIXED_ZERO_STABILITY)
         result = branch_and_bound(dive)
         assert result.status == "optimal"
         solution = decode_monolithic(dive, result.incumbent)
@@ -275,13 +275,33 @@ class TestRestrictions:
     def test_day_counts_validated(self, toy_instance):
         mono = build_monolithic(toy_instance).freeze()
         with pytest.raises(FormulationError):
-            restrict_day_fixed(mono, DayAssignment({"c1": (9, 9)}))
+            restrict_day_fixed(
+                mono, PeriodAssignment({"c1": frozenset({1})}))
+        clash = PeriodAssignment({"c1": frozenset({1, 2, 3}),
+                                  "c2": frozenset({3, 4}),
+                                  "c3": frozenset({4, 5})})
+        with pytest.raises(FormulationError):  # curriculum q1 at period 3
+            restrict_day_fixed(mono, clash)
 
-    def test_neighborhood_kind_basis_match(self):
-        basis = DayAssignment({"c1": (1, 0)})
+    def test_day_fix_counts_events_per_day(self, toy_instance):
+        mono = build_monolithic(toy_instance).freeze()
+        basis = PeriodAssignment({
+            "c1": frozenset({1, 2, 3}),
+            "c2": frozenset({4, 5}),
+            "c3": frozenset({0, 4}),
+        })
+        dive = restrict_day_fixed(mono, basis)
+        rhs = {c.name: c.rhs for c in dive.constraints
+               if c.origin == "day-fix"}
+        assert rhs == {"day_fix[c1,0]": 2.0, "day_fix[c1,1]": 1.0,
+                       "day_fix[c2,0]": 0.0, "day_fix[c2,1]": 2.0,
+                       "day_fix[c3,0]": 1.0, "day_fix[c3,1]": 1.0}
+
+    def test_neighborhood_rejects_unknown_kind(self):
         with pytest.raises(FormulationError):
-            Neighborhood(PERIOD_FIXED, basis, 0.0)
-        assert Neighborhood(DAY_FIXED, basis, 0.0).kind == DAY_FIXED
+            Neighborhood("week-fixed", TOY_BASIS, 0.0)
+        for kind in DIVE_KINDS:
+            assert Neighborhood(kind, TOY_BASIS, 0.0).kind == kind
 
     def test_build_dive_dispatch(self, toy_instance):
         mono = build_monolithic(toy_instance).freeze()
@@ -295,17 +315,6 @@ class TestRestrictions:
 
 
 class TestDecoders:
-    def test_relax_to_days(self, toy_instance):
-        basis = PeriodAssignment({
-            "c1": frozenset({0, 1, 3}),
-            "c2": frozenset({4, 5}),
-            "c3": frozenset({1, 4}),
-        })
-        days = relax_to_days(basis, toy_instance)
-        assert days.counts["c1"] == (2, 1)
-        assert days.counts["c2"] == (0, 2)
-        assert days.counts["c3"] == (1, 1)
-
     def test_decode_surface(self, toy_instance):
         model = build_surface(toy_instance)
         solution = Solution({

@@ -12,12 +12,12 @@ import hashlib
 
 import pytest
 
-from cttsolve.formulations import (DIVE_KINDS, PERIOD_FIXED, Neighborhood,
+from cttsolve.formulations import (DIVE_KINDS, Neighborhood,
                                    PeriodAssignment, add_clique_cuts,
                                    add_implied_bound_cuts, add_pattern_cuts,
                                    all_patterns, build_dive, build_monolithic,
                                    build_surface, build_surface2,
-                                   greedy_clique_cover, relax_to_days)
+                                   greedy_clique_cover)
 from cttsolve.instance import build_conflict_graph, build_multirooms
 from cttsolve.milp import export_mps
 
@@ -81,10 +81,10 @@ def build(name, instance):
     if name == "surface2":
         multirooms = build_multirooms(instance, "median-split")
         return with_cuts(build_surface2(instance, multirooms), instance)
-    # a dive as the strategies build it: restrict, then implied-bound cuts
-    basis = BASIS if name == PERIOD_FIXED else relax_to_days(BASIS, instance)
+    # a dive as the strategies build it, from the surface's period
+    # assignment: restrict, then implied-bound cuts
     model = build_dive(build_monolithic(instance).freeze(),
-                       Neighborhood(name, basis, 0.0))
+                       Neighborhood(name, BASIS, 0.0))
     add_implied_bound_cuts(model)
     return model
 

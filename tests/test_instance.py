@@ -137,12 +137,6 @@ class TestConflictGraph:
 
 
 class TestMultiRooms:
-    def test_single_policy(self, toy_instance):
-        (mr,) = build_multirooms(toy_instance, "single")
-        assert mr.multiplicity == 2
-        assert mr.capacity == 32
-        assert mr.members == frozenset({"rA", "rB"})
-
     def test_identity_policy(self, toy_instance):
         mrs = build_multirooms(toy_instance, "identity")
         assert len(mrs) == 2
@@ -160,7 +154,7 @@ class TestMultiRooms:
         assert (large.multiplicity, large.capacity) == (2, 40)
 
     @given(st.integers(0, 2 ** 32), st.sampled_from(
-        ["single", "median-split", "identity"]))
+        ["median-split", "identity"]))
     @settings(max_examples=40, deadline=None)
     def test_policies_partition_rooms(self, seed, policy):
         instance = random_tiny_instance(random.Random(seed))

@@ -153,6 +153,56 @@ class TestMps:
         back = parse_mps(export_mps(model))
         assert back.objective_constant == -3.0
 
+    def test_objective_row_of_any_name(self):
+        text = export_mps(simple_model()).replace("COST", "OBJ")
+        back = parse_mps(text)
+        assert back.objective_terms == simple_model().objective_terms
+        assert export_mps(back) == export_mps(simple_model())
+
+    def test_first_n_row_is_the_objective(self):
+        text = export_mps(simple_model())
+        text = text.replace(" N  COST\n", " N  COST\n N  SPARE\n")
+        text = text.replace("    x  COST  1\n", "    x  COST  1  SPARE  7\n")
+        back = parse_mps(text)
+        assert back.objective_terms == simple_model().objective_terms
+        assert [c.name for c in back.constraints] == ["cover"]
+
+    def test_round_trip_is_byte_identical(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            text = export_mps(random_model(rng))
+            assert export_mps(parse_mps(text)) == text
+
+    @pytest.mark.parametrize("section", ["OBJSENSE\n    MAX",
+                                         "RANGES\n    RNG  cover  2"],
+                             ids=["objsense-max", "ranges"])
+    def test_unsupported_section_rejected(self, section):
+        text = export_mps(simple_model()).replace(
+            "BOUNDS\n", f"{section}\nBOUNDS\n")
+        with pytest.raises(MilpError, match="unsupported MPS section"):
+            parse_mps(text)
+
+    def test_unknown_row_type_rejected(self):
+        text = export_mps(simple_model()).replace(" G  cover", " X  cover")
+        with pytest.raises(MilpError, match="row type"):
+            parse_mps(text)
+
+    @pytest.mark.parametrize("old, new", [
+        ("    y  cover  1\n", "    y  cover  1  other  1\n"),
+        ("    RHS  cover  1\n", "    RHS  other  1\n"),
+    ], ids=["columns", "rhs"])
+    def test_entry_on_undeclared_row_rejected(self, old, new):
+        text = export_mps(simple_model())
+        assert old in text
+        with pytest.raises(MilpError, match="undeclared row 'other'"):
+            parse_mps(text.replace(old, new))
+
+    def test_bound_on_undeclared_column_rejected(self):
+        text = export_mps(simple_model()).replace(" UP BND  y  1",
+                                                  " UP BND  z  1")
+        with pytest.raises(MilpError, match="undeclared column 'z'"):
+            parse_mps(text)
+
     def test_lp_against_naive_simplex(self):
         rng = random.Random(5)
         for _ in range(25):

@@ -254,6 +254,20 @@ class TestBranchAndBound:
         assert result.incumbent.objective_value == pytest.approx(2.0)
         assert result.lower_bound == pytest.approx(2.0)
 
+    def test_stop_at_proven_optimum_is_optimal(self):
+        # the root bound 1.5 rounds up to 2, so once the first incumbent
+        # (objective 2) meets the gap target, nothing open is better
+        model = MilpModel("cover3")
+        for name in "abc":
+            model.add_variable(name, "binary")
+        model.add_constraint("c", [(1.0, n) for n in "abc"], ">=", 1.5)
+        model.set_objective([(1.0, n) for n in "abc"])
+        for config in (SolveConfig(), SolveConfig(gap_target=0.02)):
+            result = branch_and_bound(model, config)
+            assert result.status == "optimal"
+            assert result.incumbent.status == "optimal"
+            assert result.lower_bound == result.incumbent.objective_value == 2
+
     def test_branching_variable(self):
         model = MilpModel("frac")
         model.add_variable("y")  # continuous: never branched on
