@@ -271,13 +271,22 @@ def export_mps(model: MilpModel) -> str:
 _SECTIONS = ("ROWS", "COLUMNS", "RHS", "BOUNDS")
 
 
+def _pairs(fields: list[str], raw: str):
+    """The (row, value) pairs after a COLUMNS or RHS line's first field."""
+    pairs = fields[1:]
+    if not pairs or len(pairs) % 2:
+        raise MilpError(f"MPS line without whole row/value pairs: {raw!r}")
+    return zip(pairs[0::2], pairs[1::2])
+
+
 def parse_mps(text: str) -> MilpModel:
     """Inverse of export_mps for the subset it emits (tags are not carried).
 
     The first N row is the objective, whatever its name; later N rows are
     free rows and are dropped.  Any other section (OBJSENSE, RANGES, ...),
-    an unknown row type, and an entry on an undeclared row or column raise
-    MilpError rather than change the model silently.
+    an unknown row type, an entry on an undeclared row or column, and a
+    line short of a name or value raise MilpError rather than change the
+    model silently.
     """
     model = MilpModel("mps")
     section = None
@@ -307,6 +316,8 @@ def parse_mps(text: str) -> MilpModel:
                 raise MilpError(f"unsupported MPS section {head!r}")
             continue
         if section == "ROWS":
+            if len(fields) < 2:
+                raise MilpError(f"MPS row without a name: {raw!r}")
             sense, name = fields[0], fields[1]
             if sense != "N" and sense not in _ROW_TO_SENSE:
                 raise MilpError(f"unknown MPS row type {sense!r} of {name!r}")
@@ -324,17 +335,19 @@ def parse_mps(text: str) -> MilpModel:
                 col_entries[name] = []
                 col_order.append(name)
                 col_kind[name] = "integer" if in_int else "continuous"
-            pairs = fields[1:]
-            for row, coef in zip(pairs[0::2], pairs[1::2]):
+            for row, coef in _pairs(fields, raw):
                 col_entries[name].append((row, float(coef)))
         elif section == "RHS":
-            pairs = fields[1:]
-            for row, value in zip(pairs[0::2], pairs[1::2]):
+            for row, value in _pairs(fields, raw):
                 if row not in row_sense:
                     raise MilpError(f"MPS entry on undeclared row {row!r}")
                 rhs[row] = float(value)
         elif section == "BOUNDS":
-            btype, name = fields[0], fields[2]
+            btype = fields[0]
+            if len(fields) < (4 if btype in ("LO", "UP", "FX") else 3):
+                raise MilpError(f"MPS {btype} bound without a column "
+                                f"or value: {raw!r}")
+            name = fields[2]
             if name not in col_entries:
                 raise MilpError(f"MPS bound on undeclared column {name!r}")
             lohi = bounds.setdefault(name, [0.0, math.inf])

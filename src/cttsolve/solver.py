@@ -2,6 +2,8 @@
 and a file-based adapter for external solvers.
 
 Each solve is single-threaded; distinct models may be solved concurrently.
+An ``_Arrays`` holds the HiGHS instance its node LPs run on, so one must
+not be shared between threads.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ class LpResult:
 
 class _Arrays:
     """Dense objective, sparse constraint matrices and the HiGHS LP of one
-    model; node LPs differ from it only in their column bounds."""
+    model; node LPs differ from it only in their column bounds, and all of
+    them run on one HiGHS instance, created at the first."""
 
     def __init__(self, model: MilpModel):
         n = len(model.variables)
@@ -150,6 +153,7 @@ class _Arrays:
         lp.row_lower_ = row_lower
         lp.row_upper_ = self.row_upper
         self.lp = lp
+        self.highs = None
 
     @staticmethod
     def _matrix(rows, n):
@@ -175,23 +179,33 @@ class _Arrays:
 
 
 def linprog(arrays: _Arrays, lo, hi):
-    """Solve the LP of ``arrays`` under column bounds ``lo``..``hi`` on a
-    fresh HiGHS instance, so no basis carries over between nodes.  The LP,
-    options and result check are those of ``scipy.optimize.linprog``
-    with ``method="highs"``, so points and values match it bit for bit.
+    """Solve the LP of ``arrays`` under column bounds ``lo``..``hi``.  The
+    first call passes the LP to a new HiGHS instance; later calls change
+    only its column bounds, so each starts from the basis the one before
+    it left.  The LP, options and result check are those of
+    ``scipy.optimize.linprog`` with ``method="highs"``, so the first LP
+    matches it bit for bit; a later LP may end at another optimal vertex,
+    with the same value up to rounding.
 
     Returns what ``_Arrays.solve_lp`` does, with status optimal, infeasible
     or unbounded; any other HiGHS status, and an optimal point outside its
     bounds or rows, raises SolverError.  ``bench/run.py`` traces node LPs
     by this function's name, so callers reach it through the module global.
     """
-    lp = arrays.lp
-    lp.col_lower_ = lo
-    lp.col_upper_ = hi
-    highs = _Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
-    # a rejected model would leave HiGHS to solve an empty one
-    if highs.passModel(lp) == HighsStatus.kError:
+    highs = arrays.highs
+    if highs is None:
+        lp = arrays.lp
+        lp.col_lower_ = lo
+        lp.col_upper_ = hi
+        highs = _Highs()
+        highs.passOptions(_HIGHS_OPTIONS)
+        # a rejected model would leave HiGHS to solve an empty one
+        if highs.passModel(lp) == HighsStatus.kError:
+            raise SolverError("HiGHS rejected the LP")
+        arrays.highs = highs
+    # rejected bounds (a NaN) would leave HiGHS to solve the previous LP
+    elif highs.changeColsBounds(len(lo), np.arange(len(lo), dtype=np.int32),
+                                lo, hi) == HighsStatus.kError:
         raise SolverError("HiGHS rejected the LP")
     highs.run()
     model_status = highs.getModelStatus()

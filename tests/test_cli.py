@@ -110,6 +110,25 @@ class TestBuildAndSolveMps:
         assert main(["solve-mps", str(mps)]) == 2
         assert "unsupported MPS section 'RANGES'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [
+        (" L  c\n", " L\n"),
+        ("  c  1\n", "  c\n"),
+        ("  c  4\n", "  c\n"),
+        (" UP BND  x  3\n", " UP BND  x\n"),
+        (" UP BND  x  3\n", " FX BND  x\n"),
+    ], ids=["rows", "columns", "rhs", "up", "fx"])
+    def test_short_mps_line_exit_2(self, tmp_path, capsys, old, new):
+        text = ("NAME s\nROWS\n N  OBJ\n L  c\nCOLUMNS\n    x  OBJ  1  c  1\n"
+                "RHS\n    RHS  c  4\nBOUNDS\n UP BND  x  3\nENDATA\n")
+        mps = tmp_path / "short.mps"
+        mps.write_text(text)
+        assert main(["solve-mps", str(mps)]) == 0
+        capsys.readouterr()
+        assert old in text
+        mps.write_text(text.replace(old, new))
+        assert main(["solve-mps", str(mps)]) == 2
+        assert "MPS" in capsys.readouterr().err
+
     def test_build_to_stdout(self, toy_path, capsys):
         assert main(["build", toy_path, "--formulation", "surface"]) == 0
         assert "ENDATA" in capsys.readouterr().out

@@ -203,6 +203,22 @@ class TestMps:
         with pytest.raises(MilpError, match="undeclared column 'z'"):
             parse_mps(text)
 
+    @pytest.mark.parametrize("old, new", [
+        (" G  cover\n", " G\n"),
+        ("    y  cover  1\n", "    y  cover\n"),
+        ("    RHS  cover  1\n", "    RHS  cover\n"),
+        (" LO BND  x  0\n", " LO BND  x\n"),
+        (" UP BND  x  1\n", " UP BND  x\n"),
+        (" UP BND  y  1\n", " FX BND  y\n"),
+        (" UP BND  y  1\n", " UP BND\n"),
+    ], ids=["rows-no-name", "columns-no-value", "rhs-no-value",
+            "lo-no-value", "up-no-value", "fx-no-value", "bound-no-column"])
+    def test_short_line_rejected(self, old, new):
+        text = export_mps(simple_model())
+        assert old in text
+        with pytest.raises(MilpError, match="MPS .*without"):
+            parse_mps(text.replace(old, new))
+
     def test_lp_against_naive_simplex(self):
         rng = random.Random(5)
         for _ in range(25):

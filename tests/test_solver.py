@@ -72,15 +72,34 @@ class TestLp:
                                         "kUnboundedOrInfeasible"])
     def test_other_highs_status_raises(self, monkeypatch, status):
         class FakeHighs(solver._Highs):
+            fake = True
+
             def getModelStatus(self):
-                return getattr(solver.HighsModelStatus, status)
+                if self.fake:
+                    return getattr(solver.HighsModelStatus, status)
+                return super().getModelStatus()
 
         monkeypatch.setattr(solver, "_Highs", FakeHighs)
         with pytest.raises(SolverError, match="status"):
             solve_lp(knapsack_model())
+        # also on a later LP, after an optimal one on the same instance
+        arrays = _Arrays(knapsack_model())
+        FakeHighs.fake = False
+        assert arrays.solve_lp()[0] == "optimal"
+        FakeHighs.fake = True
+        with pytest.raises(SolverError, match="status"):
+            arrays.solve_lp()
 
     def test_rejected_model_raises(self):
         arrays = _Arrays(knapsack_model())
+        lo = arrays.lo.copy()
+        lo[0] = math.nan
+        with pytest.raises(SolverError, match="rejected"):
+            arrays.solve_lp(lo, arrays.hi)
+
+    def test_rejected_bounds_on_a_later_lp_raise(self):
+        arrays = _Arrays(knapsack_model())
+        assert arrays.solve_lp()[0] == "optimal"
         lo = arrays.lo.copy()
         lo[0] = math.nan
         with pytest.raises(SolverError, match="rejected"):
@@ -111,16 +130,23 @@ def cross_check_models(instance):
 
 
 class TestPublicLinprogCrossCheck:
-    """Every node LP of a search must equal scipy.optimize.linprog's answer
-    bit for bit; this guards the private HiGHS bindings the solver uses."""
+    """Every node LP of a search must agree with scipy.optimize.linprog;
+    this guards the private HiGHS bindings the solver uses.  A search's
+    first LP is solved cold, as linprog solves each LP, so it must match
+    bit for bit.  Later LPs start from the basis the one before left and
+    may end at another optimal vertex, so they must match in status and in
+    value to 1e-9 relative."""
 
     def test_node_lps_match_linprog(self, monkeypatch, toy_instance):
         nodes = []
         real = solver.linprog
 
         def record(arrays, lo, hi):
-            nodes.append((arrays, lo.copy(), hi.copy()))
-            return real(arrays, lo, hi)
+            status, value, x = real(arrays, lo, hi)
+            # the search rounds an integral point in place
+            point = None if x is None else x.copy()
+            nodes.append((arrays, lo.copy(), hi.copy(), status, value, point))
+            return status, value, x
 
         monkeypatch.setattr(solver, "linprog", record)
         searched = 0
@@ -131,16 +157,26 @@ class TestPublicLinprogCrossCheck:
         assert searched == 5 and len(nodes) > searched
 
         statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-        for arrays, lo, hi in nodes:
-            status, value, x = arrays.solve_lp(lo, hi)
+        roots = 0
+        previous = None
+        for arrays, lo, hi, status, value, x in nodes:
             res = scipy.optimize.linprog(
                 arrays.c, A_ub=arrays.A_ub, b_ub=arrays.b_ub,
                 A_eq=arrays.A_eq, b_eq=arrays.b_eq,
                 bounds=np.column_stack([lo, hi]), method="highs")
             assert status == statuses[res.status]
-            if status == "optimal":
-                assert value == res.fun + arrays.constant
+            root = arrays is not previous
+            previous = arrays
+            roots += root
+            if status != "optimal":
+                continue
+            expected = res.fun + arrays.constant
+            if root:
+                assert value == expected
                 assert np.array_equal(x, res.x)
+            else:
+                assert abs(value - expected) <= 1e-9 * max(1.0, abs(value))
+        assert roots == searched
 
 
 class TestBranchAndBound:
@@ -226,6 +262,21 @@ class TestBranchAndBound:
         b = branch_and_bound(model, SolveConfig(node_limit=100))
         assert a.nodes_explored == b.nodes_explored
         assert np.array_equal(a.incumbent.values, b.incumbent.values)
+
+    def test_searches_repeat_exactly(self):
+        # each search starts cold, whatever searches ran before it
+        rng = random.Random(9)
+        model = build_monolithic(random_tiny_instance(rng))
+        other = build_monolithic(random_tiny_instance(rng))
+        config = SolveConfig(node_limit=12)
+        first = branch_and_bound(model, config)
+        branch_and_bound(other, config)
+        second = branch_and_bound(model, config)
+        assert first.nodes_explored == second.nodes_explored == 12
+        assert first.status == second.status == "limit-reached"
+        assert first.lower_bound == second.lower_bound
+        assert np.array_equal(first.incumbent.values,
+                              second.incumbent.values)
 
     def test_incumbent_is_a_vector(self):
         model = knapsack_model()
