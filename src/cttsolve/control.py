@@ -58,6 +58,14 @@ class StrategyConfig:
         for kind in self.dive_kinds:
             if kind not in DIVE_KINDS:
                 raise ControlError(f"unknown dive kind {kind!r}")
+        for name in ("surface_time", "per_dive_time", "total_time"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ControlError(f"{name} must be positive")
+        for name in ("surface_nodes", "dive_nodes"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ControlError(f"{name} must not be negative")
         if (self.total_time is not None and self.surface_time is not None
                 and self.total_time < self.surface_time):
             raise ControlError("total time must cover the surface time")

@@ -246,6 +246,10 @@ def parse_solution(text: str, instance: Instance) -> Solution:
             day, pod = int(fields[2]), int(fields[3])
         except ValueError:
             raise CttSemanticError(f"solution line {idx}: bad day/period")
+        if not (0 <= day < instance.days
+                and 0 <= pod < instance.periods_per_day):
+            raise CttSemanticError(
+                f"solution line {idx}: day or period out of range: {line!r}")
         period = day * instance.periods_per_day + pod
         assignments.setdefault(cid, []).append((period, room))
     return Solution({cid: tuple(sorted(v)) for cid, v in assignments.items()})

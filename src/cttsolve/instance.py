@@ -278,6 +278,10 @@ def parse_ctt(text: str, weights: tuple[int, int, int, int] | None = None) -> In
                     raise ValueError
                 day, period = int(fields[1]), int(fields[2])
                 ppd = header_int("Periods_per_day", idx)
+                if not (0 <= day < header_int("Days", idx)
+                        and 0 <= period < ppd):
+                    raise CttSemanticError(
+                        f"line {idx}: day or period out of range: {line!r}")
                 unavailability.append((fields[0], day * ppd + period))
         except CttSyntaxError:
             raise

@@ -183,7 +183,8 @@ class MilpModel:
         """Name of the first violated bound or constraint, or None."""
         values = self._point(values)
         for v, x in zip(self.variables, values):
-            if x < v.lower - tol or x > v.upper + tol:
+            if (not math.isfinite(x)
+                    or x < v.lower - tol or x > v.upper + tol):
                 return f"bound:{v.name}"
             if v.is_integer() and abs(x - round(x)) > tol:
                 return f"integrality:{v.name}"
@@ -279,14 +280,24 @@ def _pairs(fields: list[str], raw: str):
     return zip(pairs[0::2], pairs[1::2])
 
 
+def _number(field: str, raw: str, infinite: bool = False) -> float:
+    """The value in an MPS line's field; NaN, and an infinity unless
+    ``infinite``, raise MilpError."""
+    value = float(field)
+    if math.isnan(value) or (math.isinf(value) and not infinite):
+        raise MilpError(f"MPS value {field!r} is not finite: {raw!r}")
+    return value
+
+
 def parse_mps(text: str) -> MilpModel:
     """Inverse of export_mps for the subset it emits (tags are not carried).
 
     The first N row is the objective, whatever its name; later N rows are
     free rows and are dropped.  Any other section (OBJSENSE, RANGES, ...),
-    an unknown row type, an entry on an undeclared row or column, and a
-    line short of a name or value raise MilpError rather than change the
-    model silently.
+    an unknown row type, an entry on an undeclared row or column, a line
+    short of a name or value, a coefficient or right-hand side that is not
+    finite, and a NaN bound raise MilpError rather than change the model
+    silently.
     """
     model = MilpModel("mps")
     section = None
@@ -336,12 +347,12 @@ def parse_mps(text: str) -> MilpModel:
                 col_order.append(name)
                 col_kind[name] = "integer" if in_int else "continuous"
             for row, coef in _pairs(fields, raw):
-                col_entries[name].append((row, float(coef)))
+                col_entries[name].append((row, _number(coef, raw)))
         elif section == "RHS":
             for row, value in _pairs(fields, raw):
                 if row not in row_sense:
                     raise MilpError(f"MPS entry on undeclared row {row!r}")
-                rhs[row] = float(value)
+                rhs[row] = _number(value, raw)
         elif section == "BOUNDS":
             btype = fields[0]
             if len(fields) < (4 if btype in ("LO", "UP", "FX") else 3):
@@ -352,15 +363,15 @@ def parse_mps(text: str) -> MilpModel:
                 raise MilpError(f"MPS bound on undeclared column {name!r}")
             lohi = bounds.setdefault(name, [0.0, math.inf])
             if btype == "LO":
-                lohi[0] = float(fields[3])
+                lohi[0] = _number(fields[3], raw, infinite=True)
             elif btype == "UP":
-                lohi[1] = float(fields[3])
+                lohi[1] = _number(fields[3], raw, infinite=True)
             elif btype == "MI":
                 lohi[0] = -math.inf
             elif btype == "FR":
                 lohi[0], lohi[1] = -math.inf, math.inf
             elif btype == "FX":
-                lohi[0] = lohi[1] = float(fields[3])
+                lohi[0] = lohi[1] = _number(fields[3], raw, infinite=True)
             elif btype == "BV":
                 lohi[0], lohi[1] = 0.0, 1.0
             else:

@@ -74,6 +74,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.time_limit is not None and self.time_limit <= 0:
             raise SolverError("time limit must be positive")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise SolverError("node limit must not be negative")
         if self.gap_target is not None and not 0 <= self.gap_target < 1:
             raise SolverError("gap target must lie in [0, 1)")
 
@@ -94,9 +96,9 @@ class LpResult:
 
 
 class _Arrays:
-    """Dense objective, sparse constraint matrices and the HiGHS LP of one
-    model; node LPs differ from it only in their column bounds, and all of
-    them run on one HiGHS instance, created at the first."""
+    """Dense objective and column bounds of one model, with its LP passed
+    once to the HiGHS instance its node LPs run on; a node LP differs from
+    the model's only in its column bounds."""
 
     def __init__(self, model: MilpModel):
         n = len(model.variables)
@@ -110,24 +112,6 @@ class _Arrays:
             [i for i, v in enumerate(model.variables) if v.is_integer()],
             dtype=int)
 
-        ub_rows, eq_rows = [], []
-        b_ub, b_eq = [], []
-        for con in model.constraints:
-            row = [(idx, coef) for coef, idx in con.terms]
-            if con.sense == "<=":
-                ub_rows.append(row)
-                b_ub.append(con.rhs)
-            elif con.sense == ">=":
-                ub_rows.append([(i, -c) for i, c in row])
-                b_ub.append(-con.rhs)
-            else:
-                eq_rows.append(row)
-                b_eq.append(con.rhs)
-        self.A_ub = self._matrix(ub_rows, n)
-        self.A_eq = self._matrix(eq_rows, n)
-        self.b_ub = np.array(b_ub, dtype=float)
-        self.b_eq = np.array(b_eq, dtype=float)
-
         obj_vars_integer = all(
             model.variables[idx].is_integer()
             for coef, idx in model.objective_terms if coef != 0.0)
@@ -136,76 +120,71 @@ class _Arrays:
         ) and float(self.constant).is_integer()
         self.integral_objective = obj_vars_integer and obj_coefs_integral
 
-        # rows lower <= A x <= upper, assembled as linprog's HiGHS path does
-        row_lower = np.concatenate(
-            (np.full(len(self.b_ub), -np.inf), self.b_eq))
-        self.row_upper = np.concatenate((self.b_ub, self.b_eq))
-        a = sparse.csc_array(sparse.vstack(
-            (sparse.coo_array(self.A_ub), sparse.coo_array(self.A_eq))))
+        # rows row_lower <= A x <= row_upper in scipy.optimize.linprog's
+        # order and signs: the <= rows, each >= row negated into one, then
+        # the = rows.  HiGHS then solves the very LP linprog would, so both
+        # end at the same vertex; other rows would change the vertices
+        # found, and with them the search
+        rows = sorted(model.constraints, key=lambda con: con.sense == "=")
+        data, ri, ci = [], [], []
+        self.row_lower = np.full(len(rows), -np.inf)
+        self.row_upper = np.empty(len(rows))
+        for r, con in enumerate(rows):
+            sign = -1.0 if con.sense == ">=" else 1.0
+            for coef, idx in con.terms:
+                ri.append(r)
+                ci.append(idx)
+                data.append(sign * coef)
+            self.row_upper[r] = sign * con.rhs
+            if con.sense == "=":
+                self.row_lower[r] = con.rhs
+        a = sparse.csc_array((data, (ri, ci)), shape=(len(rows), n))
+
         lp = HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
-        lp.num_row_ = lp.a_matrix_.num_row_ = len(self.row_upper)
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
         lp.a_matrix_.format_ = MatrixFormat.kColwise
         lp.a_matrix_.start_ = a.indptr
         lp.a_matrix_.index_ = a.indices
         lp.a_matrix_.value_ = a.data
         lp.col_cost_ = self.c
-        lp.row_lower_ = row_lower
+        lp.col_lower_ = self.lo
+        lp.col_upper_ = self.hi
+        lp.row_lower_ = self.row_lower
         lp.row_upper_ = self.row_upper
-        self.lp = lp
-        self.highs = None
-
-    @staticmethod
-    def _matrix(rows, n):
-        data, ri, ci = [], [], []
-        for r, row in enumerate(rows):
-            for idx, coef in row:
-                ri.append(r)
-                ci.append(idx)
-                data.append(coef)
-        return sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-
-    def solve_lp(self, lo=None, hi=None):
-        """Returns (status, value incl. constant, point array or None)."""
-        lo = self.lo if lo is None else lo
-        hi = self.hi if hi is None else hi
-        if len(self.c) == 0:
-            feasible = ((self.b_ub >= -BOUND_TOL).all()
-                        and (np.abs(self.b_eq) <= BOUND_TOL).all())
-            if feasible:
-                return "optimal", self.constant, np.zeros(0)
-            return "infeasible", math.inf, None
-        return linprog(self, lo, hi)
+        self.highs = _Highs()
+        self.highs.passOptions(_HIGHS_OPTIONS)
+        # a rejected model would leave HiGHS to solve an empty one
+        if self.highs.passModel(lp) == HighsStatus.kError:
+            raise SolverError("HiGHS rejected the LP")
 
 
 def linprog(arrays: _Arrays, lo, hi):
-    """Solve the LP of ``arrays`` under column bounds ``lo``..``hi``.  The
-    first call passes the LP to a new HiGHS instance; later calls change
-    only its column bounds, so each starts from the basis the one before
-    it left.  The LP, options and result check are those of
-    ``scipy.optimize.linprog`` with ``method="highs"``, so the first LP
-    matches it bit for bit; a later LP may end at another optimal vertex,
-    with the same value up to rounding.
+    """Solve the LP of ``arrays`` under column bounds ``lo``..``hi``.
+    Every call changes only the column bounds of the instance's LP, so each
+    starts from the basis the call before it left, and the first from
+    scratch.  The LP, options and result check are those of
+    ``scipy.optimize.linprog`` with ``method="highs"``, so a search's first
+    LP matches it bit for bit; a later LP may end at another optimal
+    vertex, with the same value up to rounding.
 
-    Returns what ``_Arrays.solve_lp`` does, with status optimal, infeasible
-    or unbounded; any other HiGHS status, and an optimal point outside its
-    bounds or rows, raises SolverError.  ``bench/run.py`` traces node LPs
-    by this function's name, so callers reach it through the module global.
+    Returns (status, value incl. constant, point array or None), with
+    status optimal, infeasible or unbounded; any other HiGHS status, and an
+    optimal point outside its bounds or rows, raises SolverError.
+    ``bench/run.py`` traces node LPs by this function's name, so callers
+    reach it through the module global.
     """
+    if len(lo) == 0:
+        # HiGHS calls a model without columns "Empty"; its rows are 0
+        feasible = ((arrays.row_lower <= BOUND_TOL).all()
+                    and (arrays.row_upper >= -BOUND_TOL).all())
+        if feasible:
+            return "optimal", arrays.constant, np.zeros(0)
+        return "infeasible", math.inf, None
     highs = arrays.highs
-    if highs is None:
-        lp = arrays.lp
-        lp.col_lower_ = lo
-        lp.col_upper_ = hi
-        highs = _Highs()
-        highs.passOptions(_HIGHS_OPTIONS)
-        # a rejected model would leave HiGHS to solve an empty one
-        if highs.passModel(lp) == HighsStatus.kError:
-            raise SolverError("HiGHS rejected the LP")
-        arrays.highs = highs
     # rejected bounds (a NaN) would leave HiGHS to solve the previous LP
-    elif highs.changeColsBounds(len(lo), np.arange(len(lo), dtype=np.int32),
-                                lo, hi) == HighsStatus.kError:
+    if highs.changeColsBounds(len(lo), np.arange(len(lo), dtype=np.int32),
+                              lo, hi) == HighsStatus.kError:
         raise SolverError("HiGHS rejected the LP")
     highs.run()
     model_status = highs.getModelStatus()
@@ -217,14 +196,13 @@ def linprog(arrays: _Arrays, lo, hi):
         return status, math.inf if status == "infeasible" else -math.inf, None
     solution = highs.getSolution()
     x = np.array(solution.col_value)
+    row = np.array(solution.row_value)
     value = highs.getInfo().objective_function_value
-    slack = arrays.row_upper - np.array(solution.row_value)
-    n_ub = len(arrays.b_ub)
     tol = RESIDUAL_TOL
     feasible = (not math.isnan(value)
                 and (x >= lo - tol).all() and (x <= hi + tol).all()
-                and (slack[:n_ub] >= -tol).all()
-                and (np.abs(slack[n_ub:]) <= tol).all())
+                and (row >= arrays.row_lower - tol).all()
+                and (row <= arrays.row_upper + tol).all())
     if not feasible:
         raise SolverError("HiGHS returned an optimal LP point outside its "
                           f"bounds or rows by more than {tol:.2e}")
@@ -233,7 +211,8 @@ def linprog(arrays: _Arrays, lo, hi):
 
 def solve_lp(model: MilpModel) -> LpResult:
     """Solve the LP relaxation (integrality relaxed to bounds)."""
-    status, value, _ = _Arrays(model).solve_lp()
+    arrays = _Arrays(model)
+    status, value, _ = linprog(arrays, arrays.lo, arrays.hi)
     return LpResult(status, value)
 
 
@@ -295,7 +274,7 @@ def branch_and_bound(model: MilpModel,
             continue
 
         explored += 1
-        status, value, x = arrays.solve_lp(lo, hi)
+        status, value, x = linprog(arrays, lo, hi)
         if status == "infeasible":
             continue
         if status == "unbounded":

@@ -46,6 +46,12 @@ class TestValidate:
         path.write_text(TOY_CTT.replace("Courses: 3", "Courses: 4"))
         assert main(["validate", str(path)]) == 1
 
+    def test_day_or_period_out_of_range_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.ctt"
+        path.write_text(TOY_CTT.replace("c1 0 0", "c1 0 3"))
+        assert main(["validate", str(path)]) == 1
+        assert "out of range" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self):
         assert main(["validate", "/nonexistent.ctt"]) == 2
 
@@ -77,6 +83,13 @@ class TestEvaluate:
         sol.write_text("c1 rA 0 0\n")  # forbidden period and missing events
         assert main(["evaluate", toy_path, str(sol)]) == 1
         assert "violation" in capsys.readouterr().err
+
+    def test_day_or_period_out_of_range_exit_1(self, toy_path, tmp_path,
+                                               capsys):
+        sol = tmp_path / "bad.sol"
+        sol.write_text(FEASIBLE_TOY_SOLUTION + "c1 rA 0 3\n")
+        assert main(["evaluate", toy_path, str(sol)]) == 1
+        assert "out of range" in capsys.readouterr().err
 
     def test_weight_override_changes_objective(self, toy_path, tmp_path,
                                                capsys):
@@ -128,6 +141,20 @@ class TestBuildAndSolveMps:
         mps.write_text(text.replace(old, new))
         assert main(["solve-mps", str(mps)]) == 2
         assert "MPS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, args", [
+        ("  c  1\n", "  c  nan\n", []),
+        ("  c  4\n", "  c  inf\n", []),
+        (" UP BND  x  3\n", " UP BND  x  3\n", ["--node-limit", "-1"]),
+    ], ids=["coef-nan", "rhs-inf", "negative-node-limit"])
+    def test_bad_number_exit_2(self, tmp_path, capsys, old, new, args):
+        text = ("NAME s\nROWS\n N  OBJ\n L  c\nCOLUMNS\n    x  OBJ  1  c  1\n"
+                "RHS\n    RHS  c  4\nBOUNDS\n UP BND  x  3\nENDATA\n")
+        assert old in text
+        mps = tmp_path / "bad.mps"
+        mps.write_text(text.replace(old, new))
+        assert main(["solve-mps", str(mps)] + args) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_build_to_stdout(self, toy_path, capsys):
         assert main(["build", toy_path, "--formulation", "surface"]) == 0
@@ -187,3 +214,10 @@ END.
         path = tmp_path / "stuck.ctt"
         path.write_text(text)
         assert main(["solve", str(path), "--strategy", "contract"]) == 1
+
+    @pytest.mark.parametrize("budget", [["--total-time", "-5"],
+                                        ["--per-dive-time", "0"],
+                                        ["--dive-nodes", "-1"]])
+    def test_bad_budget_exit_1(self, tight_path, capsys, budget):
+        assert main(["solve", tight_path] + budget) == 1
+        assert "must" in capsys.readouterr().err

@@ -97,6 +97,14 @@ class TestConfig:
         with pytest.raises(ControlError):
             StrategyConfig(dive_kinds=())
 
+    @pytest.mark.parametrize("budget", [
+        {"surface_time": 0}, {"per_dive_time": 0}, {"total_time": -5},
+        {"per_dive_time": float("nan")}, {"surface_nodes": -1},
+        {"dive_nodes": -1}])
+    def test_budgets_checked_up_front(self, budget):
+        with pytest.raises(ControlError, match=next(iter(budget))):
+            StrategyConfig(**budget)
+
     def test_total_time_covers_surface(self):
         with pytest.raises(ControlError):
             StrategyConfig(surface_time=10.0, total_time=5.0)

@@ -9,7 +9,7 @@ from conftest import make_instance, random_tiny_instance
 from cttsolve.evaluation import (PenaltyVector, Solution, check_hard,
                                  count_isolated, evaluate, format_solution,
                                  gap, objective, parse_solution, penalties)
-from cttsolve.instance import WeightVector
+from cttsolve.instance import CttSemanticError, WeightVector
 from oracles import (oracle_capacity, oracle_compactness, oracle_isolated,
                      oracle_min_days, oracle_objective, oracle_stability)
 
@@ -218,6 +218,12 @@ class TestSolutionIo:
         })
         text = format_solution(toy_instance, solution)
         assert parse_solution(text, toy_instance) == solution
+
+    @pytest.mark.parametrize("entry", ["c1 rA 0 3", "c1 rA -1 4"])
+    def test_day_or_period_out_of_range(self, toy_instance, entry):
+        # both would index a period inside the toy's 2 x 3 grid
+        with pytest.raises(CttSemanticError, match=f"line 2: .*{entry}"):
+            parse_solution(f"c2 rA 0 1\n{entry}\n", toy_instance)
 
     def test_line_format(self, toy_instance):
         solution = Solution({"c1": ((4, "rA"),)})

@@ -63,6 +63,12 @@ class TestParsing:
         with pytest.raises(CttSemanticError):
             parse_ctt(text)
 
+    @pytest.mark.parametrize("entry", ["c1 0 3", "c1 -1 4"])
+    def test_unavailability_day_or_period_out_of_range(self, entry):
+        # both would index a period inside the toy's 2 x 3 grid
+        with pytest.raises(CttSemanticError, match=f"line 22: .*{entry}"):
+            parse_ctt(TOY_CTT.replace("c1 0 0", entry))
+
     def test_truncated_file_is_syntax_error(self):
         with pytest.raises(CttSyntaxError) as err:
             parse_ctt(TOY_CTT.replace("END.\n", ""))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -219,6 +220,27 @@ class TestMps:
         with pytest.raises(MilpError, match="MPS .*without"):
             parse_mps(text.replace(old, new))
 
+    @pytest.mark.parametrize("old, new", [
+        ("    y  cover  1\n", "    y  cover  nan\n"),
+        ("    y  cover  1\n", "    y  cover  -inf\n"),
+        ("    RHS  cover  1\n", "    RHS  cover  nan\n"),
+        ("    RHS  cover  1\n", "    RHS  cover  inf\n"),
+        (" LO BND  x  0\n", " LO BND  x  nan\n"),
+        (" UP BND  x  1\n", " UP BND  x  nan\n"),
+    ], ids=["coef-nan", "coef-inf", "rhs-nan", "rhs-inf", "lo-nan",
+            "up-nan"])
+    def test_non_finite_value_rejected(self, old, new):
+        text = export_mps(simple_model())
+        assert old in text
+        with pytest.raises(MilpError, match="not finite"):
+            parse_mps(text.replace(old, new))
+
+    def test_infinite_bound_accepted(self):
+        text = export_mps(simple_model()).replace(" UP BND  x  1\n", "")
+        text = text.replace(" LO BND  x  0\n", " LO BND  x  -inf\n")
+        x = parse_mps(text).variables[0]
+        assert (x.lower, x.upper) == (-math.inf, math.inf)
+
     def test_lp_against_naive_simplex(self):
         rng = random.Random(5)
         for _ in range(25):
@@ -241,6 +263,15 @@ class TestImportSolution:
         result = import_solution(simple_model(), "x 1\ny 0\n")
         assert result.status == "feasible"
         assert result.objective_value == 1.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["continuous", "integer"])
+    def test_non_finite_value_infeasible(self, kind, value):
+        model = MilpModel("m")
+        model.add_variable("x", kind, -math.inf, math.inf)
+        result = import_solution(model, f"x {value}\n")
+        assert result.status == "infeasible"
+        assert model.first_violation(result.values) == "bound:x"
 
     def test_unknown_variable(self):
         with pytest.raises(MilpError):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy import sparse
 
 import cttsolve
 from conftest import random_tiny_instance
@@ -62,11 +63,24 @@ class TestLp:
         milp = branch_and_bound(model)
         assert lp.value <= milp.incumbent.objective_value + 1e-9
 
+    @pytest.mark.parametrize("sense, rhs, status", [
+        ("<=", 0.0, "optimal"), ("=", 0.0, "optimal"), (">=", -1.0, "optimal"),
+        ("<=", -1.0, "infeasible"), ("=", 1.0, "infeasible"),
+        (">=", 1.0, "infeasible")])
+    def test_model_without_columns(self, sense, rhs, status):
+        # every row reads 0, which HiGHS would call an "Empty" model
+        model = MilpModel("m")
+        model.add_constraint("c", [], sense, rhs)
+        model.set_objective([], constant=3.0)
+        result = solve_lp(model)
+        assert result.status == status
+        assert result.value == (3.0 if status == "optimal" else math.inf)
+
     def test_crossed_column_bounds_are_infeasible(self):
         arrays = _Arrays(knapsack_model())
         lo, hi = arrays.lo.copy(), arrays.hi.copy()
         lo[1], hi[1] = 1.0, 0.0
-        assert arrays.solve_lp(lo, hi)[0] == "infeasible"
+        assert solver.linprog(arrays, lo, hi)[0] == "infeasible"
 
     @pytest.mark.parametrize("status", ["kSolveError",
                                         "kUnboundedOrInfeasible"])
@@ -85,25 +99,26 @@ class TestLp:
         # also on a later LP, after an optimal one on the same instance
         arrays = _Arrays(knapsack_model())
         FakeHighs.fake = False
-        assert arrays.solve_lp()[0] == "optimal"
+        assert solver.linprog(arrays, arrays.lo, arrays.hi)[0] == "optimal"
         FakeHighs.fake = True
         with pytest.raises(SolverError, match="status"):
-            arrays.solve_lp()
+            solver.linprog(arrays, arrays.lo, arrays.hi)
 
     def test_rejected_model_raises(self):
-        arrays = _Arrays(knapsack_model())
-        lo = arrays.lo.copy()
-        lo[0] = math.nan
+        model = MilpModel("m")
+        model.add_variable("x", "continuous", math.nan, 1.0)
         with pytest.raises(SolverError, match="rejected"):
-            arrays.solve_lp(lo, arrays.hi)
+            _Arrays(model)
 
     def test_rejected_bounds_on_a_later_lp_raise(self):
         arrays = _Arrays(knapsack_model())
-        assert arrays.solve_lp()[0] == "optimal"
         lo = arrays.lo.copy()
         lo[0] = math.nan
         with pytest.raises(SolverError, match="rejected"):
-            arrays.solve_lp(lo, arrays.hi)
+            solver.linprog(arrays, lo, arrays.hi)
+        assert solver.linprog(arrays, arrays.lo, arrays.hi)[0] == "optimal"
+        with pytest.raises(SolverError, match="rejected"):
+            solver.linprog(arrays, lo, arrays.hi)
 
     def test_optimal_point_violating_a_row_raises(self, monkeypatch):
         # x >= 0.5 is held as -x <= -0.5; the faked point x = 0.4 breaks it
@@ -129,6 +144,33 @@ def cross_check_models(instance):
         yield build_monolithic(random_tiny_instance(rng))
 
 
+def linprog_arrays(model):
+    """The model's objective and constraint rows as scipy.optimize.linprog
+    takes them, assembled here rather than by the solver, so that an error
+    in the solver's assembly shows as a disagreement."""
+    n = len(model.variables)
+    c = np.zeros(n)
+    for coef, idx in model.objective_terms:
+        c[idx] += coef
+    ub, eq = ([], [], [], []), ([], [], [], [])
+    for con in model.constraints:
+        data, rows, cols, rhs = eq if con.sense == "=" else ub
+        sign = -1.0 if con.sense == ">=" else 1.0
+        for coef, idx in con.terms:
+            data.append(sign * coef)
+            rows.append(len(rhs))
+            cols.append(idx)
+        rhs.append(sign * con.rhs)
+
+    def matrix(data, rows, cols, rhs):
+        return (sparse.coo_array((data, (rows, cols)), shape=(len(rhs), n)),
+                np.array(rhs, dtype=float))
+
+    A_ub, b_ub = matrix(*ub)
+    A_eq, b_eq = matrix(*eq)
+    return dict(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+
+
 class TestPublicLinprogCrossCheck:
     """Every node LP of a search must agree with scipy.optimize.linprog;
     this guards the private HiGHS bindings the solver uses.  A search's
@@ -145,7 +187,9 @@ class TestPublicLinprogCrossCheck:
             status, value, x = real(arrays, lo, hi)
             # the search rounds an integral point in place
             point = None if x is None else x.copy()
-            nodes.append((arrays, lo.copy(), hi.copy(), status, value, point))
+            # ``model`` is the one the loop below is searching
+            nodes.append((model, arrays, lo.copy(), hi.copy(), status, value,
+                          point))
             return status, value, x
 
         monkeypatch.setattr(solver, "linprog", record)
@@ -159,18 +203,18 @@ class TestPublicLinprogCrossCheck:
         statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
         roots = 0
         previous = None
-        for arrays, lo, hi, status, value, x in nodes:
-            res = scipy.optimize.linprog(
-                arrays.c, A_ub=arrays.A_ub, b_ub=arrays.b_ub,
-                A_eq=arrays.A_eq, b_eq=arrays.b_eq,
-                bounds=np.column_stack([lo, hi]), method="highs")
-            assert status == statuses[res.status]
+        for model, arrays, lo, hi, status, value, x in nodes:
             root = arrays is not previous
+            if root:
+                lp = linprog_arrays(model)
             previous = arrays
             roots += root
+            res = scipy.optimize.linprog(
+                **lp, bounds=np.column_stack([lo, hi]), method="highs")
+            assert status == statuses[res.status]
             if status != "optimal":
                 continue
-            expected = res.fun + arrays.constant
+            expected = res.fun + model.objective_constant
             if root:
                 assert value == expected
                 assert np.array_equal(x, res.x)
@@ -336,6 +380,12 @@ class TestBranchAndBound:
         with pytest.raises(SolverError):
             SolveConfig(gap_target=1.5)
 
+    def test_negative_node_limit_rejected(self):
+        assert branch_and_bound(knapsack_model(),
+                                SolveConfig(node_limit=0)).nodes_explored == 0
+        with pytest.raises(SolverError, match="node limit"):
+            SolveConfig(node_limit=-1)
+
 
 class TestBruteForce:
     def test_model_with_fixed_variables(self):
@@ -411,6 +461,20 @@ class TestExternalAdapter:
             command=[sys.executable, str(script), "{mps}"],
             workdir=tmp_path, solution_path=solution)
         with pytest.raises(ExternalSolverError):
+            external_solve(model, adapter)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", ["continuous", "integer"])
+    def test_non_finite_point_rejected(self, tmp_path, kind, value):
+        model = MilpModel("m")
+        model.add_variable("x", kind, 0.0, math.inf)
+        model.set_objective([(1.0, "x")])
+        solution = tmp_path / "out.sol"
+        adapter = AdapterConfig(
+            command=[sys.executable, "-c",
+                     f"open({str(solution)!r}, 'w').write('x {value}\\n')"],
+            workdir=tmp_path, solution_path=solution)
+        with pytest.raises(ExternalSolverError, match="bound:x"):
             external_solve(model, adapter)
 
     def test_missing_solution_file(self, tmp_path):
