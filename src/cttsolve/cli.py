@@ -21,8 +21,6 @@ from .instance import (CttError, CttSemanticError, CttSyntaxError,
 from .milp import MilpError, export_mps, format_values, parse_mps
 from .solver import SolveConfig, SolverError, branch_and_bound
 
-SECONDS_PER_CPU_UNIT = 780.0
-
 
 def _read(path: str) -> str:
     try:
@@ -108,16 +106,13 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = _load_instance(args)
-    total_time = args.total_time
-    if total_time is None and args.cpu_units is not None:
-        total_time = args.cpu_units * SECONDS_PER_CPU_UNIT
     config = StrategyConfig(
         strategy=args.strategy,
         surface_model=args.surface_model,
         dive_kinds=tuple(args.dive_kinds),
         surface_time=args.surface_time,
         per_dive_time=args.per_dive_time,
-        total_time=total_time,
+        total_time=args.total_time,
         surface_nodes=args.surface_nodes,
         dive_nodes=args.dive_nodes,
         pattern_cuts=args.pattern_cuts,
@@ -197,9 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface-time", type=float, default=None)
     p.add_argument("--per-dive-time", type=float, default=None)
     p.add_argument("--total-time", type=float, default=None)
-    p.add_argument("--cpu-units", type=float, default=None,
-                   help=f"total budget in CPU units"
-                        f" ({SECONDS_PER_CPU_UNIT:.0f} s each)")
     p.add_argument("--surface-nodes", type=int, default=None)
     p.add_argument("--dive-nodes", type=int, default=None)
     p.add_argument("--pattern-cuts", action="store_true")

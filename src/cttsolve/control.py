@@ -24,11 +24,10 @@ from .formulations import (DAY_FIXED, DIVE_KINDS, PERIOD_FIXED, Neighborhood,
                            build_surface, build_surface2, decode_monolithic,
                            decode_surface, greedy_clique_cover)
 from .instance import Instance, build_conflict_graph, build_multirooms
-from .milp import MilpSolution
+from .milp import FEAS_TOL, MilpSolution
 from .solver import SolveConfig, SolveResult, branch_and_bound
 
 STRATEGIES = ("exact", "contract", "anytime")
-DIVE_GAP_STOP = 0.02  # a dive stops once within 2% of its own bound
 
 
 class ControlError(Exception):
@@ -83,13 +82,10 @@ class LedgerEvent:
     source: str
 
 
-BOUND_TOL = 1e-6
-
-
 class BoundsLedger:
     """Monotonic bound tracker: the lower bound never decreases, the upper
     bound never increases; non-improving reports are ignored.  A lower bound
-    above the upper bound by more than BOUND_TOL means one of them is
+    above the upper bound by more than FEAS_TOL means one of them is
     invalid: it raises ControlError, whichever bound moved."""
 
     def __init__(self, clock=None):
@@ -123,7 +119,7 @@ class BoundsLedger:
 
     @staticmethod
     def _check(lower: float, upper: float) -> None:
-        if lower > upper + BOUND_TOL:
+        if lower > upper + FEAS_TOL:
             raise ControlError(
                 f"lower bound {lower:g} exceeds upper bound {upper:g}")
 
@@ -245,6 +241,10 @@ def _budget(limit_time, limit_nodes, deadline, **extra) -> SolveConfig:
     return SolveConfig(time_limit=limit_time, node_limit=limit_nodes, **extra)
 
 
+def _expired(deadline) -> bool:
+    return deadline is not None and time.monotonic() >= deadline
+
+
 def _solve_and_record(instance: Instance, model, solve_config: SolveConfig,
                       ledger: BoundsLedger, source: str,
                       global_bound: bool = False) -> tuple[SolveResult,
@@ -277,7 +277,7 @@ def _run_dive(instance: Instance, monolithic, neighborhood: Neighborhood,
     model.freeze()
     cutoff = ledger.upper if math.isfinite(ledger.upper) else None
     solve_config = _budget(config.per_dive_time, config.dive_nodes, deadline,
-                           cutoff=cutoff, gap_target=DIVE_GAP_STOP)
+                           cutoff=cutoff)
     result, objective = _solve_and_record(instance, model, solve_config,
                                           ledger, f"dive:{neighborhood.kind}")
     return DiveRecord(neighborhood.kind, neighborhood.source_objective,
@@ -309,6 +309,8 @@ def run_strategy(instance: Instance,
         sources.append((basis, objective))
         if config.strategy == "anytime":
             for kind in config.dive_kinds:
+                if _expired(deadline):
+                    break
                 neighborhood = Neighborhood(kind, basis, objective,
                                             len(sources) - 1)
                 dives.append(_run_dive(instance, monolithic, neighborhood,
@@ -326,7 +328,7 @@ def run_strategy(instance: Instance,
             for i, (basis, objective) in enumerate(sources)
             for kind in config.dive_kinds]
         for neighborhood in order_dives(neighborhoods, config.dive_kinds):
-            if deadline is not None and time.monotonic() >= deadline:
+            if _expired(deadline):
                 break
             dives.append(_run_dive(instance, monolithic, neighborhood,
                                    ledger, config, deadline))
@@ -342,7 +344,7 @@ def _final_status(ledger: BoundsLedger, result: SolveResult) -> str:
         return "infeasible"
     if not math.isfinite(ledger.upper):
         return "bounds-only"
-    if result.status == "optimal" and ledger.upper <= ledger.lower + 1e-6:
+    if result.status == "optimal" and ledger.upper <= ledger.lower + FEAS_TOL:
         return "optimal"
     return "feasible"
 

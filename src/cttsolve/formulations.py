@@ -14,15 +14,13 @@ import numpy as np
 
 from .evaluation import Solution, count_isolated
 from .instance import ConflictGraph, Instance, MultiRoom, build_multirooms
-from .milp import MilpModel, MilpSolution
+from .milp import FEAS_TOL, MilpModel, MilpSolution
 
 PERIOD_FIXED = "period-fixed"
 DAY_FIXED = "day-fixed"
 DAY_DECOMP = "day-decomp"
 DAY_FIXED_ZERO_STABILITY = "day-fixed-zero-stability"
 DIVE_KINDS = (PERIOD_FIXED, DAY_FIXED, DAY_DECOMP, DAY_FIXED_ZERO_STABILITY)
-
-INT_TOL = 1e-6
 
 
 class FormulationError(Exception):
@@ -418,7 +416,7 @@ def build_dive(monolithic: MilpModel, neighborhood: Neighborhood) -> MilpModel:
 # -- decoding ----------------------------------------------------------------
 
 def _integral(value: float, context: str) -> int:
-    if abs(value - round(value)) > INT_TOL:
+    if abs(value - round(value)) > FEAS_TOL:
         raise FormulationError(f"non-integral value {value} for {context}")
     return int(round(value))
 
@@ -522,8 +520,8 @@ def encode_solution(instance: Instance, model: MilpModel,
 # -- cuts ---------------------------------------------------------------------
 
 def add_clique_cuts(model: MilpModel, cliques, graph: ConflictGraph) -> int:
-    """One at-most-one row per (clique, period); duplicates by name are
-    skipped.  Returns the number of rows added."""
+    """One at-most-one row per (clique, period).  Returns the number of rows
+    added; a clique already added raises MilpError."""
     instance: Instance = model.metadata["instance"]
     added = 0
     for clique in cliques:
@@ -533,13 +531,11 @@ def add_clique_cuts(model: MilpModel, cliques, graph: ConflictGraph) -> int:
                 raise FormulationError(
                     f"{{{a}, {b}}} is not an edge; not a clique")
         for p in range(instance.periods):
-            name = f"clique[{p},{'+'.join(members)}]"
-            if model.has_constraint(name):
-                continue
             terms = []
             for cid in members:
                 terms += occupancy_terms(model, p, cid)
-            model.add_constraint(name, terms, "<=", 1.0, origin="clique-cut")
+            model.add_constraint(f"clique[{p},{'+'.join(members)}]", terms,
+                                 "<=", 1.0, origin="clique-cut")
             added += 1
     return added
 
@@ -575,18 +571,15 @@ def add_implied_bound_cuts(model: MilpModel) -> int:
     for c in instance.courses:
         if c.events < 1:
             continue
-        name = f"implied_days[{c.id}]"
-        if not model.has_constraint(name):
+        model.add_constraint(
+            f"implied_days[{c.id}]",
+            [(1.0, model.by_tag(("sched", d, c.id)))
+             for d in range(instance.days)],
+            ">=", 1.0, origin="implied-bound-cut")
+        added += 1
+        if uses is not None:
             model.add_constraint(
-                name,
-                [(1.0, model.by_tag(("sched", d, c.id)))
-                 for d in range(instance.days)],
-                ">=", 1.0, origin="implied-bound-cut")
-            added += 1
-        name = f"implied_rooms[{c.id}]"
-        if uses is not None and not model.has_constraint(name):
-            model.add_constraint(
-                name,
+                f"implied_rooms[{c.id}]",
                 [(1.0, model.by_tag((uses, key, c.id)))
                  for key in sorted(model.metadata["room_keys"])],
                 ">=", 1.0, origin="implied-bound-cut")
@@ -617,9 +610,6 @@ def add_pattern_cuts(model: MilpModel, patterns) -> int:
         label = "".join("1" if a == 1 else "0" for a in pattern)
         for u in instance.curricula:
             for d in range(instance.days):
-                name = f"pattern_cut[{u.id},{d},{label}]"
-                if model.has_constraint(name):
-                    continue
                 day = list(instance.day_periods(d))
                 terms = []
                 for j, a in enumerate(pattern):
@@ -628,8 +618,8 @@ def add_pattern_cuts(model: MilpModel, patterns) -> int:
                                   occupancy_terms(model, day[j], cid)]
                 for s in range(n):
                     terms.append((-1.0, model.by_tag(("single", u.id, d, s))))
-                model.add_constraint(name, terms, "<=",
-                                     float(penalty * (m - 1)),
+                model.add_constraint(f"pattern_cut[{u.id},{d},{label}]",
+                                     terms, "<=", float(penalty * (m - 1)),
                                      origin="pattern-cut")
                 added += 1
     return added

@@ -179,22 +179,23 @@ class MilpModel:
             total += coef * values[idx]
         return total
 
-    def first_violation(self, values, tol: float = FEAS_TOL) -> str | None:
-        """Name of the first violated bound or constraint, or None."""
+    def first_violation(self, values) -> str | None:
+        """Name of the first bound, integrality or constraint violated by
+        more than FEAS_TOL, or None."""
         values = self._point(values)
         for v, x in zip(self.variables, values):
             if (not math.isfinite(x)
-                    or x < v.lower - tol or x > v.upper + tol):
+                    or x < v.lower - FEAS_TOL or x > v.upper + FEAS_TOL):
                 return f"bound:{v.name}"
-            if v.is_integer() and abs(x - round(x)) > tol:
+            if v.is_integer() and abs(x - round(x)) > FEAS_TOL:
                 return f"integrality:{v.name}"
         for con in self.constraints:
             lhs = sum(coef * values[idx] for coef, idx in con.terms)
-            if con.sense == "<=" and lhs > con.rhs + tol:
+            if con.sense == "<=" and lhs > con.rhs + FEAS_TOL:
                 return con.name
-            if con.sense == ">=" and lhs < con.rhs - tol:
+            if con.sense == ">=" and lhs < con.rhs - FEAS_TOL:
                 return con.name
-            if con.sense == "=" and abs(lhs - con.rhs) > tol:
+            if con.sense == "=" and abs(lhs - con.rhs) > FEAS_TOL:
                 return con.name
         return None
 

@@ -28,10 +28,9 @@ from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus,
 
 from . import evaluation
 from .instance import Instance
-from .milp import MilpModel, MilpSolution, export_mps, import_solution
+from .milp import (FEAS_TOL, MilpModel, MilpSolution, export_mps,
+                   import_solution)
 
-INT_TOL = 1e-6
-BOUND_TOL = 1e-6
 # linprog's result check: a point may leave its bounds or rows by at most
 # 10 * sqrt(tol), with linprog's default tol of 1e-9
 RESIDUAL_TOL = 10 * math.sqrt(1e-9)
@@ -65,9 +64,10 @@ class ExternalSolverError(SolverError):
 
 @dataclass
 class SolveConfig:
+    """Limits, cutoff and incumbent hook of one branch-and-bound search."""
+
     time_limit: float | None = None  # seconds; None disables the clock
     cutoff: float | None = None  # prune nodes whose bound reaches this value
-    gap_target: float | None = None  # e.g. 0.02 stops at a 2% relative gap
     node_limit: int | None = None
     on_incumbent: Callable | None = None  # (point, objective) -> None
 
@@ -76,8 +76,6 @@ class SolveConfig:
             raise SolverError("time limit must be positive")
         if self.node_limit is not None and self.node_limit < 0:
             raise SolverError("node limit must not be negative")
-        if self.gap_target is not None and not 0 <= self.gap_target < 1:
-            raise SolverError("gap target must lie in [0, 1)")
 
 
 @dataclass
@@ -176,8 +174,8 @@ def linprog(arrays: _Arrays, lo, hi):
     """
     if len(lo) == 0:
         # HiGHS calls a model without columns "Empty"; its rows are 0
-        feasible = ((arrays.row_lower <= BOUND_TOL).all()
-                    and (arrays.row_upper >= -BOUND_TOL).all())
+        feasible = ((arrays.row_lower <= FEAS_TOL).all()
+                    and (arrays.row_upper >= -FEAS_TOL).all())
         if feasible:
             return "optimal", arrays.constant, np.zeros(0)
         return "infeasible", math.inf, None
@@ -218,7 +216,7 @@ def solve_lp(model: MilpModel) -> LpResult:
 
 def _round_bound(value: float, integral: bool) -> float:
     if integral and math.isfinite(value):
-        return math.ceil(value - INT_TOL)
+        return math.ceil(value - FEAS_TOL)
     return value
 
 
@@ -228,7 +226,9 @@ def branch_and_bound(model: MilpModel,
 
     Branches on the most fractional integer variable (ties to the lowest
     index); nodes are pruned once their bound reaches the lesser of the
-    cutoff and the incumbent.  Deterministic when no time limit binds.
+    cutoff and the incumbent.  Stops only at the node limit, the time limit
+    or an exhausted tree; a stop with the open bound at the incumbent is
+    ``optimal``.  Deterministic when no time limit binds.
     Status ``cutoff`` means the tree was exhausted without an incumbent
     after pruning against the cutoff: nothing better than the cutoff
     exists, though the model may be feasible.
@@ -251,10 +251,6 @@ def branch_and_bound(model: MilpModel,
             return inc_obj
         return min(config.cutoff, inc_obj)
 
-    def open_lower() -> float:
-        # the heap is ordered by bound, so its head holds the least one
-        return min(heap[0][0] if heap else math.inf, pruned_min, inc_obj)
-
     while heap:
         if config.node_limit is not None and explored >= config.node_limit:
             stop_status = "limit-reached"
@@ -263,13 +259,9 @@ def branch_and_bound(model: MilpModel,
                 and time.monotonic() - start > config.time_limit):
             stop_status = "limit-reached"
             break
-        if (config.gap_target is not None and incumbent is not None
-                and _relative_gap(inc_obj, open_lower()) <= config.gap_target):
-            stop_status = "limit-reached"
-            break
 
         bound, _, lo, hi = heappop(heap)
-        if bound >= cut_line() - BOUND_TOL:
+        if bound >= cut_line() - FEAS_TOL:
             pruned_min = min(pruned_min, bound)
             continue
 
@@ -280,7 +272,7 @@ def branch_and_bound(model: MilpModel,
         if status == "unbounded":
             return SolveResult("unbounded", None, -math.inf, explored)
         node_bound = _round_bound(value, integral)
-        if node_bound >= cut_line() - BOUND_TOL:
+        if node_bound >= cut_line() - FEAS_TOL:
             pruned_min = min(pruned_min, node_bound)
             continue
 
@@ -288,7 +280,7 @@ def branch_and_bound(model: MilpModel,
         if branch_var is None:
             x[arrays.int_idx] = np.round(x[arrays.int_idx])
             exact = model.objective_value(x)
-            if exact < cut_line() - BOUND_TOL:
+            if exact < cut_line() - FEAS_TOL:
                 incumbent = x
                 inc_obj = exact
                 if config.on_incumbent is not None:
@@ -305,14 +297,15 @@ def branch_and_bound(model: MilpModel,
         heappush(heap, (node_bound, next(seq), lo, down_hi))
         heappush(heap, (node_bound, next(seq), up_lo, hi))
 
-    lb = open_lower()
+    # the heap is ordered by bound, so its head holds the least one
+    lb = min(heap[0][0] if heap else math.inf, pruned_min, inc_obj)
     if incumbent is None:
         if stop_status is None:
             # tree exhausted; every prune was against the cutoff, if any
             stop_status = "cutoff" if pruned_min < math.inf else "infeasible"
         return SolveResult(stop_status, None, lb, explored)
     # an open bound that has reached the incumbent proves it, stop or not
-    if lb >= inc_obj - BOUND_TOL:
+    if lb >= inc_obj - FEAS_TOL:
         status = "optimal"
     else:
         status = stop_status or "feasible"
@@ -321,23 +314,15 @@ def branch_and_bound(model: MilpModel,
                        lb, explored)
 
 
-def _relative_gap(upper: float, lower: float) -> float:
-    if not math.isfinite(lower):
-        return math.inf
-    if upper == 0:
-        return 0.0 if lower >= -BOUND_TOL else math.inf
-    return (upper - lower) / abs(upper)
-
-
 def _most_fractional(arrays: _Arrays, x) -> int | None:
     """Index of the integer variable farthest from integral, ties to the
-    lowest index; None when all are integral within INT_TOL."""
+    lowest index; None when all are integral within FEAS_TOL."""
     if not len(arrays.int_idx):
         return None
     values = x[arrays.int_idx]
     frac = np.abs(values - np.round(values))
     best = int(np.argmax(frac))
-    return int(arrays.int_idx[best]) if frac[best] > INT_TOL else None
+    return int(arrays.int_idx[best]) if frac[best] > FEAS_TOL else None
 
 
 # -- brute force oracles ----------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import TIGHT_CTT, TOY_CTT
 from cttsolve.cli import main
+from cttsolve.milp import parse_mps
 
 FEASIBLE_TOY_SOLUTION = """\
 c1 rA 0 1
@@ -186,6 +187,22 @@ class TestSolve:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    def test_surface_and_dive_flags(self, tight_path, tmp_path, capsys):
+        assert main(["solve", tight_path, "--surface-model", "surface2",
+                     "--pattern-cuts", "--dive-kinds", "day-decomp",
+                     "day-fixed-zero-stability", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "optimal"
+        assert payload["upper_bound"] == 14  # the brute-force optimum
+        assert {d["kind"] for d in payload["dives"]} == {
+            "day-decomp", "day-fixed-zero-stability"}
+        mps = tmp_path / "surface2.mps"
+        assert main(["build", tight_path, "--formulation", "surface2",
+                     "-o", str(mps)]) == 0
+        model = parse_mps(mps.read_text())
+        assert len(model.variables) > 0
+        assert f"{len(model.variables)} variables" in capsys.readouterr().out
 
     def test_infeasible_exit_1(self, tmp_path):
         text = """\

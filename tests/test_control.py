@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -209,6 +210,27 @@ class TestStrategies:
         result = run_strategy(tight_instance)
         assert len(result.dives) > 1
         assert built == ["tight"]  # once, shared by every dive
+
+    @pytest.mark.parametrize("strategy", ["contract", "anytime"])
+    def test_no_dive_after_deadline(self, tight_instance, monkeypatch,
+                                    strategy):
+        # a fake clock passes the deadline as the surface search starts
+        clock = SimpleNamespace(now=0.0)
+        clock.monotonic = lambda: clock.now
+        monkeypatch.setattr(control, "time", clock)
+        real = control.branch_and_bound
+
+        def late_surface(model, config):
+            if config.on_incumbent is not None:
+                clock.now = 1000.0
+            return real(model, config)
+
+        monkeypatch.setattr(control, "branch_and_bound", late_surface)
+        config = StrategyConfig(strategy=strategy, total_time=100.0)
+        result = run_strategy(tight_instance, config)
+        assert result.surface_nodes > 0
+        assert result.dives == []
+        assert result.upper_bound is None
 
     def test_history_monotone(self, tight_instance):
         result = run_strategy(tight_instance)

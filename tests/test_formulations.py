@@ -18,7 +18,7 @@ from cttsolve.formulations import (DAY_DECOMP, DAY_FIXED_ZERO_STABILITY,
                                    project_solution,
                                    restrict_day_fixed, restrict_period_fixed)
 from cttsolve.instance import build_conflict_graph, build_multirooms
-from cttsolve.milp import MilpSolution
+from cttsolve.milp import MilpError, MilpSolution
 from cttsolve.solver import branch_and_bound, brute_force_instance
 from test_evaluation import random_solution
 
@@ -356,12 +356,13 @@ class TestCliqueCuts:
         with pytest.raises(FormulationError):
             add_clique_cuts(model, [{"c2", "c3"}], graph)  # not adjacent
 
-    def test_deduplicated_by_name(self):
+    def test_repeated_clique_rejected(self):
         instance = self.triangle_instance()
         graph = build_conflict_graph(instance)
         model = build_surface(instance)
         assert add_clique_cuts(model, [{"a", "b"}], graph) == 2
-        assert add_clique_cuts(model, [{"a", "b"}], graph) == 0
+        with pytest.raises(MilpError, match="duplicate constraint"):
+            add_clique_cuts(model, [{"a", "b"}], graph)
 
     def test_cuts_do_not_exclude_feasible_points(self):
         rng = random.Random(61)

@@ -351,13 +351,14 @@ class TestBranchAndBound:
 
     def test_stop_at_proven_optimum_is_optimal(self):
         # the root bound 1.5 rounds up to 2, so once the first incumbent
-        # (objective 2) meets the gap target, nothing open is better
+        # (objective 2, at node 7) is found, nothing open is better, even
+        # when the node limit stops the search there
         model = MilpModel("cover3")
         for name in "abc":
             model.add_variable(name, "binary")
         model.add_constraint("c", [(1.0, n) for n in "abc"], ">=", 1.5)
         model.set_objective([(1.0, n) for n in "abc"])
-        for config in (SolveConfig(), SolveConfig(gap_target=0.02)):
+        for config in (SolveConfig(), SolveConfig(node_limit=7)):
             result = branch_and_bound(model, config)
             assert result.status == "optimal"
             assert result.incumbent.status == "optimal"
@@ -377,8 +378,6 @@ class TestBranchAndBound:
     def test_config_validation(self):
         with pytest.raises(SolverError):
             SolveConfig(time_limit=0)
-        with pytest.raises(SolverError):
-            SolveConfig(gap_target=1.5)
 
     def test_negative_node_limit_rejected(self):
         assert branch_and_bound(knapsack_model(),
