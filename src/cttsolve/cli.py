@@ -17,7 +17,7 @@ from .evaluation import (check_hard, evaluate, format_solution, objective,
 from .formulations import (DIVE_KINDS, build_monolithic, build_surface,
                            build_surface2)
 from .instance import (CttError, CttSemanticError, CttSyntaxError,
-                       build_multirooms, instance_stats, parse_ctt)
+                       instance_stats, parse_ctt)
 from .milp import MilpError, export_mps, format_values, parse_mps
 from .solver import SolveConfig, SolverError, branch_and_bound
 
@@ -91,8 +91,7 @@ def cmd_build(args) -> int:
     elif args.formulation == "surface":
         model = build_surface(instance)
     else:
-        model = build_surface2(instance,
-                               build_multirooms(instance, "median-split"))
+        model = build_surface2(instance)
     text = export_mps(model)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -187,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="contract", choices=STRATEGIES)
     p.add_argument("--surface-model", default="surface",
                    choices=("surface", "surface2"))
-    p.add_argument("--dive-kinds", nargs="+", default=list(DIVE_KINDS[:2]),
+    p.add_argument("--dive-kinds", nargs="+", default=list(DIVE_KINDS),
                    choices=list(DIVE_KINDS))
     p.add_argument("--surface-time", type=float, default=None)
     p.add_argument("--per-dive-time", type=float, default=None)

@@ -17,13 +17,13 @@ import time
 from dataclasses import asdict, dataclass
 
 from .evaluation import Solution, check_hard, evaluate, gap, penalties
-from .formulations import (DAY_FIXED, DIVE_KINDS, PERIOD_FIXED, Neighborhood,
-                           PeriodAssignment, add_clique_cuts,
-                           add_implied_bound_cuts, add_pattern_cuts,
-                           all_patterns, build_dive, build_monolithic,
-                           build_surface, build_surface2, decode_monolithic,
-                           decode_surface, greedy_clique_cover)
-from .instance import Instance, build_conflict_graph, build_multirooms
+from .formulations import (DIVE_KINDS, Neighborhood, PeriodAssignment,
+                           add_clique_cuts, add_implied_bound_cuts,
+                           add_pattern_cuts, all_patterns, build_dive,
+                           build_monolithic, build_surface, build_surface2,
+                           decode_monolithic, decode_surface,
+                           greedy_clique_cover)
+from .instance import Instance, build_conflict_graph
 from .milp import FEAS_TOL, MilpSolution
 from .solver import SolveConfig, SolveResult, branch_and_bound
 
@@ -38,7 +38,7 @@ class ControlError(Exception):
 class StrategyConfig:
     strategy: str = "contract"
     surface_model: str = "surface"  # "surface" | "surface2"
-    dive_kinds: tuple[str, ...] = (PERIOD_FIXED, DAY_FIXED)
+    dive_kinds: tuple[str, ...] = DIVE_KINDS
     # budgets; node budgets keep runs deterministic, time budgets do not
     surface_time: float | None = None
     per_dive_time: float | None = None
@@ -218,8 +218,7 @@ def _prepare_surface(instance: Instance, config: StrategyConfig):
     if config.surface_model == "surface":
         model = build_surface(instance)
     else:
-        model = build_surface2(instance,
-                               build_multirooms(instance, "median-split"))
+        model = build_surface2(instance)
     _add_static_cuts(instance, model)
     if config.pattern_cuts and instance.periods_per_day <= 6:
         add_pattern_cuts(model, all_patterns(instance.periods_per_day))

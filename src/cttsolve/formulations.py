@@ -18,9 +18,7 @@ from .milp import FEAS_TOL, MilpModel, MilpSolution
 
 PERIOD_FIXED = "period-fixed"
 DAY_FIXED = "day-fixed"
-DAY_DECOMP = "day-decomp"
-DAY_FIXED_ZERO_STABILITY = "day-fixed-zero-stability"
-DIVE_KINDS = (PERIOD_FIXED, DAY_FIXED, DAY_DECOMP, DAY_FIXED_ZERO_STABILITY)
+DIVE_KINDS = (PERIOD_FIXED, DAY_FIXED)
 
 
 class FormulationError(Exception):
@@ -167,7 +165,7 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
     taught = "m_taught" if aggregated else "taught"
     uses = "m_uses" if aggregated else "uses"
     room_keys = tuple(r.id for r in rooms)
-    model = MilpModel(name, instance.name)
+    model = MilpModel(name)
     model.metadata.update(formulation=name, instance=instance,
                           occupancy=taught, room_keys=room_keys, uses=uses)
     if aggregated:
@@ -252,9 +250,8 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
     for key in room_keys:
         for c in instance.courses:
             obj.append((float(w.stability), var((uses, key, c.id))))
-    stability_constant = -float(w.stability) * len(instance.courses)
-    model.metadata["stability_constant"] = stability_constant
-    model.set_objective(obj, constant=stability_constant)
+    model.set_objective(
+        obj, constant=-float(w.stability) * len(instance.courses))
     return model
 
 
@@ -265,7 +262,11 @@ def build_monolithic(instance: Instance) -> MilpModel:
 
 
 def build_surface2(instance: Instance,
-                   multirooms: tuple[MultiRoom, ...]) -> MilpModel:
+                   multirooms: tuple[MultiRoom, ...] | None = None
+                   ) -> MilpModel:
+    """Full formulation over multirooms, by default the median split."""
+    if multirooms is None:
+        multirooms = build_multirooms(instance, "median-split")
     members = sorted(m for r in multirooms for m in r.members)
     if members != sorted(r.id for r in instance.rooms):
         raise FormulationError("multirooms must partition the room set")
@@ -275,7 +276,7 @@ def build_surface2(instance: Instance,
 def build_surface(instance: Instance) -> MilpModel:
     """Period-assignment relaxation: bounded colouring with only the
     spread and compactness terms kept in the objective."""
-    model = MilpModel("surface", instance.name)
+    model = MilpModel("surface")
     model.metadata.update(formulation="surface", instance=instance,
                           occupancy="times", room_keys=())
     w = instance.weights
@@ -341,24 +342,15 @@ def restrict_period_fixed(monolithic: MilpModel,
     return model
 
 
-# model name suffix of each day-level dive kind (it is the MPS NAME too)
-_DAY_DIVE_NAMES = {DAY_FIXED: "day-plain", DAY_DECOMP: "day-decomp",
-                   DAY_FIXED_ZERO_STABILITY: "day-zero-stability"}
-
-
-def restrict_day_fixed(monolithic: MilpModel, basis: PeriodAssignment,
-                       kind: str = DAY_FIXED) -> MilpModel:
+def restrict_day_fixed(monolithic: MilpModel,
+                       basis: PeriodAssignment) -> MilpModel:
     """Fix each course's number of events on each day to its count in the
     period assignment, leaving periods within the day free."""
-    if kind not in _DAY_DIVE_NAMES:
-        raise FormulationError(f"unknown day-level dive kind {kind!r}")
     instance: Instance = monolithic.metadata["instance"]
     basis.validate(instance)
-    source = monolithic
-    if kind == DAY_DECOMP:
-        source = _strip_room_stability(monolithic)
-    model = source.copy(name=f"{monolithic.name}+{_DAY_DIVE_NAMES[kind]}")
-    model.metadata["dive"] = kind
+    # the name is the MPS NAME too
+    model = monolithic.copy(name=f"{monolithic.name}+day-plain")
+    model.metadata["dive"] = DAY_FIXED
     for c in instance.courses:
         per_day = [0] * instance.days
         for p in basis.periods.get(c.id, ()):
@@ -369,48 +361,13 @@ def restrict_day_fixed(monolithic: MilpModel, basis: PeriodAssignment,
                 terms += occupancy_terms(model, p, c.id)
             model.add_constraint(f"day_fix[{c.id},{d}]", terms, "=",
                                  float(per_day[d]), origin="day-fix")
-    if kind == DAY_FIXED_ZERO_STABILITY:
-        uses = model.metadata.get("uses")
-        for c in instance.courses:
-            if c.events < 1:
-                continue
-            terms = [(1.0, model.by_tag((uses, key, c.id)))
-                     for key in model.metadata["room_keys"]]
-            model.add_constraint(f"one_room[{c.id}]", terms, "=", 1.0,
-                                 origin="one-room")
     return model
-
-
-def _strip_room_stability(model: MilpModel) -> MilpModel:
-    """Copy without the room-usage indicators and their aggregation rows;
-    the stability objective term (and its constant) goes with them."""
-    out = MilpModel(model.name, model.instance_name)
-    out.metadata = dict(model.metadata)
-    out.metadata.pop("stability_constant", None)
-    uses = out.metadata.pop("uses", None)
-    kept: dict[int, int] = {}  # index in model -> index in out
-    for i, v in enumerate(model.variables):
-        if v.tag[:1] != (uses,):
-            kept[i] = out.add_variable(v.name, v.kind, v.lower, v.upper,
-                                       v.tag)
-    for con in model.constraints:
-        if all(idx in kept for _, idx in con.terms):
-            out.add_constraint(
-                con.name, [(coef, kept[idx]) for coef, idx in con.terms],
-                con.sense, con.rhs, con.origin)
-    obj = [(coef, kept[idx]) for coef, idx in model.objective_terms
-           if idx in kept]
-    constant = model.objective_constant - model.metadata.get(
-        "stability_constant", 0.0)
-    out.set_objective(obj, constant=constant)
-    return out
 
 
 def build_dive(monolithic: MilpModel, neighborhood: Neighborhood) -> MilpModel:
     if neighborhood.kind == PERIOD_FIXED:
         return restrict_period_fixed(monolithic, neighborhood.basis)
-    return restrict_day_fixed(monolithic, neighborhood.basis,
-                              neighborhood.kind)
+    return restrict_day_fixed(monolithic, neighborhood.basis)
 
 
 # -- decoding ----------------------------------------------------------------

@@ -160,7 +160,6 @@ class ConflictGraph:
 
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]  # pairs sorted lexicographically
-    edge_reason: dict[tuple[str, str], str]
 
     def are_adjacent(self, a: str, b: str) -> bool:
         return (min(a, b), max(a, b)) in self.edges
@@ -360,23 +359,16 @@ def serialize_ctt(instance: Instance) -> str:
 def build_conflict_graph(instance: Instance) -> ConflictGraph:
     """Edge {c1, c2} iff the courses share a teacher or a curriculum."""
     edges: set[tuple[str, str]] = set()
-    reason: dict[tuple[str, str], str] = {}
     by_teacher: dict[str, list[str]] = {}
     for c in instance.courses:
         by_teacher.setdefault(c.teacher, []).append(c.id)
     for ids in by_teacher.values():
-        for a, b in itertools.combinations(sorted(ids), 2):
-            edges.add((a, b))
-            reason[(a, b)] = "teacher"
+        edges.update(itertools.combinations(sorted(ids), 2))
     for u in instance.curricula:
-        for a, b in itertools.combinations(sorted(u.courses), 2):
-            if (a, b) not in edges:
-                edges.add((a, b))
-                reason[(a, b)] = "curriculum"
+        edges.update(itertools.combinations(sorted(u.courses), 2))
     return ConflictGraph(
         vertices=tuple(c.id for c in instance.courses),
         edges=frozenset(edges),
-        edge_reason=reason,
     )
 
 

@@ -52,9 +52,8 @@ class MilpSolution:
 
 
 class MilpModel:
-    def __init__(self, name: str, instance_name: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.instance_name = instance_name
         self.variables: list[Variable] = []
         self.constraints: list[LinearConstraint] = []
         self.objective_terms: tuple[tuple[float, int], ...] = ()
@@ -151,7 +150,7 @@ class MilpModel:
 
     def copy(self, name: str | None = None) -> "MilpModel":
         """Mutable copy (restriction builders extend copies of frozen models)."""
-        out = MilpModel(name or self.name, self.instance_name)
+        out = MilpModel(name or self.name)
         out.variables = list(self.variables)
         out.constraints = list(self.constraints)
         out.objective_terms = self.objective_terms

@@ -190,13 +190,12 @@ class TestSolve:
 
     def test_surface_and_dive_flags(self, tight_path, tmp_path, capsys):
         assert main(["solve", tight_path, "--surface-model", "surface2",
-                     "--pattern-cuts", "--dive-kinds", "day-decomp",
-                     "day-fixed-zero-stability", "--json"]) == 0
+                     "--pattern-cuts", "--dive-kinds", "day-fixed",
+                     "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "optimal"
         assert payload["upper_bound"] == 14  # the brute-force optimum
-        assert {d["kind"] for d in payload["dives"]} == {
-            "day-decomp", "day-fixed-zero-stability"}
+        assert {d["kind"] for d in payload["dives"]} == {"day-fixed"}
         mps = tmp_path / "surface2.mps"
         assert main(["build", tight_path, "--formulation", "surface2",
                      "-o", str(mps)]) == 0

@@ -6,8 +6,7 @@ import pytest
 
 from conftest import make_instance, random_tiny_instance
 from cttsolve.evaluation import Solution, check_hard, count_isolated, evaluate
-from cttsolve.formulations import (DAY_DECOMP, DAY_FIXED_ZERO_STABILITY,
-                                   DIVE_KINDS, PERIOD_FIXED, FormulationError,
+from cttsolve.formulations import (DIVE_KINDS, PERIOD_FIXED, FormulationError,
                                    Neighborhood, PeriodAssignment,
                                    add_clique_cuts,
                                    add_implied_bound_cuts, add_pattern_cuts,
@@ -184,8 +183,7 @@ class TestSurface2:
         rng = random.Random(53)
         for _ in range(6):
             instance = random_tiny_instance(rng)
-            agg = build_surface2(instance,
-                                 build_multirooms(instance, "median-split"))
+            agg = build_surface2(instance)
             a = branch_and_bound(agg)
             b = branch_and_bound(build_monolithic(instance))
             if b.status == "optimal":
@@ -242,36 +240,6 @@ class TestRestrictions:
                     <= period_dive.incumbent.objective_value + 1e-9
                 checked += 1
 
-    def test_decomp_variant_drops_room_machinery(self, toy_instance):
-        mono = build_monolithic(toy_instance).freeze()
-        dive = restrict_day_fixed(mono, TOY_BASIS, DAY_DECOMP)
-        tags = {v.tag[0] for v in dive.variables}
-        assert "uses" not in tags
-        assert "room-aggregation" not in dive.origins()
-        assert dive.objective_constant == 0.0
-
-    def test_decomp_objective_ignores_stability(self, tight_instance):
-        # single room: any solution has stability 0, so decomp optimum
-        # equals the plain day-fixed optimum there
-        mono = build_monolithic(tight_instance).freeze()
-        basis = PeriodAssignment({"c1": frozenset({0, 3}),
-                                  "c2": frozenset({1, 4}),
-                                  "c3": frozenset({2, 5})})
-        plain = branch_and_bound(restrict_day_fixed(mono, basis))
-        decomp = branch_and_bound(restrict_day_fixed(mono, basis, DAY_DECOMP))
-        assert plain.status == decomp.status == "optimal"
-        assert plain.incumbent.objective_value == pytest.approx(
-            decomp.incumbent.objective_value)
-
-    def test_zero_stability_forces_one_room(self, toy_instance):
-        mono = build_monolithic(toy_instance).freeze()
-        dive = restrict_day_fixed(mono, TOY_BASIS, DAY_FIXED_ZERO_STABILITY)
-        result = branch_and_bound(dive)
-        assert result.status == "optimal"
-        solution = decode_monolithic(dive, result.incumbent)
-        for pairs in solution.assignments.values():
-            assert len({room for _, room in pairs}) == 1
-
     def test_day_counts_validated(self, toy_instance):
         mono = build_monolithic(toy_instance).freeze()
         with pytest.raises(FormulationError):
@@ -298,8 +266,9 @@ class TestRestrictions:
                        "day_fix[c3,0]": 1.0, "day_fix[c3,1]": 1.0}
 
     def test_neighborhood_rejects_unknown_kind(self):
-        with pytest.raises(FormulationError):
-            Neighborhood("week-fixed", TOY_BASIS, 0.0)
+        for kind in ("week-fixed", "day-decomp"):
+            with pytest.raises(FormulationError):
+                Neighborhood(kind, TOY_BASIS, 0.0)
         for kind in DIVE_KINDS:
             assert Neighborhood(kind, TOY_BASIS, 0.0).kind == kind
 

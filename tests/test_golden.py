@@ -18,7 +18,7 @@ from cttsolve.formulations import (DIVE_KINDS, Neighborhood,
                                    all_patterns, build_dive, build_monolithic,
                                    build_surface, build_surface2,
                                    greedy_clique_cover)
-from cttsolve.instance import build_conflict_graph, build_multirooms
+from cttsolve.instance import build_conflict_graph
 from cttsolve.milp import export_mps
 
 GOLDEN = {
@@ -37,12 +37,6 @@ GOLDEN = {
     "day-fixed": (
         "d1238ea380864af3ce696870016afe40786da8fee3341c74ef31a49518be9d15",
         "91dc40aa16d4d731587ab07543ac2888ec15b627e1e7f57ef9456835c16e9c93"),
-    "day-decomp": (
-        "05f84b63896faac643554383d56bd4e11d4271909f1fe3ac89179081b0a6d741",
-        "eb1cb750a84f8ee3c8b2532bc8e2058698155a3cedf2ac57a6ad881a79927fcd"),
-    "day-fixed-zero-stability": (
-        "7d11e7bff209f5d87e0671ec5f0bcf8cfc60b67928fe1e973a9b9bb24147597f",
-        "8e152c7d9c94d23fadcf433010af5229e558d9eb42a525794b56bf9edd4fc4cf"),
 }
 
 
@@ -79,8 +73,7 @@ def build(name, instance):
     if name == "surface":
         return with_cuts(build_surface(instance), instance)
     if name == "surface2":
-        multirooms = build_multirooms(instance, "median-split")
-        return with_cuts(build_surface2(instance, multirooms), instance)
+        return with_cuts(build_surface2(instance), instance)
     # a dive as the strategies build it, from the surface's period
     # assignment: restrict, then implied-bound cuts
     model = build_dive(build_monolithic(instance).freeze(),

@@ -14,7 +14,6 @@ import cttsolve
 from conftest import random_tiny_instance
 from cttsolve import solver
 from cttsolve.formulations import build_monolithic, build_surface2
-from cttsolve.instance import build_multirooms
 from cttsolve.milp import MilpModel
 from cttsolve.solver import (AdapterConfig, ExternalSolverError,
                              SearchSpaceError, SolveConfig, SolverError,
@@ -139,7 +138,7 @@ class TestLp:
 def cross_check_models(instance):
     rng = random.Random(29)
     yield build_monolithic(instance)
-    yield build_surface2(instance, build_multirooms(instance, "median-split"))
+    yield build_surface2(instance)
     for _ in range(3):
         yield build_monolithic(random_tiny_instance(rng))
 
