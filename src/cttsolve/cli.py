@@ -12,7 +12,7 @@ import sys
 
 from . import __version__
 from .control import STRATEGIES, ControlError, StrategyConfig, run_strategy
-from .evaluation import (check_hard, evaluate, format_solution, objective,
+from .evaluation import (check_hard, format_solution, objective,
                          parse_solution, penalties)
 from .formulations import (DIVE_KINDS, build_monolithic, build_surface,
                            build_surface2)

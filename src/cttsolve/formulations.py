@@ -76,11 +76,13 @@ class Neighborhood:
 
 # -- variables by tag ---------------------------------------------------------
 #
-# Every builder records in its model's metadata the tag kind of its
-# period-assignment variables ("occupancy": times, taught or m_taught), the
-# ordered keys of its (multi-)rooms ("room_keys"), and, when it has them, the
-# tag kind of its room-usage indicators ("uses").  Variables are then found
-# through MilpModel.by_tag; names are only ever built, never parsed.
+# Every model has one binary occupancy variable ("times", p, c) per (period,
+# course), so occupancy_terms is the same single term everywhere.  The full
+# formulations also record in their metadata the tag kind of their room
+# assignment variables ("taught": taught or m_taught), the ordered keys of
+# their (multi-)rooms ("room_keys") and the tag kind of their room-usage
+# indicators ("uses").  Variables are then found through MilpModel.by_tag;
+# names are only ever built, never parsed.
 
 def _add_var(model: MilpModel, tag: tuple, kind: str = "binary",
              lower: float = 0.0, upper: float = math.inf) -> int:
@@ -91,11 +93,7 @@ def _add_var(model: MilpModel, tag: tuple, kind: str = "binary",
 
 def occupancy_terms(model: MilpModel, period: int, course_id: str) -> list:
     """Terms summing to 1 iff the course meets at the period."""
-    kind = model.metadata["occupancy"]
-    if kind == "times":
-        return [(1.0, model.by_tag(("times", period, course_id)))]
-    return [(1.0, model.by_tag((kind, period, key, course_id)))
-            for key in model.metadata["room_keys"]]
+    return [(1.0, model.by_tag(("times", period, course_id)))]
 
 
 # -- builders ---------------------------------------------------------------
@@ -167,13 +165,17 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
     room_keys = tuple(r.id for r in rooms)
     model = MilpModel(name)
     model.metadata.update(formulation=name, instance=instance,
-                          occupancy=taught, room_keys=room_keys, uses=uses)
+                          taught=taught, room_keys=room_keys, uses=uses)
     if aggregated:
         model.metadata["multirooms"] = tuple(rooms)
     w = instance.weights
     var = model.by_tag
     by_key = {r.id: r for r in rooms}
 
+    # occupancy first: branching ties then go to the period decision
+    for p in range(instance.periods):
+        for c in instance.courses:
+            _add_var(model, ("times", p, c.id))
     obj = []
     for p in range(instance.periods):
         for key in room_keys:
@@ -197,10 +199,6 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
                  for c in instance.courses],
                 "<=", float(by_key[key].multiplicity), origin="room-clash")
     for p in range(instance.periods):
-        for c in instance.courses:
-            model.add_constraint(f"course_clash[{p},{c.id}]",
-                                 occupancy_terms(model, p, c.id), "<=", 1.0,
-                                 origin="course-clash")
         for t in sorted(instance.teachers):
             terms = []
             for c in instance.courses:
@@ -240,6 +238,16 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
                  for p in range(instance.periods)]
                 + [(-1.0, var((uses, key, c.id)))],
                 ">=", 0.0, origin="room-aggregation")
+    # the rooms' sum defines the occupancy variable, whose 0-1 bound keeps a
+    # course from meeting twice in one period; placed last, these rows left
+    # exact searches on fresh small instances fewer nodes than placed first
+    for p in range(instance.periods):
+        for c in instance.courses:
+            model.add_constraint(
+                f"occupancy[{p},{c.id}]",
+                [(1.0, var((taught, p, key, c.id))) for key in room_keys]
+                + [(-1.0, var(("times", p, c.id)))],
+                "=", 0.0, origin="occupancy")
 
     for c in instance.courses:
         obj.append((float(w.spread), var(("mdv", c.id))))
@@ -277,8 +285,7 @@ def build_surface(instance: Instance) -> MilpModel:
     """Period-assignment relaxation: bounded colouring with only the
     spread and compactness terms kept in the objective."""
     model = MilpModel("surface")
-    model.metadata.update(formulation="surface", instance=instance,
-                          occupancy="times", room_keys=())
+    model.metadata.update(formulation="surface", instance=instance)
     w = instance.weights
     var = model.by_tag
 
@@ -332,7 +339,7 @@ def restrict_period_fixed(monolithic: MilpModel,
     instance: Instance = monolithic.metadata["instance"]
     basis.validate(instance)
     model = monolithic.copy(name=f"{monolithic.name}+{PERIOD_FIXED}")
-    model.metadata["dive"] = PERIOD_FIXED
+    model.metadata["dive"] = PERIOD_FIXED  # bench/run.py tags dive spans by it
     for c in instance.courses:
         used = basis.periods.get(c.id, frozenset())
         for p in range(instance.periods):
@@ -350,7 +357,7 @@ def restrict_day_fixed(monolithic: MilpModel,
     basis.validate(instance)
     # the name is the MPS NAME too
     model = monolithic.copy(name=f"{monolithic.name}+day-plain")
-    model.metadata["dive"] = DAY_FIXED
+    model.metadata["dive"] = DAY_FIXED  # bench/run.py tags dive spans by it
     for c in instance.courses:
         per_day = [0] * instance.days
         for p in basis.periods.get(c.id, ()):
@@ -406,14 +413,13 @@ def decode_monolithic(model: MilpModel,
 
 def decode_surface(model: MilpModel,
                    milp_solution: MilpSolution) -> PeriodAssignment:
-    """Periods used by each course in a solution of any model that records
-    its period-assignment variables (surface, surface2 or monolithic)."""
+    """Periods used by each course in a solution of any model (surface,
+    surface2, monolithic or a dive)."""
     values = _checked_values(model, milp_solution)
     instance: Instance = model.metadata["instance"]
-    kind = (model.metadata["occupancy"],)
     periods: dict[str, set[int]] = {c.id: set() for c in instance.courses}
     for v, x in zip(model.variables, values):
-        if v.tag[:1] == kind and _integral(x, v.name):
+        if v.tag[:1] == ("times",) and _integral(x, v.name):
             periods[v.tag[-1]].add(v.tag[1])
     return PeriodAssignment({cid: frozenset(v) for cid, v in periods.items()})
 
@@ -428,7 +434,7 @@ def encode_solution(instance: Instance, model: MilpModel,
                     solution: Solution) -> np.ndarray:
     """Point realising a full solution in a full-formulation model
     (auxiliaries at their forced minima)."""
-    kind = model.metadata["occupancy"]
+    taught = model.metadata.get("taught")
     uses = model.metadata.get("uses")
     room_to_key = {r.id: r.id for r in instance.rooms}
     for mr in model.metadata.get("multirooms", ()):
@@ -442,10 +448,8 @@ def encode_solution(instance: Instance, model: MilpModel,
 
     for cid, period, room in solution.events():
         key = room_to_key[room]
-        if kind == "times":
-            values[("times", period, cid)] = 1.0
-        else:
-            values[(kind, period, key, cid)] = 1.0
+        values[("times", period, cid)] = 1.0
+        values[(taught, period, key, cid)] = 1.0
         days_used[cid].add(instance.day_of(period))
         rooms_used[cid].add(key)
         for u in instance.curricula:

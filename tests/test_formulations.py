@@ -21,7 +21,7 @@ from cttsolve.milp import MilpError, MilpSolution
 from cttsolve.solver import branch_and_bound, brute_force_instance
 from test_evaluation import random_solution
 
-HARD_ORIGINS = {"event-count", "room-clash", "course-clash", "teacher-clash",
+HARD_ORIGINS = {"event-count", "room-clash", "occupancy", "teacher-clash",
                 "curriculum-clash", "day-aggregation", "min-days", "pattern",
                 "room-aggregation"}
 
@@ -101,6 +101,51 @@ class TestMonolithic:
         with pytest.raises(FormulationError):
             decode_monolithic(build_monolithic(toy_instance),
                               MilpSolution({}, 0.0, "infeasible"))
+
+
+class TestOccupancy:
+    """The full formulations reach rooms only through three row kinds;
+    every other row sees one occupancy term per (period, course)."""
+
+    ROOM_ORIGINS = {"occupancy", "room-clash", "room-aggregation"}
+
+    def full_models(self, instance):
+        graph = build_conflict_graph(instance)
+        models = []
+        for model in (build_monolithic(instance), build_surface2(instance)):
+            add_clique_cuts(model, greedy_clique_cover(graph), graph)
+            add_implied_bound_cuts(model)
+            add_pattern_cuts(model, all_patterns(instance.periods_per_day))
+            models.append(model)
+        mono = build_monolithic(instance).freeze()
+        models += [build_dive(mono, Neighborhood(kind, TOY_BASIS, 0.0))
+                   for kind in DIVE_KINDS]
+        return models
+
+    def test_room_variables_only_in_room_rows(self, toy_instance):
+        for model in self.full_models(toy_instance):
+            taught = model.metadata["taught"]
+            seen = set()
+            for row in model.constraints:
+                tags = [model.variables[i].tag for _, i in row.terms]
+                if any(t[0] == taught for t in tags):
+                    assert row.origin in self.ROOM_ORIGINS, row.name
+                else:
+                    assert row.origin not in self.ROOM_ORIGINS, row.name
+                if row.origin == "occupancy":
+                    (_, p, cid), = [t for t in tags if t[0] == "times"]
+                    assert sorted(t[2] for t in tags if t[0] == taught) \
+                        == sorted(model.metadata["room_keys"])
+                    seen.add((p, cid))
+            assert seen == {(p, c.id) for p in range(toy_instance.periods)
+                            for c in toy_instance.courses}
+
+    def test_occupancy_variables_come_first(self, toy_instance):
+        for model in self.full_models(toy_instance):
+            n = toy_instance.periods * len(toy_instance.courses)
+            assert [v.tag[0] for v in model.variables[:n]] == ["times"] * n
+            assert all(v.kind == "binary" for v in model.variables[:n])
+            assert all(v.tag[0] != "times" for v in model.variables[n:])
 
 
 class TestSurface:

@@ -23,20 +23,20 @@ from cttsolve.milp import export_mps
 
 GOLDEN = {
     "monolithic": (
-        "fc547a4982a6b3cebce31810ab8b0de20d0d4c519a635e28a83fbad1816541c0",
-        "8092f70f519620bdaf37bf29bbe71489f908a31f84b475b017cb4f505ad25cfc"),
+        "6d58c330d216a9e0cb9f1506de5c1bb0e0871768ef46baf518e8f5619732911e",
+        "04382fb2ac9bcd9859c7537d52bd94744c7cb9f386dd652ec6bdb2e0f86da8c6"),
     "surface": (
         "d098ae1fdafef5c7105bbcaebfe07f7f8c4d69e468486a2ffba5bd2d44be62ae",
         "45a6eae287f98cff867e2459f7a3bcf8753ca95380a6ae5fc859e81538d3beb6"),
     "surface2": (
-        "0c6c1570b0f2292714090593edee169ce67a2aa647e59ed7874a5ab25a649393",
-        "4ca47cdc5c7b42762fa7b4c9754d15d157b26fdede7757f6c27e5b8e89b8600f"),
+        "037d168023473dcc5dc2148db8a0e4b5790060f637e13c65002a717a8c0593a4",
+        "1807c879d45674f9b005cdc85873ee68a812965884ca5f02294965ff5f8ebf0b"),
     "period-fixed": (
-        "73ee86697de87da7755862ae14a4cd459e51d17a437ce0bbdb7b2f5491598618",
-        "82f3bc29122c9da12bce5c27a48ab894b198ce4b7e978ef2d5981cd13f12b4a8"),
+        "d7423a7791ed87c2573729d941d414a48c4e7eacf19bb6ffc3ff72c81fd50369",
+        "920d20b8296549164bb70595ea0784d3dc9fbf65198f49c734110bfbf34c5910"),
     "day-fixed": (
-        "d1238ea380864af3ce696870016afe40786da8fee3341c74ef31a49518be9d15",
-        "91dc40aa16d4d731587ab07543ac2888ec15b627e1e7f57ef9456835c16e9c93"),
+        "ec87fccf96c02f664b3c5f82f76fb6905373b240e546bf9c028ff476471cbc05",
+        "dad0ab51922dc9ea113cb7d00349b86e9d4c11f6fa6225caf75aa8aa119fd92e"),
 }
 
 

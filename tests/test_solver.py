@@ -315,8 +315,8 @@ class TestBranchAndBound:
         first = branch_and_bound(model, config)
         branch_and_bound(other, config)
         second = branch_and_bound(model, config)
-        assert first.nodes_explored == second.nodes_explored == 12
-        assert first.status == second.status == "limit-reached"
+        assert first.nodes_explored == second.nodes_explored == 11
+        assert first.status == second.status == "optimal"
         assert first.lower_bound == second.lower_bound
         assert np.array_equal(first.incumbent.values,
                               second.incumbent.values)
