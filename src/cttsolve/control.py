@@ -89,6 +89,8 @@ class BoundsLedger:
     invalid: it raises ControlError, whichever bound moved."""
 
     def __init__(self, clock=None):
+        # the clock reading at the start; None under the step counter
+        self.started = None if clock is None else clock()
         if clock is None:
             counter = itertools.count(1)
             clock = lambda: float(next(counter))
@@ -153,6 +155,9 @@ class RunReport:
     surface_nodes: int
     dives: list[DiveRecord]
     history: list[LedgerEvent]
+    # the clock reading when a timed run started; None for an untimed run,
+    # whose events are stamped with step counts
+    started: float | None = None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -185,7 +190,9 @@ class RunReport:
                          f" (#{d.discovery_index}): {d.status}, obj={obj},"
                          f" {d.nodes} nodes")
         for e in self.history:
-            lines.append(f"  [{e.at:g}] {e.kind} -> {e.value:g} ({e.source})")
+            at = (f"{e.at:g}" if self.started is None
+                  else f"{e.at - self.started:.2f}s")
+            lines.append(f"  [{at}] {e.kind} -> {e.value:g} ({e.source})")
         return "\n".join(lines) + "\n"
 
 
@@ -287,9 +294,9 @@ def _run_dive(instance: Instance, monolithic, neighborhood: Neighborhood,
 def run_strategy(instance: Instance,
                  config: StrategyConfig | None = None) -> RunReport:
     config = config or StrategyConfig()
-    clock = time.monotonic if config.timed() else None
-    ledger = BoundsLedger(clock=clock)
-    deadline = (time.monotonic() + config.total_time
+    ledger = BoundsLedger(clock=time.monotonic if config.timed() else None)
+    # a total time makes the run timed, so the ledger has a start time
+    deadline = (ledger.started + config.total_time
                 if config.total_time is not None else None)
 
     if config.strategy == "exact":
@@ -378,4 +385,5 @@ def _report(instance: Instance, config: StrategyConfig, ledger: BoundsLedger,
         surface_nodes=surface_result.nodes_explored,
         dives=dives,
         history=list(ledger.history),
+        started=ledger.started,
     )

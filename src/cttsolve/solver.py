@@ -87,12 +87,6 @@ class SolveResult:
     nodes_explored: int
 
 
-@dataclass(frozen=True)
-class LpResult:
-    status: str  # optimal | infeasible | unbounded
-    value: float
-
-
 class _Arrays:
     """Dense objective and column bounds of one model, with its LP passed
     once to the HiGHS instance its node LPs run on; a node LP differs from
@@ -106,6 +100,8 @@ class _Arrays:
         self.constant = model.objective_constant
         self.lo = np.array([v.lower for v in model.variables])
         self.hi = np.array([v.upper for v in model.variables])
+        # every node LP changes the bounds of all columns
+        self.cols = np.arange(n, dtype=np.int32)
         self.int_idx = np.array(
             [i for i, v in enumerate(model.variables) if v.is_integer()],
             dtype=int)
@@ -181,8 +177,8 @@ def linprog(arrays: _Arrays, lo, hi):
         return "infeasible", math.inf, None
     highs = arrays.highs
     # rejected bounds (a NaN) would leave HiGHS to solve the previous LP
-    if highs.changeColsBounds(len(lo), np.arange(len(lo), dtype=np.int32),
-                              lo, hi) == HighsStatus.kError:
+    if (highs.changeColsBounds(len(lo), arrays.cols, lo, hi)
+            == HighsStatus.kError):
         raise SolverError("HiGHS rejected the LP")
     highs.run()
     model_status = highs.getModelStatus()
@@ -207,13 +203,6 @@ def linprog(arrays: _Arrays, lo, hi):
     return status, value + arrays.constant, x
 
 
-def solve_lp(model: MilpModel) -> LpResult:
-    """Solve the LP relaxation (integrality relaxed to bounds)."""
-    arrays = _Arrays(model)
-    status, value, _ = linprog(arrays, arrays.lo, arrays.hi)
-    return LpResult(status, value)
-
-
 def _round_bound(value: float, integral: bool) -> float:
     if integral and math.isfinite(value):
         return math.ceil(value - FEAS_TOL)
@@ -225,8 +214,11 @@ def branch_and_bound(model: MilpModel,
     """Best-bound branch and bound over the model's integer variables.
 
     Branches on the most fractional integer variable (ties to the lowest
-    index); nodes are pruned once their bound reaches the lesser of the
-    cutoff and the incumbent.  Stops only at the node limit, the time limit
+    index).  Among open nodes of equal bound the newest goes first, and of
+    two siblings the down child (``x <= floor``) is the newer, so each
+    plateau of tied bounds is searched depth-first, down child first.
+    Nodes are pruned once their bound reaches the lesser of the cutoff and
+    the incumbent.  Stops only at the node limit, the time limit
     or an exhausted tree; a stop with the open bound at the incumbent is
     ``optimal``.  Deterministic when no time limit binds.
     Status ``cutoff`` means the tree was exhausted without an incumbent
@@ -294,8 +286,9 @@ def branch_and_bound(model: MilpModel,
         down_hi[branch_var] = math.floor(xv)
         up_lo = lo.copy()
         up_lo[branch_var] = math.ceil(xv)
-        heappush(heap, (node_bound, next(seq), lo, down_hi))
-        heappush(heap, (node_bound, next(seq), up_lo, hi))
+        # ties go to the newest node, so the down child, pushed last, is next
+        heappush(heap, (node_bound, -next(seq), up_lo, hi))
+        heappush(heap, (node_bound, -next(seq), lo, down_hi))
 
     # the heap is ordered by bound, so its head holds the least one
     lb = min(heap[0][0] if heap else math.inf, pruned_min, inc_obj)

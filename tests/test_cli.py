@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -179,6 +180,21 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["strategy"] == "contract"
         assert payload["instance"] == "tight"
+
+    def test_timed_report_stamps_seconds_since_start(self, tight_path,
+                                                     capsys):
+        assert main(["solve", tight_path, "--total-time", "10"]) == 0
+        stamps = re.findall(r"^  \[(.*)\] (?:lower|upper) -> ",
+                            capsys.readouterr().out, re.MULTILINE)
+        assert stamps
+        for stamp in stamps:
+            assert stamp.endswith("s")
+            assert 0.0 <= float(stamp[:-1]) <= 10.0
+        # an untimed run stamps its events with step counts
+        assert main(["solve", tight_path]) == 0
+        stamps = re.findall(r"^  \[(.*)\] (?:lower|upper) -> ",
+                            capsys.readouterr().out, re.MULTILINE)
+        assert stamps == [str(i) for i in range(1, len(stamps) + 1)]
 
     def test_deterministic_output(self, tight_path, capsys):
         argv = ["solve", tight_path, "--strategy", "contract",

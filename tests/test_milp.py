@@ -6,7 +6,7 @@ import pytest
 
 from cttsolve.milp import (MilpError, MilpModel, export_mps, format_values,
                            import_solution, parse_mps)
-from cttsolve.solver import solve_lp
+from cttsolve.solver import _Arrays, linprog
 from oracles import oracle_lp_model
 
 
@@ -139,11 +139,13 @@ class TestMps:
         checked = 0
         for _ in range(30):
             model = random_model(rng)
-            lp1 = solve_lp(model)
-            lp2 = solve_lp(parse_mps(export_mps(model)))
-            assert lp1.status == lp2.status
-            if lp1.status == "optimal":
-                assert lp1.value == pytest.approx(lp2.value, abs=1e-6)
+            arrays1 = _Arrays(model)
+            arrays2 = _Arrays(parse_mps(export_mps(model)))
+            status1, value1, _ = linprog(arrays1, arrays1.lo, arrays1.hi)
+            status2, value2, _ = linprog(arrays2, arrays2.lo, arrays2.hi)
+            assert status1 == status2
+            if status1 == "optimal":
+                assert value1 == pytest.approx(value2, abs=1e-6)
                 checked += 1
         assert checked >= 5
 
@@ -246,10 +248,11 @@ class TestMps:
         for _ in range(25):
             model = random_model(rng)
             status, value = oracle_lp_model(model)
-            lp = solve_lp(model)
-            assert lp.status == status
+            arrays = _Arrays(model)
+            lp_status, lp_value, _ = linprog(arrays, arrays.lo, arrays.hi)
+            assert lp_status == status
             if status == "optimal":
-                assert lp.value == pytest.approx(value, abs=1e-6)
+                assert lp_value == pytest.approx(value, abs=1e-6)
 
 
 class TestImportSolution:

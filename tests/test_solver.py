@@ -13,13 +13,14 @@ from scipy import sparse
 import cttsolve
 from conftest import random_tiny_instance
 from cttsolve import solver
-from cttsolve.formulations import build_monolithic, build_surface2
+from cttsolve.formulations import (build_monolithic, build_surface,
+                                   build_surface2)
 from cttsolve.milp import MilpModel
 from cttsolve.solver import (AdapterConfig, ExternalSolverError,
                              SearchSpaceError, SolveConfig, SolverError,
                              _Arrays, _most_fractional, branch_and_bound,
                              brute_force_instance, brute_force_model,
-                             external_solve, solve_lp)
+                             external_solve)
 
 
 def knapsack_model():
@@ -39,28 +40,33 @@ class TestLp:
         model.add_variable("x", "continuous", 0, 1)
         model.add_constraint("c", [(1.0, "x")], ">=", 0.5)
         model.set_objective([(1.0, "x")])
-        result = solve_lp(model)
-        assert result.status == "optimal"
-        assert result.value == pytest.approx(0.5)
+        arrays = _Arrays(model)
+        status, value, x = solver.linprog(arrays, arrays.lo, arrays.hi)
+        assert status == "optimal"
+        assert value == pytest.approx(0.5)
+        assert x == pytest.approx([0.5])
 
     def test_infeasible(self):
         model = MilpModel("m")
         model.add_variable("x", "continuous", 0, 1)
         model.add_constraint("hi", [(1.0, "x")], ">=", 1.0)
         model.add_constraint("lo", [(1.0, "x")], "<=", 0.0)
-        assert solve_lp(model).status == "infeasible"
+        arrays = _Arrays(model)
+        assert solver.linprog(arrays, arrays.lo, arrays.hi)[0] == "infeasible"
 
     def test_unbounded(self):
         model = MilpModel("m")
         model.add_variable("x", "continuous", 0, math.inf)
         model.set_objective([(-1.0, "x")])
-        assert solve_lp(model).status == "unbounded"
+        arrays = _Arrays(model)
+        assert solver.linprog(arrays, arrays.lo, arrays.hi)[0] == "unbounded"
 
     def test_relaxation_bounds_milp(self):
         model = knapsack_model()
-        lp = solve_lp(model)
+        arrays = _Arrays(model)
+        _, value, _ = solver.linprog(arrays, arrays.lo, arrays.hi)
         milp = branch_and_bound(model)
-        assert lp.value <= milp.incumbent.objective_value + 1e-9
+        assert value <= milp.incumbent.objective_value + 1e-9
 
     @pytest.mark.parametrize("sense, rhs, status", [
         ("<=", 0.0, "optimal"), ("=", 0.0, "optimal"), (">=", -1.0, "optimal"),
@@ -71,9 +77,10 @@ class TestLp:
         model = MilpModel("m")
         model.add_constraint("c", [], sense, rhs)
         model.set_objective([], constant=3.0)
-        result = solve_lp(model)
-        assert result.status == status
-        assert result.value == (3.0 if status == "optimal" else math.inf)
+        arrays = _Arrays(model)
+        result = solver.linprog(arrays, arrays.lo, arrays.hi)
+        assert result[0] == status
+        assert result[1] == (3.0 if status == "optimal" else math.inf)
 
     def test_crossed_column_bounds_are_infeasible(self):
         arrays = _Arrays(knapsack_model())
@@ -93,8 +100,9 @@ class TestLp:
                 return super().getModelStatus()
 
         monkeypatch.setattr(solver, "_Highs", FakeHighs)
+        arrays = _Arrays(knapsack_model())
         with pytest.raises(SolverError, match="status"):
-            solve_lp(knapsack_model())
+            solver.linprog(arrays, arrays.lo, arrays.hi)
         # also on a later LP, after an optimal one on the same instance
         arrays = _Arrays(knapsack_model())
         FakeHighs.fake = False
@@ -129,10 +137,12 @@ class TestLp:
         model.add_variable("x", "continuous", 0, 1)
         model.add_constraint("c", [(1.0, "x")], ">=", 0.5)
         model.set_objective([(1.0, "x")])
-        assert solve_lp(model).status == "optimal"
+        arrays = _Arrays(model)
+        assert solver.linprog(arrays, arrays.lo, arrays.hi)[0] == "optimal"
         monkeypatch.setattr(solver, "_Highs", FakeHighs)
+        arrays = _Arrays(model)
         with pytest.raises(SolverError, match="outside"):
-            solve_lp(model)
+            solver.linprog(arrays, arrays.lo, arrays.hi)
 
 
 def cross_check_models(instance):
@@ -350,18 +360,29 @@ class TestBranchAndBound:
 
     def test_stop_at_proven_optimum_is_optimal(self):
         # the root bound 1.5 rounds up to 2, so once the first incumbent
-        # (objective 2, at node 7) is found, nothing open is better, even
+        # (objective 2, at node 6) is found, nothing open is better, even
         # when the node limit stops the search there
         model = MilpModel("cover3")
         for name in "abc":
             model.add_variable(name, "binary")
         model.add_constraint("c", [(1.0, n) for n in "abc"], ">=", 1.5)
         model.set_objective([(1.0, n) for n in "abc"])
-        for config in (SolveConfig(), SolveConfig(node_limit=7)):
+        for config in (SolveConfig(), SolveConfig(node_limit=6)):
             result = branch_and_bound(model, config)
             assert result.status == "optimal"
             assert result.incumbent.status == "optimal"
             assert result.lower_bound == result.incumbent.objective_value == 2
+
+    @pytest.mark.parametrize("seed, nodes", [(16, 6), (9, 3)])
+    def test_tied_nodes_go_depth_first_down_child_first(self, seed, nodes):
+        # a surface's bounds are integral, so nearly every open node ties
+        # with its siblings; taking the newest tied node, down child first,
+        # plunges to an optimal leaf instead of sweeping each level
+        model = build_surface(
+            random_tiny_instance(random.Random(seed))).freeze()
+        result = branch_and_bound(model)
+        assert result.status == "optimal"
+        assert result.nodes_explored == nodes
 
     def test_branching_variable(self):
         model = MilpModel("frac")
