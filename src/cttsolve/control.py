@@ -19,10 +19,9 @@ from dataclasses import asdict, dataclass
 from .evaluation import Solution, check_hard, evaluate, gap, penalties
 from .formulations import (DIVE_KINDS, Neighborhood, PeriodAssignment,
                            add_clique_cuts, add_implied_bound_cuts,
-                           add_pattern_cuts, all_patterns, build_dive,
-                           build_monolithic, build_surface, build_surface2,
-                           decode_monolithic, decode_surface,
-                           greedy_clique_cover)
+                           add_pattern_cuts, build_dive, build_monolithic,
+                           build_surface, build_surface2, decode_monolithic,
+                           decode_surface, greedy_clique_cover)
 from .instance import Instance, build_conflict_graph
 from .milp import FEAS_TOL, MilpSolution
 from .solver import SolveConfig, SolveResult, branch_and_bound
@@ -162,22 +161,13 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        raw = json.loads(text)
-        raw["dives"] = [DiveRecord(**d) for d in raw["dives"]]
-        raw["history"] = [LedgerEvent(**e) for e in raw["history"]]
-        if raw["penalties"] is not None:
-            raw["penalties"] = tuple(raw["penalties"])
-        return cls(**raw)
-
     def to_text(self) -> str:
         lines = [f"instance: {self.instance}",
                  f"strategy: {self.strategy}",
                  f"status: {self.status}",
                  f"lower bound: {self.lower_bound}",
                  f"upper bound: {self.upper_bound}",
-                 f"gap: {self.gap if self.gap is not None else 'n/a'}%"]
+                 f"gap: {'n/a' if self.gap is None else f'{self.gap}%'}"]
         if self.penalties is not None:
             cap, spread, comp, stab = self.penalties
             lines.append(f"penalties: capacity={cap} spread={spread}"
@@ -196,8 +186,7 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _solution_payload(instance: Instance,
-                      solution: Solution | None) -> dict | None:
+def _solution_payload(solution: Solution | None) -> dict | None:
     if solution is None:
         return None
     return {cid: [[p, room] for p, room in pairs]
@@ -228,7 +217,7 @@ def _prepare_surface(instance: Instance, config: StrategyConfig):
         model = build_surface2(instance)
     _add_static_cuts(instance, model)
     if config.pattern_cuts and instance.periods_per_day <= 6:
-        add_pattern_cuts(model, all_patterns(instance.periods_per_day))
+        add_pattern_cuts(model)
     return model.freeze()
 
 
@@ -380,7 +369,7 @@ def _report(instance: Instance, config: StrategyConfig, ledger: BoundsLedger,
         gap=ledger.gap(),
         penalties=(penalties(instance, best).as_tuple()
                    if best is not None else None),
-        solution=_solution_payload(instance, best),
+        solution=_solution_payload(best),
         surface_status=surface_result.status,
         surface_nodes=surface_result.nodes_explored,
         dives=dives,

@@ -45,14 +45,6 @@ class PenaltyVector:
     compactness: int
     stability: int
 
-    def __add__(self, other: "PenaltyVector") -> "PenaltyVector":
-        return PenaltyVector(
-            self.capacity + other.capacity,
-            self.spread + other.spread,
-            self.compactness + other.compactness,
-            self.stability + other.stability,
-        )
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.capacity, self.spread, self.compactness, self.stability)
 

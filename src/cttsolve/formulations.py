@@ -10,9 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .evaluation import Solution, count_isolated
+from .evaluation import Solution, check_hard, count_isolated
 from .instance import ConflictGraph, Instance, MultiRoom, build_multirooms
 from .milp import FEAS_TOL, MilpModel, MilpSolution
 
@@ -32,32 +30,25 @@ class PeriodAssignment:
     periods: dict[str, frozenset[int]]
 
     def validate(self, instance: Instance) -> None:
-        for c in instance.courses:
-            used = self.periods.get(c.id, frozenset())
-            if len(used) != c.events:
-                raise FormulationError(
-                    f"course {c.id} uses {len(used)} periods, needs {c.events}")
-            for p in used:
-                if not 0 <= p < instance.periods:
-                    raise FormulationError(f"period {p} out of range")
-                if (c.id, p) in instance.unavailability:
-                    raise FormulationError(
-                        f"course {c.id} placed at forbidden period {p}")
-        for p in range(instance.periods):
-            present = [c.id for c in instance.courses
-                       if p in self.periods.get(c.id, frozenset())]
-            if len(present) > len(instance.rooms):
-                raise FormulationError(
-                    f"period {p} hosts {len(present)} events for"
-                    f" {len(instance.rooms)} rooms")
-            teachers = [instance.course_by_id[c].teacher for c in present]
-            if len(set(teachers)) != len(teachers):
-                raise FormulationError(f"teacher clash at period {p}")
-            present_set = set(present)
-            for u in instance.curricula:
-                if len(present_set & u.courses) > 1:
-                    raise FormulationError(
-                        f"curriculum {u.id} clash at period {p}")
+        """Raise FormulationError unless some room assignment makes these
+        periods a timetable meeting every hard constraint.  Each period's
+        courses, in id order, take the rooms in turn, so a period with more
+        events than rooms shows up as a room clash."""
+        rooms = [r.id for r in instance.rooms]
+        if not rooms and any(self.periods.values()):
+            raise FormulationError("events placed but there are no rooms")
+        taken: dict[int, int] = {}  # rooms handed out so far, by period
+        assignments = {}
+        for cid, used in sorted(self.periods.items()):
+            pairs = []
+            for p in sorted(used):
+                k = taken.get(p, 0)
+                taken[p] = k + 1
+                pairs.append((p, rooms[k % len(rooms)]))
+            assignments[cid] = tuple(pairs)
+        violations = check_hard(instance, Solution(assignments))
+        if violations:
+            raise FormulationError(violations[0].detail)
 
 
 @dataclass(frozen=True)
@@ -77,23 +68,19 @@ class Neighborhood:
 # -- variables by tag ---------------------------------------------------------
 #
 # Every model has one binary occupancy variable ("times", p, c) per (period,
-# course), so occupancy_terms is the same single term everywhere.  The full
-# formulations also record in their metadata the tag kind of their room
-# assignment variables ("taught": taught or m_taught), the ordered keys of
-# their (multi-)rooms ("room_keys") and the tag kind of their room-usage
-# indicators ("uses").  Variables are then found through MilpModel.by_tag;
-# names are only ever built, never parsed.
+# course), and every row that asks whether a course meets at a period reads
+# that one variable with coefficient 1.  The full formulations also record
+# in their metadata the tag kind of their room assignment variables
+# ("taught": taught or m_taught), the ordered keys of their (multi-)rooms
+# ("room_keys") and the tag kind of their room-usage indicators ("uses").
+# Variables are then found through MilpModel.by_tag; names are only ever
+# built, never parsed.
 
 def _add_var(model: MilpModel, tag: tuple, kind: str = "binary",
              lower: float = 0.0, upper: float = math.inf) -> int:
     """New variable named after its tag, e.g. ``taught[3,r1,c7]``."""
     name = f"{tag[0]}[{','.join(str(t) for t in tag[1:])}]"
     return model.add_variable(name, kind, lower, upper, tag=tag)
-
-
-def occupancy_terms(model: MilpModel, period: int, course_id: str) -> list:
-    """Terms summing to 1 iff the course meets at the period."""
-    return [(1.0, model.by_tag(("times", period, course_id)))]
 
 
 # -- builders ---------------------------------------------------------------
@@ -117,13 +104,12 @@ def _add_day_spread_machinery(model: MilpModel, instance: Instance) -> None:
             for p in instance.day_periods(d):
                 model.add_constraint(
                     f"day_ub[{c.id},{d},{p}]",
-                    occupancy_terms(model, p, c.id) + [(-1.0, sched)],
+                    [(1.0, var(("times", p, c.id))), (-1.0, sched)],
                     "<=", 0.0, origin="day-aggregation")
-            lower = []
-            for p in instance.day_periods(d):
-                lower += occupancy_terms(model, p, c.id)
             model.add_constraint(
-                f"day_lb[{c.id},{d}]", lower + [(-1.0, sched)],
+                f"day_lb[{c.id},{d}]",
+                [(1.0, var(("times", p, c.id)))
+                 for p in instance.day_periods(d)] + [(-1.0, sched)],
                 ">=", 0.0, origin="day-aggregation")
         model.add_constraint(
             f"min_days[{c.id}]",
@@ -137,10 +123,8 @@ def _add_day_spread_machinery(model: MilpModel, instance: Instance) -> None:
             day = list(instance.day_periods(d))
 
             def occ(j):
-                terms = []
-                for cid in sorted(u.courses):
-                    terms += occupancy_terms(model, day[j], cid)
-                return terms
+                return [(1.0, var(("times", day[j], cid)))
+                        for cid in sorted(u.courses)]
 
             for j in range(n):
                 terms = occ(j)
@@ -186,11 +170,10 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
                     obj.append((float(w.capacity * overflow), idx))
 
     for c in instance.courses:
-        terms = []
-        for p in range(instance.periods):
-            terms += occupancy_terms(model, p, c.id)
-        model.add_constraint(f"event_count[{c.id}]", terms, "=",
-                             float(c.events), origin="event-count")
+        model.add_constraint(
+            f"event_count[{c.id}]",
+            [(1.0, var(("times", p, c.id))) for p in range(instance.periods)],
+            "=", float(c.events), origin="event-count")
     for p in range(instance.periods):
         for key in room_keys:
             model.add_constraint(
@@ -200,21 +183,19 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
                 "<=", float(by_key[key].multiplicity), origin="room-clash")
     for p in range(instance.periods):
         for t in sorted(instance.teachers):
-            terms = []
-            for c in instance.courses:
-                if c.teacher == t:
-                    terms += occupancy_terms(model, p, c.id)
-            model.add_constraint(f"teacher_clash[{p},{t}]", terms, "<=", 1.0,
-                                 origin="teacher-clash")
+            model.add_constraint(
+                f"teacher_clash[{p},{t}]",
+                [(1.0, var(("times", p, c.id)))
+                 for c in instance.courses if c.teacher == t],
+                "<=", 1.0, origin="teacher-clash")
         for u in instance.curricula:
-            terms = []
-            for cid in sorted(u.courses):
-                terms += occupancy_terms(model, p, cid)
-            model.add_constraint(f"curriculum_clash[{p},{u.id}]", terms,
-                                 "<=", 1.0, origin="curriculum-clash")
+            model.add_constraint(
+                f"curriculum_clash[{p},{u.id}]",
+                [(1.0, var(("times", p, cid))) for cid in sorted(u.courses)],
+                "<=", 1.0, origin="curriculum-clash")
     for cid, p in sorted(instance.unavailability):
         model.add_constraint(f"forbidden[{cid},{p}]",
-                             occupancy_terms(model, p, cid), "=", 0.0,
+                             [(1.0, var(("times", p, cid)))], "=", 0.0,
                              origin="forbidden-period")
 
     _add_day_spread_machinery(model, instance)
@@ -344,7 +325,8 @@ def restrict_period_fixed(monolithic: MilpModel,
         used = basis.periods.get(c.id, frozenset())
         for p in range(instance.periods):
             model.add_constraint(
-                f"period_fix[{p},{c.id}]", occupancy_terms(model, p, c.id),
+                f"period_fix[{p},{c.id}]",
+                [(1.0, model.by_tag(("times", p, c.id)))],
                 "=", 1.0 if p in used else 0.0, origin="period-fix")
     return model
 
@@ -363,11 +345,11 @@ def restrict_day_fixed(monolithic: MilpModel,
         for p in basis.periods.get(c.id, ()):
             per_day[instance.day_of(p)] += 1
         for d in range(instance.days):
-            terms = []
-            for p in instance.day_periods(d):
-                terms += occupancy_terms(model, p, c.id)
-            model.add_constraint(f"day_fix[{c.id},{d}]", terms, "=",
-                                 float(per_day[d]), origin="day-fix")
+            model.add_constraint(
+                f"day_fix[{c.id},{d}]",
+                [(1.0, model.by_tag(("times", p, c.id)))
+                 for p in instance.day_periods(d)],
+                "=", float(per_day[d]), origin="day-fix")
     return model
 
 
@@ -424,60 +406,6 @@ def decode_surface(model: MilpModel,
     return PeriodAssignment({cid: frozenset(v) for cid, v in periods.items()})
 
 
-def project_solution(instance: Instance, solution: Solution) -> PeriodAssignment:
-    return PeriodAssignment({
-        cid: frozenset(p for p, _ in pairs)
-        for cid, pairs in solution.assignments.items()})
-
-
-def encode_solution(instance: Instance, model: MilpModel,
-                    solution: Solution) -> np.ndarray:
-    """Point realising a full solution in a full-formulation model
-    (auxiliaries at their forced minima)."""
-    taught = model.metadata.get("taught")
-    uses = model.metadata.get("uses")
-    room_to_key = {r.id: r.id for r in instance.rooms}
-    for mr in model.metadata.get("multirooms", ()):
-        room_to_key.update((member, mr.id) for member in mr.members)
-
-    values: dict[tuple, float] = {}  # by tag; unlisted variables stay 0
-    days_used: dict[str, set[int]] = {c.id: set() for c in instance.courses}
-    rooms_used: dict[str, set[str]] = {c.id: set() for c in instance.courses}
-    curriculum_periods: dict[str, set[int]] = {
-        u.id: set() for u in instance.curricula}
-
-    for cid, period, room in solution.events():
-        key = room_to_key[room]
-        values[("times", period, cid)] = 1.0
-        values[(taught, period, key, cid)] = 1.0
-        days_used[cid].add(instance.day_of(period))
-        rooms_used[cid].add(key)
-        for u in instance.curricula:
-            if cid in u.courses:
-                curriculum_periods[u.id].add(period)
-
-    for c in instance.courses:
-        for d in days_used[c.id]:
-            values[("sched", d, c.id)] = 1.0
-        values[("mdv", c.id)] = float(
-            max(0, c.min_days - len(days_used[c.id])))
-        for key in rooms_used[c.id]:
-            values[(uses, key, c.id)] = 1.0
-
-    for u in instance.curricula:
-        for d in range(instance.days):
-            day = list(instance.day_periods(d))
-            occ = [p in curriculum_periods[u.id] for p in day]
-            for j, busy in enumerate(occ):
-                if not busy:
-                    continue
-                left = j > 0 and occ[j - 1]
-                right = j < len(occ) - 1 and occ[j + 1]
-                if not left and not right:
-                    values[("single", u.id, d, j)] = 1.0
-    return np.array([values.get(v.tag, 0.0) for v in model.variables])
-
-
 # -- cuts ---------------------------------------------------------------------
 
 def add_clique_cuts(model: MilpModel, cliques, graph: ConflictGraph) -> int:
@@ -492,11 +420,10 @@ def add_clique_cuts(model: MilpModel, cliques, graph: ConflictGraph) -> int:
                 raise FormulationError(
                     f"{{{a}, {b}}} is not an edge; not a clique")
         for p in range(instance.periods):
-            terms = []
-            for cid in members:
-                terms += occupancy_terms(model, p, cid)
-            model.add_constraint(f"clique[{p},{'+'.join(members)}]", terms,
-                                 "<=", 1.0, origin="clique-cut")
+            model.add_constraint(
+                f"clique[{p},{'+'.join(members)}]",
+                [(1.0, model.by_tag(("times", p, cid))) for cid in members],
+                "<=", 1.0, origin="clique-cut")
             added += 1
     return added
 
@@ -548,23 +475,15 @@ def add_implied_bound_cuts(model: MilpModel) -> int:
     return added
 
 
-def add_pattern_cuts(model: MilpModel, patterns) -> int:
-    """Pattern-enumeration rows: when a curriculum's daily occupancy matches
-    a +1/-1 pattern exactly, its isolated-lecture indicators must absorb
-    that pattern's penalty."""
+def add_pattern_cuts(model: MilpModel) -> int:
+    """Pattern-enumeration rows over every day pattern: when a curriculum's
+    daily occupancy matches a +1/-1 pattern exactly, its isolated-lecture
+    indicators must absorb that pattern's penalty.  Returns the number of
+    rows added."""
     instance: Instance = model.metadata["instance"]
     n = instance.periods_per_day
     added = 0
-    for pattern, penalty in patterns:
-        if len(pattern) != n:
-            raise FormulationError(
-                f"pattern length {len(pattern)} != periods per day {n}")
-        if any(a not in (-1, 1) for a in pattern):
-            raise FormulationError("pattern entries must be -1 or +1")
-        expected = count_isolated([a == 1 for a in pattern])
-        if penalty != expected:
-            raise FormulationError(
-                f"pattern {pattern} has penalty {expected}, got {penalty}")
+    for pattern, penalty in all_patterns(n):
         if penalty == 0:
             continue
         m = sum(1 for a in pattern if a == 1)
@@ -572,11 +491,10 @@ def add_pattern_cuts(model: MilpModel, patterns) -> int:
         for u in instance.curricula:
             for d in range(instance.days):
                 day = list(instance.day_periods(d))
-                terms = []
-                for j, a in enumerate(pattern):
-                    for cid in sorted(u.courses):
-                        terms += [(float(penalty * a), ref) for _, ref in
-                                  occupancy_terms(model, day[j], cid)]
+                terms = [(float(penalty * a),
+                          model.by_tag(("times", day[j], cid)))
+                         for j, a in enumerate(pattern)
+                         for cid in sorted(u.courses)]
                 for s in range(n):
                     terms.append((-1.0, model.by_tag(("single", u.id, d, s))))
                 model.add_constraint(f"pattern_cut[{u.id},{d},{label}]",

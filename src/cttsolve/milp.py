@@ -110,9 +110,6 @@ class MilpModel:
     def has_variable(self, name: str) -> bool:
         return name in self._var_index
 
-    def has_constraint(self, name: str) -> bool:
-        return name in self._con_index
-
     def _resolve_terms(self, terms) -> tuple[tuple[float, int], ...]:
         merged: dict[int, float] = {}
         order: list[int] = []
@@ -197,9 +194,6 @@ class MilpModel:
             if con.sense == "=" and abs(lhs - con.rhs) > FEAS_TOL:
                 return con.name
         return None
-
-    def origins(self) -> set[str]:
-        return {c.origin for c in self.constraints}
 
 
 # -- MPS interchange -------------------------------------------------------

@@ -72,7 +72,7 @@ class SolveConfig:
     on_incumbent: Callable | None = None  # (point, objective) -> None
 
     def __post_init__(self):
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:
             raise SolverError("time limit must be positive")
         if self.node_limit is not None and self.node_limit < 0:
             raise SolverError("node limit must not be negative")

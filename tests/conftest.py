@@ -1,13 +1,18 @@
-"""Shared fixtures: hand-built instances and a seeded tiny-instance generator."""
+"""Shared fixtures: hand-built instances, a seeded tiny-instance generator,
+and the encoder that turns a timetable into a point of a full model."""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from cttsolve.evaluation import Solution
+from cttsolve.formulations import PeriodAssignment
 from cttsolve.instance import (Course, Curriculum, Instance, Room,
                                WeightVector, parse_ctt)
+from cttsolve.milp import MilpModel
 
 TOY_CTT = """\
 Name: toy
@@ -132,3 +137,58 @@ def random_tiny_instance(rng: random.Random) -> Instance:
                              unavailability, name=f"rnd{rng.random():.6f}")
     instance.validate()
     return instance
+
+
+def encode_solution(instance: Instance, model: MilpModel,
+                    solution: Solution) -> np.ndarray:
+    """Point realising a full solution in a full-formulation model
+    (auxiliaries at their forced minima)."""
+    taught = model.metadata.get("taught")
+    uses = model.metadata.get("uses")
+    room_to_key = {r.id: r.id for r in instance.rooms}
+    for mr in model.metadata.get("multirooms", ()):
+        room_to_key.update((member, mr.id) for member in mr.members)
+
+    values: dict[tuple, float] = {}  # by tag; unlisted variables stay 0
+    days_used: dict[str, set[int]] = {c.id: set() for c in instance.courses}
+    rooms_used: dict[str, set[str]] = {c.id: set() for c in instance.courses}
+    curriculum_periods: dict[str, set[int]] = {
+        u.id: set() for u in instance.curricula}
+
+    for cid, period, room in solution.events():
+        key = room_to_key[room]
+        values[("times", period, cid)] = 1.0
+        values[(taught, period, key, cid)] = 1.0
+        days_used[cid].add(instance.day_of(period))
+        rooms_used[cid].add(key)
+        for u in instance.curricula:
+            if cid in u.courses:
+                curriculum_periods[u.id].add(period)
+
+    for c in instance.courses:
+        for d in days_used[c.id]:
+            values[("sched", d, c.id)] = 1.0
+        values[("mdv", c.id)] = float(
+            max(0, c.min_days - len(days_used[c.id])))
+        for key in rooms_used[c.id]:
+            values[(uses, key, c.id)] = 1.0
+
+    for u in instance.curricula:
+        for d in range(instance.days):
+            day = list(instance.day_periods(d))
+            occ = [p in curriculum_periods[u.id] for p in day]
+            for j, busy in enumerate(occ):
+                if not busy:
+                    continue
+                left = j > 0 and occ[j - 1]
+                right = j < len(occ) - 1 and occ[j + 1]
+                if not left and not right:
+                    values[("single", u.id, d, j)] = 1.0
+    return np.array([values.get(v.tag, 0.0) for v in model.variables])
+
+
+def project_solution(solution: Solution) -> PeriodAssignment:
+    """Periods used by each course of a timetable."""
+    return PeriodAssignment({
+        cid: frozenset(p for p, _ in pairs)
+        for cid, pairs in solution.assignments.items()})

@@ -17,7 +17,8 @@ import time
 from pathlib import Path
 
 
-from conftest import TIGHT_CTT, make_instance, random_tiny_instance
+from conftest import (TIGHT_CTT, encode_solution, make_instance,
+                      random_tiny_instance)
 from cttsolve.cli import main as cli_main
 from cttsolve.control import StrategyConfig, run_strategy
 from cttsolve.evaluation import (PenaltyVector, Solution, check_hard,
@@ -25,8 +26,7 @@ from cttsolve.evaluation import (PenaltyVector, Solution, check_hard,
 from cttsolve.formulations import (PeriodAssignment, add_clique_cuts,
                                    add_implied_bound_cuts, add_pattern_cuts,
                                    all_patterns, build_monolithic,
-                                   build_surface, encode_solution,
-                                   greedy_clique_cover,
+                                   build_surface, greedy_clique_cover,
                                    restrict_day_fixed, restrict_period_fixed)
 from cttsolve.instance import (WeightVector, build_conflict_graph,
                                instance_stats, parse_ctt, serialize_ctt)
@@ -261,7 +261,7 @@ def test_criterion_6_cut_validity():
         model = build_monolithic(instance)
         add_clique_cuts(model, greedy_clique_cover(graph), graph)
         add_implied_bound_cuts(model)
-        add_pattern_cuts(model, all_patterns(instance.periods_per_day))
+        add_pattern_cuts(model)
         for solution in _all_feasible_solutions(instance):
             values = encode_solution(instance, model, solution)
             checked += 1

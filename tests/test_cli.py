@@ -148,7 +148,8 @@ class TestBuildAndSolveMps:
         ("  c  1\n", "  c  nan\n", []),
         ("  c  4\n", "  c  inf\n", []),
         (" UP BND  x  3\n", " UP BND  x  3\n", ["--node-limit", "-1"]),
-    ], ids=["coef-nan", "rhs-inf", "negative-node-limit"])
+        (" UP BND  x  3\n", " UP BND  x  3\n", ["--time-limit", "nan"]),
+    ], ids=["coef-nan", "rhs-inf", "negative-node-limit", "nan-time-limit"])
     def test_bad_number_exit_2(self, tmp_path, capsys, old, new, args):
         text = ("NAME s\nROWS\n N  OBJ\n L  c\nCOLUMNS\n    x  OBJ  1  c  1\n"
                 "RHS\n    RHS  c  4\nBOUNDS\n UP BND  x  3\nENDATA\n")

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 from types import SimpleNamespace
 
@@ -259,12 +261,22 @@ class TestStrategies:
 class TestReports:
     def test_json_round_trip(self, tight_instance):
         result = run_strategy(tight_instance)
-        again = RunReport.from_json(result.to_json())
-        assert again.to_json() == result.to_json()
+        raw = json.loads(result.to_json())
+        assert raw.keys() == {f.name for f in dataclasses.fields(RunReport)}
+        for name in ("instance", "strategy", "status", "lower_bound",
+                     "upper_bound", "gap", "surface_status", "surface_nodes",
+                     "started"):
+            assert raw[name] == getattr(result, name)
+        assert raw["penalties"] == list(result.penalties)
+        assert raw["dives"] == [dataclasses.asdict(d) for d in result.dives]
+        assert raw["history"] == [dataclasses.asdict(e)
+                                  for e in result.history]
+        assert raw["solution"] == result.solution
 
     def test_report_formats(self, tight_instance):
         result = run_strategy(tight_instance)
         assert "instance: tight" in result.to_text()
+        assert f"gap: {result.gap}%" in result.to_text().splitlines()
         assert '"strategy"' in result.to_json()
 
     def test_gap_in_report(self):
@@ -281,4 +293,4 @@ class TestReports:
         result = run_strategy(instance, config)
         assert result.upper_bound is None
         assert result.gap is None
-        assert "n/a" in result.to_text()
+        assert "gap: n/a" in result.to_text().splitlines()

@@ -166,7 +166,8 @@ class TestObjective:
     def test_linearity(self, w, p1, p2):
         weights = WeightVector(*w)
         a, b = PenaltyVector(*p1), PenaltyVector(*p2)
-        assert objective(weights, a + b) == objective(weights, a) \
+        total = PenaltyVector(*(x + y for x, y in zip(p1, p2)))
+        assert objective(weights, total) == objective(weights, a) \
             + objective(weights, b)
 
     def test_room_swap_neutrality(self, toy_instance):

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import make_instance, random_tiny_instance
+from conftest import (encode_solution, make_instance, project_solution,
+                      random_tiny_instance)
 from cttsolve.evaluation import Solution, check_hard, count_isolated, evaluate
 from cttsolve.formulations import (DIVE_KINDS, PERIOD_FIXED, FormulationError,
                                    Neighborhood, PeriodAssignment,
@@ -13,9 +14,8 @@ from cttsolve.formulations import (DIVE_KINDS, PERIOD_FIXED, FormulationError,
                                    all_patterns, build_dive, build_monolithic,
                                    build_surface, build_surface2,
                                    decode_monolithic, decode_surface,
-                                   encode_solution, greedy_clique_cover,
-                                   project_solution,
-                                   restrict_day_fixed, restrict_period_fixed)
+                                   greedy_clique_cover, restrict_day_fixed,
+                                   restrict_period_fixed)
 from cttsolve.instance import build_conflict_graph, build_multirooms
 from cttsolve.milp import MilpError, MilpSolution
 from cttsolve.solver import branch_and_bound, brute_force_instance
@@ -46,6 +46,34 @@ def feasible_solutions(instance, rng, want=3, tries=400):
     return found
 
 
+class TestPeriodAssignment:
+    def test_more_events_than_rooms_is_a_room_clash(self):
+        instance = make_instance([("a", "t1", 1, 1, 5), ("b", "t2", 1, 1, 5)],
+                                 [("r1", 9)], [])
+        basis = PeriodAssignment({"a": frozenset({0}), "b": frozenset({0})})
+        with pytest.raises(FormulationError, match="room r1 hosts 2 events"):
+            basis.validate(instance)
+        PeriodAssignment({"a": frozenset({0}),
+                          "b": frozenset({1})}).validate(instance)
+
+    def test_no_rooms(self):
+        instance = make_instance([("a", "t1", 1, 1, 5)], [], [])
+        with pytest.raises(FormulationError, match="no rooms"):
+            PeriodAssignment({"a": frozenset({0})}).validate(instance)
+
+    def test_unknown_course_rejected(self, toy_instance):
+        basis = PeriodAssignment({**TOY_BASIS.periods, "zz": frozenset({0})})
+        with pytest.raises(FormulationError, match="'zz' not declared"):
+            basis.validate(toy_instance)
+
+    def test_forbidden_period_rejected(self, toy_instance):
+        basis = PeriodAssignment({"c1": frozenset({0, 2, 3}),
+                                  "c2": frozenset({1, 4}),
+                                  "c3": frozenset({1, 5})})
+        with pytest.raises(FormulationError, match="forbidden period 0"):
+            basis.validate(toy_instance)
+
+
 class TestMonolithic:
     def test_variable_counts(self, toy_instance):
         model = build_monolithic(toy_instance)
@@ -58,7 +86,8 @@ class TestMonolithic:
 
     def test_origin_coverage(self, toy_instance):
         model = build_monolithic(toy_instance)
-        assert model.origins() == HARD_ORIGINS | {"forbidden-period"}
+        assert {c.origin for c in model.constraints} \
+            == HARD_ORIGINS | {"forbidden-period"}
 
     def test_encode_satisfies_and_matches_objective(self):
         rng = random.Random(31)
@@ -115,7 +144,7 @@ class TestOccupancy:
         for model in (build_monolithic(instance), build_surface2(instance)):
             add_clique_cuts(model, greedy_clique_cover(graph), graph)
             add_implied_bound_cuts(model)
-            add_pattern_cuts(model, all_patterns(instance.periods_per_day))
+            add_pattern_cuts(model)
             models.append(model)
         mono = build_monolithic(instance).freeze()
         models += [build_dive(mono, Neighborhood(kind, TOY_BASIS, 0.0))
@@ -157,7 +186,7 @@ class TestSurface:
 
     def test_origin_coverage(self, toy_instance):
         model = build_surface(toy_instance)
-        assert model.origins() == {
+        assert {c.origin for c in model.constraints} == {
             "event-count", "curriculum-clash", "teacher-clash", "room-bound",
             "forbidden-period", "day-aggregation", "min-days", "pattern"}
 
@@ -175,7 +204,7 @@ class TestSurface:
             instance = random_tiny_instance(rng)
             model = build_surface(instance)
             for solution in feasible_solutions(instance, rng):
-                basis = project_solution(instance, solution)
+                basis = project_solution(solution)
                 basis.validate(instance)
                 values = encode_solution(instance, model, solution)
                 assert model.first_violation(values) is None
@@ -194,7 +223,7 @@ class TestSurface:
 
     def test_forbidden_period_constraint(self, toy_instance):
         model = build_surface(toy_instance)
-        assert model.has_constraint("forbidden[c1,0]")
+        assert "forbidden[c1,0]" in {c.name for c in model.constraints}
 
 
 class TestSurface2:
@@ -248,7 +277,6 @@ class TestRestrictions:
         dive = restrict_period_fixed(model, basis)
         fixed = [c for c in dive.constraints if c.origin == "period-fix"]
         assert len(fixed) == 6 * 3
-        assert dive.has_constraint("period_fix[1,c1]")
         one = next(c for c in dive.constraints
                    if c.name == "period_fix[1,c1]")
         assert one.sense == "=" and one.rhs == 1.0
@@ -272,7 +300,7 @@ class TestRestrictions:
             if full.status != "optimal":
                 continue
             for solution in feasible_solutions(instance, rng, want=2):
-                basis = project_solution(instance, solution)
+                basis = project_solution(solution)
                 period_dive = branch_and_bound(
                     restrict_period_fixed(mono, basis))
                 day_dive = branch_and_bound(
@@ -338,7 +366,7 @@ class TestDecoders:
         })
         values = encode_solution(toy_instance, model, solution)
         basis = decode_surface(model, MilpSolution(values, 0.0, "feasible"))
-        assert basis == project_solution(toy_instance, solution)
+        assert basis == project_solution(solution)
 
     def test_decode_surface_rejects_fractional(self, toy_instance):
         model = build_surface(toy_instance)
@@ -404,14 +432,15 @@ class TestImpliedBoundCuts:
         model = build_monolithic(toy_instance)
         added = add_implied_bound_cuts(model)
         assert added == 2 * 3
-        assert model.has_constraint("implied_days[c1]")
-        assert model.has_constraint("implied_rooms[c1]")
+        names = {c.name for c in model.constraints}
+        assert {"implied_days[c1]", "implied_rooms[c1]"} <= names
 
     def test_surface_gets_day_family_only(self, toy_instance):
         model = build_surface(toy_instance)
         add_implied_bound_cuts(model)
-        assert model.has_constraint("implied_days[c1]")
-        assert not model.has_constraint("implied_rooms[c1]")
+        names = {c.name for c in model.constraints}
+        assert "implied_days[c1]" in names
+        assert "implied_rooms[c1]" not in names
 
     def test_validity_on_feasible_points(self):
         rng = random.Random(67)
@@ -424,25 +453,14 @@ class TestImpliedBoundCuts:
 
 
 class TestPatternCuts:
-    def test_length_validation(self, toy_instance):
-        model = build_monolithic(toy_instance)
-        with pytest.raises(FormulationError):
-            add_pattern_cuts(model, [((1, -1), 1)])
-
-    def test_entry_validation(self, toy_instance):
-        model = build_monolithic(toy_instance)
-        with pytest.raises(FormulationError):
-            add_pattern_cuts(model, [((1, 0, -1), 1)])
-
-    def test_penalty_validation(self, toy_instance):
-        model = build_monolithic(toy_instance)
-        with pytest.raises(FormulationError):
-            add_pattern_cuts(model, [((1, -1, -1), 7)])
-
     def test_cut_added_per_curriculum_day(self, toy_instance):
         model = build_monolithic(toy_instance)
-        added = add_pattern_cuts(model, [((1, -1, -1), 1)])
-        assert added == 1 * 2  # one curriculum, two days
+        added = add_pattern_cuts(model)
+        # 100, 010, 001 and 101 carry a penalty; one curriculum, two days
+        assert added == 4 * 1 * 2
+        labels = {c.name.split(",")[-1] for c in model.constraints
+                  if c.origin == "pattern-cut"}
+        assert labels == {"100]", "010]", "001]", "101]"}
 
     def test_arithmetic_never_exceeds_true_count(self):
         # for every pattern and every 0/1 occupancy, the cut LHS stays
@@ -475,7 +493,7 @@ class TestPatternCuts:
         while checked < 6:
             instance = random_tiny_instance(rng)
             model = build_monolithic(instance)
-            add_pattern_cuts(model, all_patterns(instance.periods_per_day))
+            add_pattern_cuts(model)
             for solution in feasible_solutions(instance, rng):
                 values = encode_solution(instance, model, solution)
                 assert model.first_violation(values) is None

@@ -15,9 +15,8 @@ import pytest
 from cttsolve.formulations import (DIVE_KINDS, Neighborhood,
                                    PeriodAssignment, add_clique_cuts,
                                    add_implied_bound_cuts, add_pattern_cuts,
-                                   all_patterns, build_dive, build_monolithic,
-                                   build_surface, build_surface2,
-                                   greedy_clique_cover)
+                                   build_dive, build_monolithic, build_surface,
+                                   build_surface2, greedy_clique_cover)
 from cttsolve.instance import build_conflict_graph
 from cttsolve.milp import export_mps
 
@@ -56,7 +55,7 @@ def with_cuts(model, instance):
     graph = build_conflict_graph(instance)
     add_clique_cuts(model, greedy_clique_cover(graph), graph)
     add_implied_bound_cuts(model)
-    add_pattern_cuts(model, all_patterns(instance.periods_per_day))
+    add_pattern_cuts(model)
     return model
 
 

@@ -105,7 +105,7 @@ class TestBuilding:
             model.objective_value(np.array([1.0, 0.0, 0.0]))
 
     def test_origin_tags(self):
-        assert simple_model().origins() == {"test"}
+        assert {c.origin for c in simple_model().constraints} == {"test"}
 
 
 class TestMps:

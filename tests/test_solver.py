@@ -317,16 +317,19 @@ class TestBranchAndBound:
         assert np.array_equal(a.incumbent.values, b.incumbent.values)
 
     def test_searches_repeat_exactly(self):
-        # each search starts cold, whatever searches ran before it
+        # each search starts cold, whatever searches ran before it; the node
+        # limit stops the search one node short of its unlimited run
         rng = random.Random(9)
         model = build_monolithic(random_tiny_instance(rng))
         other = build_monolithic(random_tiny_instance(rng))
-        config = SolveConfig(node_limit=12)
+        full = branch_and_bound(model)
+        config = SolveConfig(node_limit=full.nodes_explored - 1)
         first = branch_and_bound(model, config)
         branch_and_bound(other, config)
         second = branch_and_bound(model, config)
-        assert first.nodes_explored == second.nodes_explored == 11
-        assert first.status == second.status == "optimal"
+        assert first.status == second.status == "limit-reached"
+        assert first.nodes_explored == second.nodes_explored \
+            == full.nodes_explored - 1
         assert first.lower_bound == second.lower_bound
         assert np.array_equal(first.incumbent.values,
                               second.incumbent.values)
@@ -396,8 +399,9 @@ class TestBranchAndBound:
             is None
 
     def test_config_validation(self):
-        with pytest.raises(SolverError):
-            SolveConfig(time_limit=0)
+        for limit in (0, -1.0, math.nan):
+            with pytest.raises(SolverError, match="time limit"):
+                SolveConfig(time_limit=limit)
 
     def test_negative_node_limit_rejected(self):
         assert branch_and_bound(knapsack_model(),
