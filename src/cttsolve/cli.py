@@ -11,7 +11,8 @@ import argparse
 import sys
 
 from . import __version__
-from .control import STRATEGIES, ControlError, StrategyConfig, run_strategy
+from .control import (PATTERN_CUT_MAX_PERIODS, STRATEGIES, ControlError,
+                      StrategyConfig, run_strategy)
 from .evaluation import (check_hard, format_solution, objective,
                          parse_solution, penalties)
 from .formulations import (DIVE_KINDS, build_monolithic, build_surface,
@@ -193,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--total-time", type=float, default=None)
     p.add_argument("--surface-nodes", type=int, default=None)
     p.add_argument("--dive-nodes", type=int, default=None)
-    p.add_argument("--pattern-cuts", action="store_true")
+    p.add_argument("--pattern-cuts", action="store_true",
+                   help="add pattern-enumeration cuts to the surface (days"
+                        f" of at most {PATTERN_CUT_MAX_PERIODS} periods)")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None,
                    help="write the best timetable to this file")

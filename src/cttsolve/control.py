@@ -23,10 +23,12 @@ from .formulations import (DIVE_KINDS, Neighborhood, PeriodAssignment,
                            build_surface, build_surface2, decode_monolithic,
                            decode_surface, greedy_clique_cover)
 from .instance import Instance, build_conflict_graph
-from .milp import FEAS_TOL, MilpSolution
+from .milp import FEAS_TOL
 from .solver import SolveConfig, SolveResult, branch_and_bound
 
 STRATEGIES = ("exact", "contract", "anytime")
+# pattern cuts enumerate all 2**periods_per_day day patterns
+PATTERN_CUT_MAX_PERIODS = 6
 
 
 class ControlError(Exception):
@@ -211,12 +213,16 @@ def order_dives(neighborhoods: list[Neighborhood],
 
 
 def _prepare_surface(instance: Instance, config: StrategyConfig):
+    if (config.pattern_cuts
+            and instance.periods_per_day > PATTERN_CUT_MAX_PERIODS):
+        raise ControlError(f"pattern cuts need days of at most"
+                           f" {PATTERN_CUT_MAX_PERIODS} periods")
     if config.surface_model == "surface":
         model = build_surface(instance)
     else:
         model = build_surface2(instance)
     _add_static_cuts(instance, model)
-    if config.pattern_cuts and instance.periods_per_day <= 6:
+    if config.pattern_cuts:
         add_pattern_cuts(model)
     return model.freeze()
 
@@ -240,27 +246,20 @@ def _expired(deadline) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
-def _solve_and_record(instance: Instance, model, solve_config: SolveConfig,
-                      ledger: BoundsLedger, source: str,
-                      global_bound: bool = False) -> tuple[SolveResult,
-                                                          float | None]:
-    """Solve a full-formulation model, re-check its timetable against the
-    hard constraints, and record its objective as an upper bound.  With
-    `global_bound` the model is the whole problem, so its lower bound is
-    recorded first."""
-    result = branch_and_bound(model, solve_config)
-    if global_bound and math.isfinite(result.lower_bound):
-        ledger.record_lower(result.lower_bound, source)
-    objective = None
-    if result.incumbent is not None:
-        solution = decode_monolithic(model, result.incumbent)
+def _recorder(instance: Instance, model, ledger: BoundsLedger, source: str,
+              objectives: list[float]):
+    """``on_incumbent`` hook of a full-formulation search: decode each
+    incumbent, re-check its timetable against the hard constraints, and
+    record its objective as an upper bound and in ``objectives``."""
+    def record(values, _objective) -> None:
+        solution = decode_monolithic(model, values)
         violations = check_hard(instance, solution)
         if violations:
             raise ControlError(f"{source} produced an infeasible timetable:"
                                f" {violations[0]}")
-        objective = evaluate(instance, solution)
-        ledger.record_upper(objective, source, solution)
-    return result, objective
+        objectives.append(evaluate(instance, solution))
+        ledger.record_upper(objectives[-1], source, solution)
+    return record
 
 
 def _run_dive(instance: Instance, monolithic, neighborhood: Neighborhood,
@@ -271,13 +270,15 @@ def _run_dive(instance: Instance, monolithic, neighborhood: Neighborhood,
     add_implied_bound_cuts(model)
     model.freeze()
     cutoff = ledger.upper if math.isfinite(ledger.upper) else None
-    solve_config = _budget(config.per_dive_time, config.dive_nodes, deadline,
-                           cutoff=cutoff)
-    result, objective = _solve_and_record(instance, model, solve_config,
-                                          ledger, f"dive:{neighborhood.kind}")
+    objectives: list[float] = []
+    result = branch_and_bound(model, _budget(
+        config.per_dive_time, config.dive_nodes, deadline, cutoff=cutoff,
+        on_incumbent=_recorder(instance, model, ledger,
+                               f"dive:{neighborhood.kind}", objectives)))
     return DiveRecord(neighborhood.kind, neighborhood.source_objective,
                       neighborhood.discovery_index, result.status,
-                      objective, result.nodes_explored)
+                      objectives[-1] if objectives else None,
+                      result.nodes_explored)
 
 
 def run_strategy(instance: Instance,
@@ -299,8 +300,7 @@ def run_strategy(instance: Instance,
     dives: list[DiveRecord] = []
 
     def harvest(values, objective: float) -> None:
-        basis = decode_surface(surface,
-                               MilpSolution(values, objective, "feasible"))
+        basis = decode_surface(surface, values)
         sources.append((basis, objective))
         if config.strategy == "anytime":
             for kind in config.dive_kinds:
@@ -349,9 +349,12 @@ def _run_exact(instance: Instance, config: StrategyConfig,
     model = build_monolithic(instance)
     _add_static_cuts(instance, model)
     model.freeze()
-    solve_config = _budget(config.total_time, config.surface_nodes, deadline)
-    result, _ = _solve_and_record(instance, model, solve_config, ledger,
-                                  "exact", global_bound=True)
+    result = branch_and_bound(model, _budget(
+        config.total_time, config.surface_nodes, deadline,
+        on_incumbent=_recorder(instance, model, ledger, "exact", [])))
+    # the model is the whole problem, so its bound is a global one
+    if math.isfinite(result.lower_bound):
+        ledger.record_lower(result.lower_bound, "exact")
     return _report(instance, config, ledger, _final_status(ledger, result),
                    result, [])
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .evaluation import Solution, check_hard, count_isolated
 from .instance import ConflictGraph, Instance, MultiRoom, build_multirooms
-from .milp import FEAS_TOL, MilpModel, MilpSolution
+from .milp import FEAS_TOL, MilpModel
 
 PERIOD_FIXED = "period-fixed"
 DAY_FIXED = "day-fixed"
@@ -83,20 +83,62 @@ def _add_var(model: MilpModel, tag: tuple, kind: str = "binary",
     return model.add_variable(name, kind, lower, upper, tag=tag)
 
 
-# -- builders ---------------------------------------------------------------
+# -- builders: one writer per family of period-level rows, shared by the
+# surface and the full formulations -------------------------------------------
 
-def _add_day_spread_machinery(model: MilpModel, instance: Instance) -> None:
-    """Day indicators, min-days shortfalls, and isolated-lecture indicators."""
+def _add_times(model: MilpModel, instance: Instance) -> None:
+    """Occupancy variables ("times", p, c) and each course's event count."""
+    for p in range(instance.periods):
+        for c in instance.courses:
+            _add_var(model, ("times", p, c.id))
+    for c in instance.courses:
+        model.add_constraint(
+            f"event_count[{c.id}]",
+            [(1.0, model.by_tag(("times", p, c.id)))
+             for p in range(instance.periods)],
+            "=", float(c.events), origin="event-count")
+
+
+def _add_teacher_clash(model: MilpModel, instance: Instance, p: int) -> None:
+    for t in sorted(instance.teachers):
+        model.add_constraint(
+            f"teacher_clash[{p},{t}]",
+            [(1.0, model.by_tag(("times", p, c.id)))
+             for c in instance.courses if c.teacher == t],
+            "<=", 1.0, origin="teacher-clash")
+
+
+def _add_curriculum_clash(model: MilpModel, instance: Instance,
+                          p: int) -> None:
+    for u in instance.curricula:
+        model.add_constraint(
+            f"curriculum_clash[{p},{u.id}]",
+            [(1.0, model.by_tag(("times", p, cid)))
+             for cid in sorted(u.courses)],
+            "<=", 1.0, origin="curriculum-clash")
+
+
+def _add_day_spread_machinery(model: MilpModel, instance: Instance) -> list:
+    """Forbidden-period rows, day indicators, min-days shortfalls and
+    isolated-lecture indicators.  Returns the spread and compactness
+    objective terms."""
     var = model.by_tag
+    for cid, p in sorted(instance.unavailability):
+        model.add_constraint(f"forbidden[{cid},{p}]",
+                             [(1.0, var(("times", p, cid)))], "=", 0.0,
+                             origin="forbidden-period")
     for d in range(instance.days):
         for c in instance.courses:
             _add_var(model, ("sched", d, c.id))
-    for c in instance.courses:
-        _add_var(model, ("mdv", c.id), "integer", 0, instance.days)
+    w = instance.weights
+    obj = [(w.spread,
+            _add_var(model, ("mdv", c.id), "integer", 0, instance.days))
+           for c in instance.courses]
     for u in instance.curricula:
         for d in range(instance.days):
             for s in range(instance.periods_per_day):
-                _add_var(model, ("single", u.id, d, s))
+                obj.append((w.compactness,
+                            _add_var(model, ("single", u.id, d, s))))
 
     for c in instance.courses:
         for d in range(instance.days):
@@ -137,6 +179,7 @@ def _add_day_spread_machinery(model: MilpModel, instance: Instance) -> None:
                 model.add_constraint(
                     f"pattern[{u.id},{d},{j}]", terms, "<=", 0.0,
                     origin="pattern")
+    return obj
 
 
 def _build_full(instance: Instance, rooms: list[MultiRoom],
@@ -157,9 +200,7 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
     by_key = {r.id: r for r in rooms}
 
     # occupancy first: branching ties then go to the period decision
-    for p in range(instance.periods):
-        for c in instance.courses:
-            _add_var(model, ("times", p, c.id))
+    _add_times(model, instance)
     obj = []
     for p in range(instance.periods):
         for key in room_keys:
@@ -169,11 +210,6 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
                 if w.capacity and overflow > 0:
                     obj.append((float(w.capacity * overflow), idx))
 
-    for c in instance.courses:
-        model.add_constraint(
-            f"event_count[{c.id}]",
-            [(1.0, var(("times", p, c.id))) for p in range(instance.periods)],
-            "=", float(c.events), origin="event-count")
     for p in range(instance.periods):
         for key in room_keys:
             model.add_constraint(
@@ -181,28 +217,20 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
                 [(1.0, var((taught, p, key, c.id)))
                  for c in instance.courses],
                 "<=", float(by_key[key].multiplicity), origin="room-clash")
+    # Each model keeps its own order of clash rows, and the searches depend
+    # on it.  Six shared orders were measured on the bench instances (clash
+    # rows before or after the capacity rows, teacher or curriculum rows
+    # first, or a change to this model only): every one lost search-mid
+    # mid-1-1's upper bound (4 -> 11 to 15), one also mid-1-2's (2 -> 5),
+    # and one corpus-small small-1-2's exact optimum at 300 nodes.
     for p in range(instance.periods):
-        for t in sorted(instance.teachers):
-            model.add_constraint(
-                f"teacher_clash[{p},{t}]",
-                [(1.0, var(("times", p, c.id)))
-                 for c in instance.courses if c.teacher == t],
-                "<=", 1.0, origin="teacher-clash")
-        for u in instance.curricula:
-            model.add_constraint(
-                f"curriculum_clash[{p},{u.id}]",
-                [(1.0, var(("times", p, cid))) for cid in sorted(u.courses)],
-                "<=", 1.0, origin="curriculum-clash")
-    for cid, p in sorted(instance.unavailability):
-        model.add_constraint(f"forbidden[{cid},{p}]",
-                             [(1.0, var(("times", p, cid)))], "=", 0.0,
-                             origin="forbidden-period")
-
-    _add_day_spread_machinery(model, instance)
+        _add_teacher_clash(model, instance, p)
+        _add_curriculum_clash(model, instance, p)
+    obj += _add_day_spread_machinery(model, instance)
 
     for key in room_keys:
         for c in instance.courses:
-            _add_var(model, (uses, key, c.id))
+            obj.append((w.stability, _add_var(model, (uses, key, c.id))))
     for p in range(instance.periods):
         for key in room_keys:
             for c in instance.courses:
@@ -230,15 +258,6 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
                 + [(-1.0, var(("times", p, c.id)))],
                 "=", 0.0, origin="occupancy")
 
-    for c in instance.courses:
-        obj.append((float(w.spread), var(("mdv", c.id))))
-    for u in instance.curricula:
-        for d in range(instance.days):
-            for s in range(instance.periods_per_day):
-                obj.append((float(w.compactness), var(("single", u.id, d, s))))
-    for key in room_keys:
-        for c in instance.courses:
-            obj.append((float(w.stability), var((uses, key, c.id))))
     model.set_objective(
         obj, constant=-float(w.stability) * len(instance.courses))
     return model
@@ -267,96 +286,50 @@ def build_surface(instance: Instance) -> MilpModel:
     spread and compactness terms kept in the objective."""
     model = MilpModel("surface")
     model.metadata.update(formulation="surface", instance=instance)
-    w = instance.weights
-    var = model.by_tag
-
+    _add_times(model, instance)
+    # this model's own order of clash rows; see _build_full
     for p in range(instance.periods):
-        for c in instance.courses:
-            _add_var(model, ("times", p, c.id))
-
-    for c in instance.courses:
-        model.add_constraint(
-            f"event_count[{c.id}]",
-            [(1.0, var(("times", p, c.id))) for p in range(instance.periods)],
-            "=", float(c.events), origin="event-count")
-    for p in range(instance.periods):
-        for u in instance.curricula:
-            model.add_constraint(
-                f"curriculum_clash[{p},{u.id}]",
-                [(1.0, var(("times", p, cid))) for cid in sorted(u.courses)],
-                "<=", 1.0, origin="curriculum-clash")
-        for t in sorted(instance.teachers):
-            model.add_constraint(
-                f"teacher_clash[{p},{t}]",
-                [(1.0, var(("times", p, c.id)))
-                 for c in instance.courses if c.teacher == t],
-                "<=", 1.0, origin="teacher-clash")
+        _add_curriculum_clash(model, instance, p)
+        _add_teacher_clash(model, instance, p)
         model.add_constraint(
             f"room_bound[{p}]",
-            [(1.0, var(("times", p, c.id))) for c in instance.courses],
+            [(1.0, model.by_tag(("times", p, c.id)))
+             for c in instance.courses],
             "<=", float(len(instance.rooms)), origin="room-bound")
-    for cid, p in sorted(instance.unavailability):
-        model.add_constraint(f"forbidden[{cid},{p}]",
-                             [(1.0, var(("times", p, cid)))], "=", 0.0,
-                             origin="forbidden-period")
-
-    _add_day_spread_machinery(model, instance)
-
-    obj = []
-    for c in instance.courses:
-        obj.append((float(w.spread), var(("mdv", c.id))))
-    for u in instance.curricula:
-        for d in range(instance.days):
-            for s in range(instance.periods_per_day):
-                obj.append((float(w.compactness), var(("single", u.id, d, s))))
-    model.set_objective(obj)
+    model.set_objective(_add_day_spread_machinery(model, instance))
     return model
 
 
 # -- restrictions (dives) -----------------------------------------------------
 
-def restrict_period_fixed(monolithic: MilpModel,
-                          basis: PeriodAssignment) -> MilpModel:
+def build_dive(monolithic: MilpModel, neighborhood: Neighborhood) -> MilpModel:
+    """The monolithic model restricted around the neighborhood's basis: a
+    period-fixed dive fixes every occupancy variable to the basis, a
+    day-fixed dive fixes only each course's number of events on each day."""
     instance: Instance = monolithic.metadata["instance"]
+    basis = neighborhood.basis
     basis.validate(instance)
-    model = monolithic.copy(name=f"{monolithic.name}+{PERIOD_FIXED}")
-    model.metadata["dive"] = PERIOD_FIXED  # bench/run.py tags dive spans by it
+    kind = neighborhood.kind
+    # the name is the MPS NAME too
+    suffix = "day-plain" if kind == DAY_FIXED else kind
+    model = monolithic.copy(name=f"{monolithic.name}+{suffix}")
+    model.metadata["dive"] = kind  # bench/run.py tags dive spans by it
+    var = model.by_tag
     for c in instance.courses:
         used = basis.periods.get(c.id, frozenset())
-        for p in range(instance.periods):
-            model.add_constraint(
-                f"period_fix[{p},{c.id}]",
-                [(1.0, model.by_tag(("times", p, c.id)))],
-                "=", 1.0 if p in used else 0.0, origin="period-fix")
+        if kind == PERIOD_FIXED:
+            for p in range(instance.periods):
+                model.add_constraint(f"period_fix[{p},{c.id}]",
+                                     [(1.0, var(("times", p, c.id)))],
+                                     "=", p in used, origin="period-fix")
+        else:
+            for d in range(instance.days):
+                day = instance.day_periods(d)
+                model.add_constraint(
+                    f"day_fix[{c.id},{d}]",
+                    [(1.0, var(("times", p, c.id))) for p in day],
+                    "=", sum(1 for p in used if p in day), origin="day-fix")
     return model
-
-
-def restrict_day_fixed(monolithic: MilpModel,
-                       basis: PeriodAssignment) -> MilpModel:
-    """Fix each course's number of events on each day to its count in the
-    period assignment, leaving periods within the day free."""
-    instance: Instance = monolithic.metadata["instance"]
-    basis.validate(instance)
-    # the name is the MPS NAME too
-    model = monolithic.copy(name=f"{monolithic.name}+day-plain")
-    model.metadata["dive"] = DAY_FIXED  # bench/run.py tags dive spans by it
-    for c in instance.courses:
-        per_day = [0] * instance.days
-        for p in basis.periods.get(c.id, ()):
-            per_day[instance.day_of(p)] += 1
-        for d in range(instance.days):
-            model.add_constraint(
-                f"day_fix[{c.id},{d}]",
-                [(1.0, model.by_tag(("times", p, c.id)))
-                 for p in instance.day_periods(d)],
-                "=", float(per_day[d]), origin="day-fix")
-    return model
-
-
-def build_dive(monolithic: MilpModel, neighborhood: Neighborhood) -> MilpModel:
-    if neighborhood.kind == PERIOD_FIXED:
-        return restrict_period_fixed(monolithic, neighborhood.basis)
-    return restrict_day_fixed(monolithic, neighborhood.basis)
 
 
 # -- decoding ----------------------------------------------------------------
@@ -367,11 +340,7 @@ def _integral(value: float, context: str) -> int:
     return int(round(value))
 
 
-def _checked_values(model: MilpModel, milp_solution: MilpSolution):
-    if milp_solution.status not in ("optimal", "feasible"):
-        raise FormulationError(
-            f"cannot decode solution with status {milp_solution.status}")
-    values = milp_solution.values
+def _checked_values(model: MilpModel, values):
     if len(values) != len(model.variables):
         raise FormulationError(
             f"solution has {len(values)} values for"
@@ -379,10 +348,9 @@ def _checked_values(model: MilpModel, milp_solution: MilpSolution):
     return values.tolist()
 
 
-def decode_monolithic(model: MilpModel,
-                      milp_solution: MilpSolution) -> Solution:
-    """Timetable of a solution of the monolithic model or one of its dives."""
-    values = _checked_values(model, milp_solution)
+def decode_monolithic(model: MilpModel, values) -> Solution:
+    """Timetable of a point of the monolithic model or one of its dives."""
+    values = _checked_values(model, values)
     instance: Instance = model.metadata["instance"]
     assignments: dict[str, list[tuple[int, str]]] = {
         c.id: [] for c in instance.courses}
@@ -393,11 +361,10 @@ def decode_monolithic(model: MilpModel,
     return Solution({cid: tuple(sorted(v)) for cid, v in assignments.items()})
 
 
-def decode_surface(model: MilpModel,
-                   milp_solution: MilpSolution) -> PeriodAssignment:
-    """Periods used by each course in a solution of any model (surface,
+def decode_surface(model: MilpModel, values) -> PeriodAssignment:
+    """Periods used by each course at a point of any model (surface,
     surface2, monolithic or a dive)."""
-    values = _checked_values(model, milp_solution)
+    values = _checked_values(model, values)
     instance: Instance = model.metadata["instance"]
     periods: dict[str, set[int]] = {c.id: set() for c in instance.courses}
     for v, x in zip(model.variables, values):

@@ -207,7 +207,7 @@ def parse_ctt(text: str, weights: tuple[int, int, int, int] | None = None) -> In
     courses: list[Course] = []
     rooms: list[Room] = []
     curricula: list[Curriculum] = []
-    unavailability: list[tuple[str, int]] = []
+    unavailability: set[tuple[str, int]] = set()
     section = None
     seen_end = False
 
@@ -271,6 +271,10 @@ def parse_ctt(text: str, weights: tuple[int, int, int, int] | None = None) -> In
                     raise CttSyntaxError(
                         idx, f"curriculum {fields[0]!r} declares {count} courses"
                         f" but lists {len(members)}")
+                if len(set(members)) != count:
+                    raise CttSemanticError(
+                        f"line {idx}: curriculum {fields[0]!r} lists a course"
+                        f" twice: {line!r}")
                 curricula.append(Curriculum(fields[0], frozenset(members)))
             elif section == "UNAVAILABILITY_CONSTRAINTS":
                 if len(fields) != 3:
@@ -281,7 +285,10 @@ def parse_ctt(text: str, weights: tuple[int, int, int, int] | None = None) -> In
                         and 0 <= period < ppd):
                     raise CttSemanticError(
                         f"line {idx}: day or period out of range: {line!r}")
-                unavailability.append((fields[0], day * ppd + period))
+                if (fields[0], day * ppd + period) in unavailability:
+                    raise CttSemanticError(
+                        f"line {idx}: repeated unavailability: {line!r}")
+                unavailability.add((fields[0], day * ppd + period))
         except CttSyntaxError:
             raise
         except ValueError:

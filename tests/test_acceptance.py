@@ -23,11 +23,11 @@ from cttsolve.cli import main as cli_main
 from cttsolve.control import StrategyConfig, run_strategy
 from cttsolve.evaluation import (PenaltyVector, Solution, check_hard,
                                  count_isolated, evaluate, gap, objective)
-from cttsolve.formulations import (PeriodAssignment, add_clique_cuts,
+from cttsolve.formulations import (DAY_FIXED, PERIOD_FIXED, Neighborhood,
+                                   PeriodAssignment, add_clique_cuts,
                                    add_implied_bound_cuts, add_pattern_cuts,
-                                   all_patterns, build_monolithic,
-                                   build_surface, greedy_clique_cover,
-                                   restrict_day_fixed, restrict_period_fixed)
+                                   all_patterns, build_dive, build_monolithic,
+                                   build_surface, greedy_clique_cover)
 from cttsolve.instance import (WeightVector, build_conflict_graph,
                                instance_stats, parse_ctt, serialize_ctt)
 from cttsolve.solver import branch_and_bound, brute_force_instance
@@ -192,9 +192,10 @@ def test_criterion_4_relaxation_restriction_ordering():
                 > mono.incumbent.objective_value + 1e-9:
             violations += 1
         for basis in _enumerate_surface_feasible(instance):
-            day_r = branch_and_bound(
-                restrict_day_fixed(mono_model, basis))
-            per_r = branch_and_bound(restrict_period_fixed(mono_model, basis))
+            day_r = branch_and_bound(build_dive(
+                mono_model, Neighborhood(DAY_FIXED, basis, 0.0)))
+            per_r = branch_and_bound(build_dive(
+                mono_model, Neighborhood(PERIOD_FIXED, basis, 0.0)))
             bases += 1
             if not (mono.incumbent.objective_value
                     <= day_r.incumbent.objective_value + 1e-9
@@ -226,7 +227,8 @@ def test_criterion_5_dive_feasibility_guarantee():
                 basis.validate(instance)
             except Exception:
                 continue
-            result = branch_and_bound(restrict_period_fixed(mono, basis))
+            result = branch_and_bound(
+                build_dive(mono, Neighborhood(PERIOD_FIXED, basis, 0.0)))
             sampled += 1
             if result.status != "optimal" or result.incumbent is None:
                 infeasible += 1

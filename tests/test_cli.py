@@ -54,6 +54,20 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits, message", [
+        ([("q1 2 c1 c2", "q1 2 c1 c1")], "lists a course twice"),
+        ([("Constraints: 1", "Constraints: 2"),
+          ("c1 0 0\n", "c1 0 0\nc1 0 0\n")], "repeated unavailability"),
+    ], ids=["curriculum", "unavailability"])
+    def test_duplicate_entry_exit_1(self, tmp_path, capsys, edits, message):
+        text = TOY_CTT
+        for old, new in edits:
+            text = text.replace(old, new)
+        path = tmp_path / "dup.ctt"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_file_exit_2(self):
         assert main(["validate", "/nonexistent.ctt"]) == 2
 
@@ -219,6 +233,15 @@ class TestSolve:
         model = parse_mps(mps.read_text())
         assert len(model.variables) > 0
         assert f"{len(model.variables)} variables" in capsys.readouterr().out
+
+    def test_pattern_cuts_on_long_days_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "long.ctt"
+        path.write_text(TOY_CTT.replace("Periods_per_day: 3",
+                                        "Periods_per_day: 7"))
+        assert main(["solve", str(path), "--pattern-cuts"]) == 1
+        captured = capsys.readouterr()
+        assert "at most 6 periods" in captured.err
+        assert captured.out == ""
 
     def test_infeasible_exit_1(self, tmp_path):
         text = """\

@@ -196,6 +196,35 @@ class TestStrategies:
         assert result.status == "optimal"
         assert result.upper_bound == exact.lower_bound
 
+    def test_exact_records_each_incumbent_when_found(self):
+        # one teacher for all six events, so each period holds one; the
+        # search finds a timetable of penalty 2 before the optimum 0
+        instance = make_instance(
+            [("c0", "t1", 1, 1, 10), ("c1", "t1", 2, 1, 10),
+             ("c2", "t1", 3, 1, 30)],
+            [("r1", 40), ("r2", 20)],
+            [("q1", ["c0", "c2"]), ("q2", ["c2", "c1", "c0"])])
+        result = run_strategy(instance, StrategyConfig(strategy="exact"))
+        uppers = [e.value for e in result.history if e.kind == "upper"]
+        assert [e.kind for e in result.history] == (
+            ["upper"] * len(uppers) + ["lower"])
+        assert len(uppers) >= 2
+        assert all(a > b for a, b in zip(uppers, uppers[1:]))
+        assert result.status == "optimal" and result.upper_bound == 0
+
+    @pytest.mark.parametrize("strategy", ["contract", "anytime"])
+    def test_pattern_cuts_need_short_days(self, monkeypatch, strategy):
+        instance = make_instance([("c1", "t1", 1, 1, 5)], [("r1", 9)], [],
+                                 days=1, periods_per_day=7)
+
+        def no_search(model, config):
+            raise AssertionError("searched before rejecting the cuts")
+
+        monkeypatch.setattr(control, "branch_and_bound", no_search)
+        config = StrategyConfig(strategy=strategy, pattern_cuts=True)
+        with pytest.raises(ControlError, match="at most 6 periods"):
+            run_strategy(instance, config)
+
     def test_monolithic_built_at_first_dive(self, tight_instance,
                                             monkeypatch):
         built = []

@@ -7,17 +7,16 @@ import pytest
 from conftest import (encode_solution, make_instance, project_solution,
                       random_tiny_instance)
 from cttsolve.evaluation import Solution, check_hard, count_isolated, evaluate
-from cttsolve.formulations import (DIVE_KINDS, PERIOD_FIXED, FormulationError,
-                                   Neighborhood, PeriodAssignment,
-                                   add_clique_cuts,
+from cttsolve.formulations import (DAY_FIXED, DIVE_KINDS, PERIOD_FIXED,
+                                   FormulationError, Neighborhood,
+                                   PeriodAssignment, add_clique_cuts,
                                    add_implied_bound_cuts, add_pattern_cuts,
                                    all_patterns, build_dive, build_monolithic,
                                    build_surface, build_surface2,
                                    decode_monolithic, decode_surface,
-                                   greedy_clique_cover, restrict_day_fixed,
-                                   restrict_period_fixed)
+                                   greedy_clique_cover)
 from cttsolve.instance import build_conflict_graph, build_multirooms
-from cttsolve.milp import MilpError, MilpSolution
+from cttsolve.milp import MilpError
 from cttsolve.solver import branch_and_bound, brute_force_instance
 from test_evaluation import random_solution
 
@@ -115,8 +114,7 @@ class TestMonolithic:
         model = build_monolithic(instance)
         for solution in feasible_solutions(instance, rng):
             values = encode_solution(instance, model, solution)
-            milp_solution = MilpSolution(values, 0.0, "feasible")
-            assert decode_monolithic(model, milp_solution) == solution
+            assert decode_monolithic(model, values) == solution
 
     def test_decoders_reject_wrong_length(self, toy_instance):
         for model, decode in ((build_monolithic(toy_instance),
@@ -124,12 +122,7 @@ class TestMonolithic:
                               (build_surface(toy_instance), decode_surface)):
             short = np.zeros(len(model.variables) - 1)
             with pytest.raises(FormulationError):
-                decode(model, MilpSolution(short, 0.0, "feasible"))
-
-    def test_decode_rejects_infeasible_status(self, toy_instance):
-        with pytest.raises(FormulationError):
-            decode_monolithic(build_monolithic(toy_instance),
-                              MilpSolution({}, 0.0, "infeasible"))
+                decode(model, short)
 
 
 class TestOccupancy:
@@ -274,7 +267,7 @@ class TestRestrictions:
             "c2": frozenset({4, 5}),
             "c3": frozenset({4, 5}),
         })
-        dive = restrict_period_fixed(model, basis)
+        dive = build_dive(model, Neighborhood(PERIOD_FIXED, basis, 0.0))
         fixed = [c for c in dive.constraints if c.origin == "period-fix"]
         assert len(fixed) == 6 * 3
         one = next(c for c in dive.constraints
@@ -287,8 +280,8 @@ class TestRestrictions:
     def test_invalid_basis_rejected(self, toy_instance):
         model = build_monolithic(toy_instance).freeze()
         with pytest.raises(FormulationError):
-            restrict_period_fixed(
-                model, PeriodAssignment({"c1": frozenset({1})}))
+            build_dive(model, Neighborhood(
+                PERIOD_FIXED, PeriodAssignment({"c1": frozenset({1})}), 0.0))
 
     def test_monotone_restriction_chain(self):
         rng = random.Random(59)
@@ -302,9 +295,9 @@ class TestRestrictions:
             for solution in feasible_solutions(instance, rng, want=2):
                 basis = project_solution(solution)
                 period_dive = branch_and_bound(
-                    restrict_period_fixed(mono, basis))
+                    build_dive(mono, Neighborhood(PERIOD_FIXED, basis, 0.0)))
                 day_dive = branch_and_bound(
-                    restrict_day_fixed(mono, basis))
+                    build_dive(mono, Neighborhood(DAY_FIXED, basis, 0.0)))
                 assert period_dive.status == "optimal"
                 assert day_dive.status == "optimal"
                 assert full.incumbent.objective_value \
@@ -316,13 +309,13 @@ class TestRestrictions:
     def test_day_counts_validated(self, toy_instance):
         mono = build_monolithic(toy_instance).freeze()
         with pytest.raises(FormulationError):
-            restrict_day_fixed(
-                mono, PeriodAssignment({"c1": frozenset({1})}))
+            build_dive(mono, Neighborhood(
+                DAY_FIXED, PeriodAssignment({"c1": frozenset({1})}), 0.0))
         clash = PeriodAssignment({"c1": frozenset({1, 2, 3}),
                                   "c2": frozenset({3, 4}),
                                   "c3": frozenset({4, 5})})
         with pytest.raises(FormulationError):  # curriculum q1 at period 3
-            restrict_day_fixed(mono, clash)
+            build_dive(mono, Neighborhood(DAY_FIXED, clash, 0.0))
 
     def test_day_fix_counts_events_per_day(self, toy_instance):
         mono = build_monolithic(toy_instance).freeze()
@@ -331,7 +324,7 @@ class TestRestrictions:
             "c2": frozenset({4, 5}),
             "c3": frozenset({0, 4}),
         })
-        dive = restrict_day_fixed(mono, basis)
+        dive = build_dive(mono, Neighborhood(DAY_FIXED, basis, 0.0))
         rhs = {c.name: c.rhs for c in dive.constraints
                if c.origin == "day-fix"}
         assert rhs == {"day_fix[c1,0]": 2.0, "day_fix[c1,1]": 1.0,
@@ -365,7 +358,7 @@ class TestDecoders:
             "c3": ((4, "rB"), (5, "rB")),
         })
         values = encode_solution(toy_instance, model, solution)
-        basis = decode_surface(model, MilpSolution(values, 0.0, "feasible"))
+        basis = decode_surface(model, values)
         assert basis == project_solution(solution)
 
     def test_decode_surface_rejects_fractional(self, toy_instance):
@@ -373,7 +366,7 @@ class TestDecoders:
         values = np.zeros(len(model.variables))
         values[model.by_tag(("times", 1, "c1"))] = 0.5
         with pytest.raises(FormulationError):
-            decode_surface(model, MilpSolution(values, 0.0, "feasible"))
+            decode_surface(model, values)
 
 
 class TestCliqueCuts:

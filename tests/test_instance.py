@@ -69,6 +69,19 @@ class TestParsing:
         with pytest.raises(CttSemanticError, match=f"line 22: .*{entry}"):
             parse_ctt(TOY_CTT.replace("c1 0 0", entry))
 
+    def test_curriculum_lists_course_twice(self):
+        with pytest.raises(CttSemanticError,
+                           match="line 19: .*twice: 'q1 2 c1 c1'"):
+            parse_ctt(TOY_CTT.replace("q1 2 c1 c2", "q1 2 c1 c1"))
+
+    def test_repeated_unavailability(self):
+        # the header counts both lines, so only the repeat itself is wrong
+        text = TOY_CTT.replace("c1 0 0\n", "c1 0 0\nc1 0 0\n")
+        text = text.replace("Constraints: 1", "Constraints: 2")
+        with pytest.raises(CttSemanticError,
+                           match="line 23: repeated unavailability: 'c1 0 0'"):
+            parse_ctt(text)
+
     def test_truncated_file_is_syntax_error(self):
         with pytest.raises(CttSyntaxError) as err:
             parse_ctt(TOY_CTT.replace("END.\n", ""))
