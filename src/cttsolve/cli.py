@@ -195,8 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface-nodes", type=int, default=None)
     p.add_argument("--dive-nodes", type=int, default=None)
     p.add_argument("--pattern-cuts", action="store_true",
-                   help="add pattern-enumeration cuts to the surface (days"
-                        f" of at most {PATTERN_CUT_MAX_PERIODS} periods)")
+                   help="add pattern-enumeration cuts to the searched model:"
+                        " the surface, or the monolithic model with"
+                        f" --strategy exact (days of at most"
+                        f" {PATTERN_CUT_MAX_PERIODS} periods)")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None,
                    help="write the best timetable to this file")

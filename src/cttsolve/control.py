@@ -213,25 +213,22 @@ def order_dives(neighborhoods: list[Neighborhood],
 
 
 def _prepare_surface(instance: Instance, config: StrategyConfig):
-    if (config.pattern_cuts
-            and instance.periods_per_day > PATTERN_CUT_MAX_PERIODS):
-        raise ControlError(f"pattern cuts need days of at most"
-                           f" {PATTERN_CUT_MAX_PERIODS} periods")
     if config.surface_model == "surface":
         model = build_surface(instance)
     else:
         model = build_surface2(instance)
-    _add_static_cuts(instance, model)
-    if config.pattern_cuts:
-        add_pattern_cuts(model)
+    _add_cuts(instance, model, config)
     return model.freeze()
 
 
-def _add_static_cuts(instance: Instance, model) -> None:
-    """Clique-cover rows, then implied-bound rows."""
+def _add_cuts(instance: Instance, model, config: StrategyConfig) -> None:
+    """Clique-cover rows, then implied-bound rows, then pattern rows if the
+    run asks for them."""
     graph = build_conflict_graph(instance)
     add_clique_cuts(model, greedy_clique_cover(graph), graph)
     add_implied_bound_cuts(model)
+    if config.pattern_cuts:
+        add_pattern_cuts(model)
 
 
 def _budget(limit_time, limit_nodes, deadline, **extra) -> SolveConfig:
@@ -288,6 +285,10 @@ def run_strategy(instance: Instance,
     # a total time makes the run timed, so the ledger has a start time
     deadline = (ledger.started + config.total_time
                 if config.total_time is not None else None)
+    if (config.pattern_cuts
+            and instance.periods_per_day > PATTERN_CUT_MAX_PERIODS):
+        raise ControlError(f"pattern cuts need days of at most"
+                           f" {PATTERN_CUT_MAX_PERIODS} periods")
 
     if config.strategy == "exact":
         return _run_exact(instance, config, ledger, deadline)
@@ -347,7 +348,7 @@ def _final_status(ledger: BoundsLedger, result: SolveResult) -> str:
 def _run_exact(instance: Instance, config: StrategyConfig,
                ledger: BoundsLedger, deadline) -> RunReport:
     model = build_monolithic(instance)
-    _add_static_cuts(instance, model)
+    _add_cuts(instance, model, config)
     model.freeze()
     result = branch_and_bound(model, _budget(
         config.total_time, config.surface_nodes, deadline,

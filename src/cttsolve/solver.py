@@ -8,9 +8,12 @@ not be shared between threads.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -18,18 +21,53 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-# scipy's bundled HiGHS bindings are private; tests/test_solver.py
-# cross-checks them against the public scipy.optimize.linprog
-from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus,
-                                           HighsOptions, HighsStatus,
-                                           MatrixFormat, _Highs,
-                                           simplex_constants)
 
 from . import evaluation
 from .instance import Instance
 from .milp import (FEAS_TOL, MilpModel, MilpSolution, export_mps,
                    import_solution)
+
+
+def _load_highs_core():
+    """scipy's bundled HiGHS bindings, loaded from scipy's directory.
+
+    ``import scipy.optimize._highspy._core`` would first run
+    ``scipy.optimize``'s ``__init__``, which loads ``scipy.sparse``,
+    ``scipy.linalg`` and ``scipy.fft`` and would more than triple this
+    package's import time.  The module keeps its own name in
+    ``sys.modules``, so it and ``scipy.optimize``, imported in either
+    order, share one copy: pybind11 registers each HiGHS type once per
+    process.  The bindings are private; tests/test_solver.py cross-checks
+    them against the public ``scipy.optimize.linprog``.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed", name="scipy")
+    where = Path(scipy_spec.submodule_search_locations[0],
+                 "optimize", "_highspy")
+    spec = importlib.machinery.FileFinder(
+        str(where), (importlib.machinery.ExtensionFileLoader,
+                     importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no HiGHS bindings {where / '_core'}.*",
+                          name=name, path=str(where))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_core = _load_highs_core()
+HighsLp = _core.HighsLp
+HighsModelStatus = _core.HighsModelStatus
+HighsOptions = _core.HighsOptions
+HighsStatus = _core.HighsStatus
+MatrixFormat = _core.MatrixFormat
+_Highs = _core._Highs
+simplex_constants = _core.simplex_constants
 
 # linprog's result check: a point may leave its bounds or rows by at most
 # 10 * sqrt(tol), with linprog's default tol of 1e-9
@@ -132,20 +170,28 @@ class _Arrays:
             self.row_upper[r] = sign * con.rhs
             if con.sense == "=":
                 self.row_lower[r] = con.rhs
-        a = sparse.csc_array((data, (ri, ci)), shape=(len(rows), n))
+        # column-wise, rows ascending within each column, explicit zeros
+        # kept: the layout scipy.sparse.csc_array gives these triplets, as
+        # each row's terms name each column once (MilpModel merges them)
+        ri = np.array(ri, dtype=np.int32)
+        ci = np.array(ci, dtype=np.int32)
+        order = np.lexsort((ri, ci))
+        start = np.concatenate(([0], np.cumsum(np.bincount(ci, minlength=n))))
 
         lp = HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
         lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
         lp.a_matrix_.format_ = MatrixFormat.kColwise
-        lp.a_matrix_.start_ = a.indptr
-        lp.a_matrix_.index_ = a.indices
-        lp.a_matrix_.value_ = a.data
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = ri[order]
+        lp.a_matrix_.value_ = np.array(data)[order]
         lp.col_cost_ = self.c
         lp.col_lower_ = self.lo
         lp.col_upper_ = self.hi
         lp.row_lower_ = self.row_lower
         lp.row_upper_ = self.row_upper
+        # the LP as handed to HiGHS, whose own copy drops explicit zeros
+        self.lp = lp
         self.highs = _Highs()
         self.highs.passOptions(_HIGHS_OPTIONS)
         # a rejected model would leave HiGHS to solve an empty one

@@ -212,7 +212,7 @@ class TestStrategies:
         assert all(a > b for a, b in zip(uppers, uppers[1:]))
         assert result.status == "optimal" and result.upper_bound == 0
 
-    @pytest.mark.parametrize("strategy", ["contract", "anytime"])
+    @pytest.mark.parametrize("strategy", ["exact", "contract", "anytime"])
     def test_pattern_cuts_need_short_days(self, monkeypatch, strategy):
         instance = make_instance([("c1", "t1", 1, 1, 5)], [("r1", 9)], [],
                                  days=1, periods_per_day=7)
@@ -224,6 +224,21 @@ class TestStrategies:
         config = StrategyConfig(strategy=strategy, pattern_cuts=True)
         with pytest.raises(ControlError, match="at most 6 periods"):
             run_strategy(instance, config)
+
+    def test_exact_adds_pattern_cuts(self, tight_instance, monkeypatch):
+        calls = []
+        real = control.add_pattern_cuts
+
+        def counting(model):
+            calls.append(model.name)
+            return real(model)
+
+        monkeypatch.setattr(control, "add_pattern_cuts", counting)
+        optimum = brute_force_instance(tight_instance).lower_bound
+        result = run_strategy(tight_instance, StrategyConfig(
+            strategy="exact", pattern_cuts=True))
+        assert len(calls) == 1
+        assert result.lower_bound <= optimum <= result.upper_bound
 
     def test_monolithic_built_at_first_dive(self, tight_instance,
                                             monkeypatch):

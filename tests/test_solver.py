@@ -13,8 +13,9 @@ from scipy import sparse
 import cttsolve
 from conftest import random_tiny_instance
 from cttsolve import solver
-from cttsolve.formulations import (build_monolithic, build_surface,
-                                   build_surface2)
+from cttsolve.formulations import (DIVE_KINDS, Neighborhood, build_dive,
+                                   build_monolithic, build_surface,
+                                   build_surface2, decode_surface)
 from cttsolve.milp import MilpModel
 from cttsolve.solver import (AdapterConfig, ExternalSolverError,
                              SearchSpaceError, SolveConfig, SolverError,
@@ -230,6 +231,54 @@ class TestPublicLinprogCrossCheck:
             else:
                 assert abs(value - expected) <= 1e-9 * max(1.0, abs(value))
         assert roots == searched
+
+
+class TestAssembly:
+    """``_Arrays`` lays out its matrix with numpy; it must hand HiGHS the
+    very arrays ``scipy.sparse.csc_array`` gives the rows linprog takes,
+    or the LPs, and with them every search, would change."""
+
+    @staticmethod
+    def assert_csc_layout(model):
+        rows = linprog_arrays(model)
+        expected = sparse.csc_array(sparse.vstack((rows["A_ub"],
+                                                   rows["A_eq"])))
+        matrix = _Arrays(model).lp.a_matrix_
+        assert np.array_equal(matrix.start_, expected.indptr)
+        assert np.array_equal(matrix.index_, expected.indices)
+        # bytes, so a -0.0 for a 0.0 shows too
+        assert (np.array(matrix.value_, dtype=float).tobytes()
+                == expected.data.tobytes())
+        return expected
+
+    def test_tiny_corpus_models(self):
+        rng = random.Random(23)
+        dives = 0
+        for _ in range(6):
+            instance = random_tiny_instance(rng)
+            surface = build_surface(instance)
+            mono = build_monolithic(instance).freeze()
+            for model in (surface, mono, build_surface2(instance)):
+                self.assert_csc_layout(model)
+            result = branch_and_bound(surface.freeze())
+            if result.incumbent is None:
+                continue
+            basis = decode_surface(surface, result.incumbent.values)
+            for kind in DIVE_KINDS:
+                self.assert_csc_layout(
+                    build_dive(mono, Neighborhood(kind, basis, 0.0)))
+                dives += 1
+        assert dives > 0
+
+    def test_explicit_zeros_kept(self):
+        model = MilpModel("zeros")
+        for name in "xyz":
+            model.add_variable(name, "integer", 0, 3)
+        model.add_constraint("le", [(0.0, "x"), (1.0, "y")], "<=", 2)
+        model.add_constraint("eq", [(0.0, "y"), (1.0, "z")], "=", 1)
+        model.add_constraint("ge", [(2.0, "z"), (0.0, "x")], ">=", 1)
+        expected = self.assert_csc_layout(model)
+        assert expected.nnz == 6 and (expected.data == 0.0).sum() == 3
 
 
 class TestBranchAndBound:
