@@ -2,9 +2,10 @@
 """Sweep a corpus of random tiny instances and cross-check the solvers.
 
 For each generated instance the script runs exhaustive enumeration, the
-built-in branch-and-bound (via the exact strategy), and the contract
-strategy, then prints one table row per instance.  Any disagreement between
-the exact routes, or a contract bound that fails to bracket the optimum, is
+built-in branch-and-bound (via the exact strategy), and the contract and
+anytime strategies, then prints one table row per instance (C and A are the
+contract and anytime bounds).  Any disagreement between the exact routes,
+or a contract or anytime bound that fails to bracket the optimum, is
 reported and makes the script exit non-zero.
 
 The instances come from `random_tiny_instance` in the test suite's
@@ -40,6 +41,10 @@ def load_generator():
     return module.random_tiny_instance
 
 
+def _bound(value: float | None) -> str:
+    return "--" if value is None else f"{value:g}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=25,
@@ -51,8 +56,8 @@ def main() -> int:
     random_tiny_instance = load_generator()
     rng = random.Random(args.seed)
     header = (f"{'#':>3}  {'crs':>3} {'rms':>3} {'slots':>5}  "
-              f"{'brute':>7}  {'exact':>7}  {'LB':>7}  {'UB':>7}  "
-              f"{'secs':>6}  verdict")
+              f"{'brute':>7}  {'exact':>7}  {'C LB':>7}  {'C UB':>7}  "
+              f"{'A LB':>7}  {'A UB':>7}  {'secs':>6}  verdict")
     print(header)
     print("-" * len(header))
 
@@ -63,33 +68,32 @@ def main() -> int:
 
         brute = brute_force_instance(instance)
         exact = run_strategy(instance, StrategyConfig(strategy="exact"))
-        contract = run_strategy(instance, StrategyConfig(strategy="contract"))
+        pipelines = [run_strategy(instance, StrategyConfig(strategy=s))
+                     for s in ("contract", "anytime")]
         elapsed = time.perf_counter() - started
 
         if brute.status == "infeasible":
-            ok = (exact.status == "infeasible"
-                  and contract.status == "infeasible")
-            brute_txt = exact_txt = lb = ub = "--"
+            ok = all(r.status == "infeasible" for r in [exact, *pipelines])
+            brute_txt = exact_txt = "--"
         else:
             optimum = brute.lower_bound
             ok = (exact.status == "optimal"
                   and exact.upper_bound == optimum
-                  and contract.lower_bound is not None
-                  and contract.lower_bound <= optimum + 1e-9
-                  and (contract.upper_bound is None
-                       or contract.upper_bound >= optimum - 1e-9))
+                  and all(r.lower_bound is not None
+                          and r.lower_bound <= optimum + 1e-9
+                          and (r.upper_bound is None
+                               or r.upper_bound >= optimum - 1e-9)
+                          for r in pipelines))
             brute_txt = f"{optimum:g}"
             exact_txt = f"{exact.upper_bound:g}"
-            lb = ("--" if contract.lower_bound is None
-                  else f"{contract.lower_bound:g}")
-            ub = ("--" if contract.upper_bound is None
-                  else f"{contract.upper_bound:g}")
+        bounds = "".join(f"{_bound(r.lower_bound):>7}  "
+                         f"{_bound(r.upper_bound):>7}  " for r in pipelines)
 
         verdict = "ok" if ok else "MISMATCH"
         failures += 0 if ok else 1
         print(f"{i:>3}  {len(instance.courses):>3} {len(instance.rooms):>3} "
               f"{instance.periods:>5}  {brute_txt:>7}  {exact_txt:>7}  "
-              f"{lb:>7}  {ub:>7}  {elapsed:>6.2f}  {verdict}")
+              f"{bounds}{elapsed:>6.2f}  {verdict}")
 
     print(f"\n{args.count - failures}/{args.count} instances agree")
     return 1 if failures else 0

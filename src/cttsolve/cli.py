@@ -15,8 +15,7 @@ from .control import (PATTERN_CUT_MAX_PERIODS, STRATEGIES, ControlError,
                       StrategyConfig, run_strategy)
 from .evaluation import (check_hard, format_solution, objective,
                          parse_solution, penalties)
-from .formulations import (DIVE_KINDS, build_monolithic, build_surface,
-                           build_surface2)
+from .formulations import build_monolithic, build_surface, build_surface2
 from .instance import (CttError, CttSemanticError, CttSyntaxError,
                        instance_stats, parse_ctt)
 from .milp import MilpError, export_mps, format_values, parse_mps
@@ -109,7 +108,6 @@ def cmd_solve(args) -> int:
     config = StrategyConfig(
         strategy=args.strategy,
         surface_model=args.surface_model,
-        dive_kinds=tuple(args.dive_kinds),
         surface_time=args.surface_time,
         per_dive_time=args.per_dive_time,
         total_time=args.total_time,
@@ -187,13 +185,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="contract", choices=STRATEGIES)
     p.add_argument("--surface-model", default="surface",
                    choices=("surface", "surface2"))
-    p.add_argument("--dive-kinds", nargs="+", default=list(DIVE_KINDS),
-                   choices=list(DIVE_KINDS))
-    p.add_argument("--surface-time", type=float, default=None)
-    p.add_argument("--per-dive-time", type=float, default=None)
-    p.add_argument("--total-time", type=float, default=None)
-    p.add_argument("--surface-nodes", type=int, default=None)
-    p.add_argument("--dive-nodes", type=int, default=None)
+    p.add_argument("--surface-time", type=float, default=None,
+                   help="seconds for the surface search of contract and"
+                        " anytime (anytime's dives run inside it); without"
+                        " it the surface may use all of --total-time and"
+                        " leave no time to dive")
+    p.add_argument("--per-dive-time", type=float, default=None,
+                   help="seconds for each dive")
+    p.add_argument("--total-time", type=float, default=None,
+                   help="seconds for the whole run: every search stops at"
+                        " it and no dive starts after it; with --strategy"
+                        " exact, the exact search's time limit")
+    p.add_argument("--surface-nodes", type=int, default=None,
+                   help="node limit of the surface search, or with"
+                        " --strategy exact of the exact search")
+    p.add_argument("--dive-nodes", type=int, default=None,
+                   help="node limit of each dive")
     p.add_argument("--pattern-cuts", action="store_true",
                    help="add pattern-enumeration cuts to the searched model:"
                         " the surface, or the monolithic model with"

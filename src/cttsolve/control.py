@@ -4,7 +4,8 @@ timetables and upper bounds.
 
 The contract strategy runs the surface to its budget first and dives
 afterwards; the anytime strategy dives as soon as the surface finds each
-improving assignment.  All bound movements go through a monotonic ledger.
+improving assignment.  The exact strategy searches the monolithic model
+alone.  All bound movements go through a monotonic ledger.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import time
 from dataclasses import asdict, dataclass
 
 from .evaluation import Solution, check_hard, evaluate, gap, penalties
-from .formulations import (DIVE_KINDS, Neighborhood, PeriodAssignment,
-                           add_clique_cuts, add_implied_bound_cuts,
-                           add_pattern_cuts, build_dive, build_monolithic,
-                           build_surface, build_surface2, decode_monolithic,
-                           decode_surface, greedy_clique_cover)
+from .formulations import (DIVE_KINDS, PeriodAssignment, add_clique_cuts,
+                           add_implied_bound_cuts, add_pattern_cuts,
+                           build_dive, build_monolithic, build_surface,
+                           build_surface2, decode_monolithic, decode_surface,
+                           greedy_clique_cover)
 from .instance import Instance, build_conflict_graph
 from .milp import FEAS_TOL
 from .solver import SolveConfig, SolveResult, branch_and_bound
@@ -39,7 +40,6 @@ class ControlError(Exception):
 class StrategyConfig:
     strategy: str = "contract"
     surface_model: str = "surface"  # "surface" | "surface2"
-    dive_kinds: tuple[str, ...] = DIVE_KINDS
     # budgets; node budgets keep runs deterministic, time budgets do not
     surface_time: float | None = None
     per_dive_time: float | None = None
@@ -53,11 +53,6 @@ class StrategyConfig:
             raise ControlError(f"unknown strategy {self.strategy!r}")
         if self.surface_model not in ("surface", "surface2"):
             raise ControlError(f"unknown surface model {self.surface_model!r}")
-        if not self.dive_kinds and self.strategy != "exact":
-            raise ControlError("dive sequence must be non-empty")
-        for kind in self.dive_kinds:
-            if kind not in DIVE_KINDS:
-                raise ControlError(f"unknown dive kind {kind!r}")
         for name in ("surface_time", "per_dive_time", "total_time"):
             value = getattr(self, name)
             if value is not None and not value > 0:
@@ -202,25 +197,6 @@ def solution_from_payload(payload: dict | None) -> Solution | None:
                      for cid, pairs in payload.items()})
 
 
-def order_dives(neighborhoods: list[Neighborhood],
-                kind_order: tuple[str, ...]) -> list[Neighborhood]:
-    """Dive kinds in configured order; within a kind, better (lower) surface
-    objectives first, then later discoveries first."""
-    rank = {kind: i for i, kind in enumerate(kind_order)}
-    return sorted(neighborhoods,
-                  key=lambda n: (rank[n.kind], n.source_objective,
-                                 -n.discovery_index))
-
-
-def _prepare_surface(instance: Instance, config: StrategyConfig):
-    if config.surface_model == "surface":
-        model = build_surface(instance)
-    else:
-        model = build_surface2(instance)
-    _add_cuts(instance, model, config)
-    return model.freeze()
-
-
 def _add_cuts(instance: Instance, model, config: StrategyConfig) -> None:
     """Clique-cover rows, then implied-bound rows, then pattern rows if the
     run asks for them."""
@@ -239,10 +215,6 @@ def _budget(limit_time, limit_nodes, deadline, **extra) -> SolveConfig:
     return SolveConfig(time_limit=limit_time, node_limit=limit_nodes, **extra)
 
 
-def _expired(deadline) -> bool:
-    return deadline is not None and time.monotonic() >= deadline
-
-
 def _recorder(instance: Instance, model, ledger: BoundsLedger, source: str,
               objectives: list[float]):
     """``on_incumbent`` hook of a full-formulation search: decode each
@@ -259,21 +231,22 @@ def _recorder(instance: Instance, model, ledger: BoundsLedger, source: str,
     return record
 
 
-def _run_dive(instance: Instance, monolithic, neighborhood: Neighborhood,
+def _run_dive(instance: Instance, monolithic, kind: str,
+              basis: PeriodAssignment, objective: float, index: int,
               ledger: BoundsLedger, config: StrategyConfig,
               deadline) -> DiveRecord:
-    """`monolithic` returns the frozen monolithic model the dive restricts."""
-    model = build_dive(monolithic(), neighborhood)
+    """Dive of one kind from the surface's `index`-th incumbent, of value
+    `objective`; `monolithic` returns the frozen model the dive restricts."""
+    model = build_dive(monolithic(), kind, basis)
     add_implied_bound_cuts(model)
     model.freeze()
     cutoff = ledger.upper if math.isfinite(ledger.upper) else None
     objectives: list[float] = []
     result = branch_and_bound(model, _budget(
         config.per_dive_time, config.dive_nodes, deadline, cutoff=cutoff,
-        on_incumbent=_recorder(instance, model, ledger,
-                               f"dive:{neighborhood.kind}", objectives)))
-    return DiveRecord(neighborhood.kind, neighborhood.source_objective,
-                      neighborhood.discovery_index, result.status,
+        on_incumbent=_recorder(instance, model, ledger, f"dive:{kind}",
+                               objectives)))
+    return DiveRecord(kind, objective, index, result.status,
                       objectives[-1] if objectives else None,
                       result.nodes_explored)
 
@@ -290,47 +263,50 @@ def run_strategy(instance: Instance,
         raise ControlError(f"pattern cuts need days of at most"
                            f" {PATTERN_CUT_MAX_PERIODS} periods")
 
-    if config.strategy == "exact":
-        return _run_exact(instance, config, ledger, deadline)
-
     # built at the first dive: a surface that yields no source needs none
     monolithic = functools.cache(
         lambda: build_monolithic(instance).freeze())
-    surface = _prepare_surface(instance, config)
     sources: list[tuple[PeriodAssignment, float]] = []
     dives: list[DiveRecord] = []
 
+    def dive(kind: str, index: int) -> None:
+        if deadline is None or time.monotonic() < deadline:
+            dives.append(_run_dive(instance, monolithic, kind,
+                                   *sources[index], index, ledger, config,
+                                   deadline))
+
     def harvest(values, objective: float) -> None:
-        basis = decode_surface(surface, values)
-        sources.append((basis, objective))
+        sources.append((decode_surface(model, values), objective))
         if config.strategy == "anytime":
-            for kind in config.dive_kinds:
-                if _expired(deadline):
-                    break
-                neighborhood = Neighborhood(kind, basis, objective,
-                                            len(sources) - 1)
-                dives.append(_run_dive(instance, monolithic, neighborhood,
-                                       ledger, config, deadline))
+            for kind in DIVE_KINDS:
+                dive(kind, len(sources) - 1)
 
-    surface_config = _budget(config.surface_time, config.surface_nodes,
-                             deadline, on_incumbent=harvest)
-    surface_result = branch_and_bound(surface, surface_config)
-    if math.isfinite(surface_result.lower_bound):
-        ledger.record_lower(surface_result.lower_bound, "surface")
+    if config.strategy == "exact":
+        model = build_monolithic(instance)
+        time_limit, source = config.total_time, "exact"
+        on_incumbent = _recorder(instance, model, ledger, source, [])
+    else:
+        model = (build_surface(instance) if config.surface_model == "surface"
+                 else build_surface2(instance))
+        time_limit, source = config.surface_time, "surface"
+        on_incumbent = harvest
+    _add_cuts(instance, model, config)
+    model.freeze()
+    result = branch_and_bound(model, _budget(
+        time_limit, config.surface_nodes, deadline,
+        on_incumbent=on_incumbent))
+    # the surface relaxes the full problem and the exact model is the whole
+    # problem, so either bound is a global one
+    if math.isfinite(result.lower_bound):
+        ledger.record_lower(result.lower_bound, source)
 
+    # each incumbent beats the one before, so the newest source is the best
     if config.strategy == "contract":
-        neighborhoods = [
-            Neighborhood(kind, basis, objective, i)
-            for i, (basis, objective) in enumerate(sources)
-            for kind in config.dive_kinds]
-        for neighborhood in order_dives(neighborhoods, config.dive_kinds):
-            if _expired(deadline):
-                break
-            dives.append(_run_dive(instance, monolithic, neighborhood,
-                                   ledger, config, deadline))
+        for kind in DIVE_KINDS:
+            for index in reversed(range(len(sources))):
+                dive(kind, index)
 
-    status = _final_status(ledger, surface_result)
-    return _report(instance, config, ledger, status, surface_result, dives)
+    return _report(instance, config, ledger, result, dives)
 
 
 def _final_status(ledger: BoundsLedger, result: SolveResult) -> str:
@@ -345,37 +321,21 @@ def _final_status(ledger: BoundsLedger, result: SolveResult) -> str:
     return "feasible"
 
 
-def _run_exact(instance: Instance, config: StrategyConfig,
-               ledger: BoundsLedger, deadline) -> RunReport:
-    model = build_monolithic(instance)
-    _add_cuts(instance, model, config)
-    model.freeze()
-    result = branch_and_bound(model, _budget(
-        config.total_time, config.surface_nodes, deadline,
-        on_incumbent=_recorder(instance, model, ledger, "exact", [])))
-    # the model is the whole problem, so its bound is a global one
-    if math.isfinite(result.lower_bound):
-        ledger.record_lower(result.lower_bound, "exact")
-    return _report(instance, config, ledger, _final_status(ledger, result),
-                   result, [])
-
-
 def _report(instance: Instance, config: StrategyConfig, ledger: BoundsLedger,
-            status: str, surface_result: SolveResult,
-            dives: list[DiveRecord]) -> RunReport:
+            result: SolveResult, dives: list[DiveRecord]) -> RunReport:
     best = ledger.best_solution
     return RunReport(
         instance=instance.name,
         strategy=config.strategy,
-        status=status,
+        status=_final_status(ledger, result),
         lower_bound=ledger.lower if math.isfinite(ledger.lower) else None,
         upper_bound=ledger.upper if math.isfinite(ledger.upper) else None,
         gap=ledger.gap(),
         penalties=(penalties(instance, best).as_tuple()
                    if best is not None else None),
         solution=_solution_payload(best),
-        surface_status=surface_result.status,
-        surface_nodes=surface_result.nodes_explored,
+        surface_status=result.status,
+        surface_nodes=result.nodes_explored,
         dives=dives,
         history=list(ledger.history),
         started=ledger.started,

@@ -51,20 +51,6 @@ class PeriodAssignment:
             raise FormulationError(violations[0].detail)
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """A dive of one kind around a surface solution's period assignment."""
-
-    kind: str
-    basis: PeriodAssignment
-    source_objective: float
-    discovery_index: int = 0
-
-    def __post_init__(self):
-        if self.kind not in DIVE_KINDS:
-            raise FormulationError(f"unknown dive kind {self.kind!r}")
-
-
 # -- variables by tag ---------------------------------------------------------
 #
 # Every model has one binary occupancy variable ("times", p, c) per (period,
@@ -302,14 +288,15 @@ def build_surface(instance: Instance) -> MilpModel:
 
 # -- restrictions (dives) -----------------------------------------------------
 
-def build_dive(monolithic: MilpModel, neighborhood: Neighborhood) -> MilpModel:
-    """The monolithic model restricted around the neighborhood's basis: a
-    period-fixed dive fixes every occupancy variable to the basis, a
-    day-fixed dive fixes only each course's number of events on each day."""
+def build_dive(monolithic: MilpModel, kind: str,
+               basis: PeriodAssignment) -> MilpModel:
+    """The monolithic model restricted around the basis, a surface
+    solution's period assignment: a period-fixed dive fixes every occupancy
+    variable to it, a day-fixed dive only each course's events per day."""
+    if kind not in DIVE_KINDS:
+        raise FormulationError(f"unknown dive kind {kind!r}")
     instance: Instance = monolithic.metadata["instance"]
-    basis = neighborhood.basis
     basis.validate(instance)
-    kind = neighborhood.kind
     # the name is the MPS NAME too
     suffix = "day-plain" if kind == DAY_FIXED else kind
     model = monolithic.copy(name=f"{monolithic.name}+{suffix}")

@@ -23,11 +23,11 @@ from cttsolve.cli import main as cli_main
 from cttsolve.control import StrategyConfig, run_strategy
 from cttsolve.evaluation import (PenaltyVector, Solution, check_hard,
                                  count_isolated, evaluate, gap, objective)
-from cttsolve.formulations import (DAY_FIXED, PERIOD_FIXED, Neighborhood,
-                                   PeriodAssignment, add_clique_cuts,
-                                   add_implied_bound_cuts, add_pattern_cuts,
-                                   all_patterns, build_dive, build_monolithic,
-                                   build_surface, greedy_clique_cover)
+from cttsolve.formulations import (DAY_FIXED, PERIOD_FIXED, PeriodAssignment,
+                                   add_clique_cuts, add_implied_bound_cuts,
+                                   add_pattern_cuts, all_patterns, build_dive,
+                                   build_monolithic, build_surface,
+                                   greedy_clique_cover)
 from cttsolve.instance import (WeightVector, build_conflict_graph,
                                instance_stats, parse_ctt, serialize_ctt)
 from cttsolve.solver import branch_and_bound, brute_force_instance
@@ -193,9 +193,9 @@ def test_criterion_4_relaxation_restriction_ordering():
             violations += 1
         for basis in _enumerate_surface_feasible(instance):
             day_r = branch_and_bound(build_dive(
-                mono_model, Neighborhood(DAY_FIXED, basis, 0.0)))
+                mono_model, DAY_FIXED, basis))
             per_r = branch_and_bound(build_dive(
-                mono_model, Neighborhood(PERIOD_FIXED, basis, 0.0)))
+                mono_model, PERIOD_FIXED, basis))
             bases += 1
             if not (mono.incumbent.objective_value
                     <= day_r.incumbent.objective_value + 1e-9
@@ -228,7 +228,7 @@ def test_criterion_5_dive_feasibility_guarantee():
             except Exception:
                 continue
             result = branch_and_bound(
-                build_dive(mono, Neighborhood(PERIOD_FIXED, basis, 0.0)))
+                build_dive(mono, PERIOD_FIXED, basis))
             sampled += 1
             if result.status != "optimal" or result.incumbent is None:
                 infeasible += 1
@@ -290,15 +290,16 @@ def test_criterion_7_end_to_end_sanity():
     comp01 = directory / "comp01.ctt" if directory else None
     if comp01 is not None and comp01.exists():
         instance = parse_ctt(comp01.read_text())
+        # both dive kinds run, so the total budget keeps the run bounded
         config = StrategyConfig(strategy="contract", surface_time=600.0,
                                 per_dive_time=180.0,
-                                dive_kinds=("period-fixed",))
-        detail = "comp01 with 600s surface + 180s period-fixed dive"
+                                total_time=600.0 + 2 * 180.0)
+        detail = ("comp01 with 600s surface + 180s per dive,"
+                  " 960s in total")
     else:
         instance = parse_ctt(TIGHT_CTT)
         config = StrategyConfig(strategy="contract", surface_time=5.0,
-                                per_dive_time=2.0, total_time=10.0,
-                                dive_kinds=("period-fixed",))
+                                per_dive_time=2.0, total_time=10.0)
         detail = ("DEGRADED: comp01.ctt unavailable; contract strategy run"
                   " on a synthetic instance with scaled budgets instead"
                   " (set CTT_INSTANCE_DIR to enable the full check)")

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import TIGHT_CTT, TOY_CTT
 from cttsolve.cli import main
+from cttsolve.formulations import DIVE_KINDS
 from cttsolve.milp import parse_mps
 
 FEASIBLE_TOY_SOLUTION = """\
@@ -221,12 +222,11 @@ class TestSolve:
 
     def test_surface_and_dive_flags(self, tight_path, tmp_path, capsys):
         assert main(["solve", tight_path, "--surface-model", "surface2",
-                     "--pattern-cuts", "--dive-kinds", "day-fixed",
-                     "--json"]) == 0
+                     "--pattern-cuts", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "optimal"
         assert payload["upper_bound"] == 14  # the brute-force optimum
-        assert {d["kind"] for d in payload["dives"]} == {"day-fixed"}
+        assert {d["kind"] for d in payload["dives"]} == set(DIVE_KINDS)
         mps = tmp_path / "surface2.mps"
         assert main(["build", tight_path, "--formulation", "surface2",
                      "-o", str(mps)]) == 0

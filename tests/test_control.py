@@ -8,11 +8,10 @@ import pytest
 from conftest import make_instance, random_tiny_instance
 from cttsolve import control
 from cttsolve.control import (BoundsLedger, ControlError, RunReport,
-                              StrategyConfig, order_dives, run_strategy,
+                              StrategyConfig, run_strategy,
                               solution_from_payload)
 from cttsolve.evaluation import Solution, check_hard, evaluate
-from cttsolve.formulations import (DAY_FIXED, DIVE_KINDS, PERIOD_FIXED,
-                                   Neighborhood, PeriodAssignment)
+from cttsolve.formulations import DIVE_KINDS
 from cttsolve.solver import brute_force_instance
 
 
@@ -67,38 +66,44 @@ class TestLedger:
         assert ledger.best_solution == solution
 
 
-class TestOrderDives:
-    def neighborhood(self, kind, cost, idx):
-        return Neighborhood(kind, PeriodAssignment({}), cost, idx)
+def check_dive_order(instance) -> int:
+    """Check the order in which contract and anytime dive on `instance`, and
+    return how many surface incumbents they dived from.  Each incumbent beats
+    the one before, so the newest source is the best: contract dives kind by
+    kind, newest source first; anytime dives from each source as it arrives,
+    one dive of each kind in DIVE_KINDS order."""
+    contract = run_strategy(instance).dives
+    anytime = run_strategy(instance, StrategyConfig(strategy="anytime")).dives
+    objective = {d.discovery_index: d.source_objective for d in contract}
+    n = len(objective)
+    assert sorted(objective) == list(range(n))
+    assert [(d.kind, d.discovery_index) for d in contract] == [
+        (kind, i) for kind in DIVE_KINDS for i in reversed(range(n))]
+    assert [(d.kind, d.discovery_index) for d in anytime] == [
+        (kind, i) for i in range(n) for kind in DIVE_KINDS]
+    for d in contract + anytime:
+        assert d.source_objective == objective[d.discovery_index]
+    assert all(objective[i] > objective[i + 1] for i in range(n - 1))
+    return n
 
-    def test_cost_ascending_within_kind(self):
-        a = self.neighborhood(PERIOD_FIXED, 40.0, 0)
-        b = self.neighborhood(PERIOD_FIXED, 20.0, 1)
-        assert order_dives([a, b], (PERIOD_FIXED,)) == [b, a]
 
-    def test_kind_rank_first(self):
-        a = self.neighborhood(DAY_FIXED, 1.0, 0)
-        b = self.neighborhood(PERIOD_FIXED, 99.0, 1)
-        assert order_dives([a, b], (PERIOD_FIXED, DAY_FIXED)) == [b, a]
+class TestDiveOrder:
+    def test_tight_instance(self, tight_instance):
+        assert check_dive_order(tight_instance) >= 1
 
-    def test_later_discovery_first_on_ties(self):
-        a = self.neighborhood(PERIOD_FIXED, 10.0, 0)
-        b = self.neighborhood(PERIOD_FIXED, 10.0, 1)
-        assert order_dives([a, b], (PERIOD_FIXED,)) == [b, a]
-
-    def test_singleton(self):
-        a = self.neighborhood(PERIOD_FIXED, 1.0, 0)
-        assert order_dives([a], (PERIOD_FIXED,)) == [a]
+    def test_random_tiny_instances(self):
+        # about one tiny instance in 60 gives the surface two incumbents
+        rng = random.Random(97)
+        checked = 0
+        while checked < 3:
+            if check_dive_order(random_tiny_instance(rng)) >= 2:
+                checked += 1
 
 
 class TestConfig:
     def test_unknown_strategy(self):
         with pytest.raises(ControlError):
             StrategyConfig(strategy="magic")
-
-    def test_empty_dive_sequence(self):
-        with pytest.raises(ControlError):
-            StrategyConfig(dive_kinds=())
 
     @pytest.mark.parametrize("budget", [
         {"surface_time": 0}, {"per_dive_time": 0}, {"total_time": -5},
@@ -139,8 +144,7 @@ class TestStrategies:
             instance = random_tiny_instance(rng)
             exact = brute_force_instance(instance)
             config = StrategyConfig(strategy=strategy,
-                                    surface_model="surface2",
-                                    dive_kinds=DIVE_KINDS)
+                                    surface_model="surface2")
             result = run_strategy(instance, config)
             if exact.status == "infeasible":
                 assert result.status == "infeasible"
@@ -162,11 +166,14 @@ class TestStrategies:
         assert evaluate(tight_instance, solution) == result.upper_bound
 
     def test_anytime_one_dive_per_incumbent(self, tight_instance):
-        config = StrategyConfig(strategy="anytime",
-                                dive_kinds=(PERIOD_FIXED,))
+        config = StrategyConfig(strategy="anytime")
         result = run_strategy(tight_instance, config)
         indices = [d.discovery_index for d in result.dives]
-        assert indices == sorted(set(indices))  # one episode per incumbent
+        # one episode per incumbent, with one dive of each kind
+        assert indices == sorted(indices)
+        for i in set(indices):
+            assert [d.kind for d in result.dives
+                    if d.discovery_index == i] == list(DIVE_KINDS)
 
     def test_strategies_agree_with_full_budgets(self):
         rng = random.Random(79)

@@ -8,13 +8,12 @@ from conftest import (encode_solution, make_instance, project_solution,
                       random_tiny_instance)
 from cttsolve.evaluation import Solution, check_hard, count_isolated, evaluate
 from cttsolve.formulations import (DAY_FIXED, DIVE_KINDS, PERIOD_FIXED,
-                                   FormulationError, Neighborhood,
-                                   PeriodAssignment, add_clique_cuts,
-                                   add_implied_bound_cuts, add_pattern_cuts,
-                                   all_patterns, build_dive, build_monolithic,
-                                   build_surface, build_surface2,
-                                   decode_monolithic, decode_surface,
-                                   greedy_clique_cover)
+                                   FormulationError, PeriodAssignment,
+                                   add_clique_cuts, add_implied_bound_cuts,
+                                   add_pattern_cuts, all_patterns, build_dive,
+                                   build_monolithic, build_surface,
+                                   build_surface2, decode_monolithic,
+                                   decode_surface, greedy_clique_cover)
 from cttsolve.instance import build_conflict_graph, build_multirooms
 from cttsolve.milp import MilpError
 from cttsolve.solver import branch_and_bound, brute_force_instance
@@ -140,7 +139,7 @@ class TestOccupancy:
             add_pattern_cuts(model)
             models.append(model)
         mono = build_monolithic(instance).freeze()
-        models += [build_dive(mono, Neighborhood(kind, TOY_BASIS, 0.0))
+        models += [build_dive(mono, kind, TOY_BASIS)
                    for kind in DIVE_KINDS]
         return models
 
@@ -267,7 +266,7 @@ class TestRestrictions:
             "c2": frozenset({4, 5}),
             "c3": frozenset({4, 5}),
         })
-        dive = build_dive(model, Neighborhood(PERIOD_FIXED, basis, 0.0))
+        dive = build_dive(model, PERIOD_FIXED, basis)
         fixed = [c for c in dive.constraints if c.origin == "period-fix"]
         assert len(fixed) == 6 * 3
         one = next(c for c in dive.constraints
@@ -280,8 +279,8 @@ class TestRestrictions:
     def test_invalid_basis_rejected(self, toy_instance):
         model = build_monolithic(toy_instance).freeze()
         with pytest.raises(FormulationError):
-            build_dive(model, Neighborhood(
-                PERIOD_FIXED, PeriodAssignment({"c1": frozenset({1})}), 0.0))
+            build_dive(model, PERIOD_FIXED,
+                       PeriodAssignment({"c1": frozenset({1})}))
 
     def test_monotone_restriction_chain(self):
         rng = random.Random(59)
@@ -295,9 +294,9 @@ class TestRestrictions:
             for solution in feasible_solutions(instance, rng, want=2):
                 basis = project_solution(solution)
                 period_dive = branch_and_bound(
-                    build_dive(mono, Neighborhood(PERIOD_FIXED, basis, 0.0)))
+                    build_dive(mono, PERIOD_FIXED, basis))
                 day_dive = branch_and_bound(
-                    build_dive(mono, Neighborhood(DAY_FIXED, basis, 0.0)))
+                    build_dive(mono, DAY_FIXED, basis))
                 assert period_dive.status == "optimal"
                 assert day_dive.status == "optimal"
                 assert full.incumbent.objective_value \
@@ -309,13 +308,13 @@ class TestRestrictions:
     def test_day_counts_validated(self, toy_instance):
         mono = build_monolithic(toy_instance).freeze()
         with pytest.raises(FormulationError):
-            build_dive(mono, Neighborhood(
-                DAY_FIXED, PeriodAssignment({"c1": frozenset({1})}), 0.0))
+            build_dive(mono, DAY_FIXED,
+                       PeriodAssignment({"c1": frozenset({1})}))
         clash = PeriodAssignment({"c1": frozenset({1, 2, 3}),
                                   "c2": frozenset({3, 4}),
                                   "c3": frozenset({4, 5})})
         with pytest.raises(FormulationError):  # curriculum q1 at period 3
-            build_dive(mono, Neighborhood(DAY_FIXED, clash, 0.0))
+            build_dive(mono, DAY_FIXED, clash)
 
     def test_day_fix_counts_events_per_day(self, toy_instance):
         mono = build_monolithic(toy_instance).freeze()
@@ -324,19 +323,20 @@ class TestRestrictions:
             "c2": frozenset({4, 5}),
             "c3": frozenset({0, 4}),
         })
-        dive = build_dive(mono, Neighborhood(DAY_FIXED, basis, 0.0))
+        dive = build_dive(mono, DAY_FIXED, basis)
         rhs = {c.name: c.rhs for c in dive.constraints
                if c.origin == "day-fix"}
         assert rhs == {"day_fix[c1,0]": 2.0, "day_fix[c1,1]": 1.0,
                        "day_fix[c2,0]": 0.0, "day_fix[c2,1]": 2.0,
                        "day_fix[c3,0]": 1.0, "day_fix[c3,1]": 1.0}
 
-    def test_neighborhood_rejects_unknown_kind(self):
+    def test_neighborhood_rejects_unknown_kind(self, toy_instance):
+        mono = build_monolithic(toy_instance).freeze()
         for kind in ("week-fixed", "day-decomp"):
-            with pytest.raises(FormulationError):
-                Neighborhood(kind, TOY_BASIS, 0.0)
+            with pytest.raises(FormulationError, match="unknown dive kind"):
+                build_dive(mono, kind, TOY_BASIS)
         for kind in DIVE_KINDS:
-            assert Neighborhood(kind, TOY_BASIS, 0.0).kind == kind
+            assert build_dive(mono, kind, TOY_BASIS).metadata["dive"] == kind
 
     def test_build_dive_dispatch(self, toy_instance):
         mono = build_monolithic(toy_instance).freeze()
@@ -345,7 +345,7 @@ class TestRestrictions:
             "c2": frozenset({4, 5}),
             "c3": frozenset({4, 5}),
         })
-        dive = build_dive(mono, Neighborhood(PERIOD_FIXED, basis, 0.0))
+        dive = build_dive(mono, PERIOD_FIXED, basis)
         assert dive.metadata["dive"] == PERIOD_FIXED
 
 

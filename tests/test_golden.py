@@ -12,10 +12,10 @@ import hashlib
 
 import pytest
 
-from cttsolve.formulations import (DIVE_KINDS, Neighborhood,
-                                   PeriodAssignment, add_clique_cuts,
-                                   add_implied_bound_cuts, add_pattern_cuts,
-                                   build_dive, build_monolithic, build_surface,
+from cttsolve.formulations import (DIVE_KINDS, PeriodAssignment,
+                                   add_clique_cuts, add_implied_bound_cuts,
+                                   add_pattern_cuts, build_dive,
+                                   build_monolithic, build_surface,
                                    build_surface2, greedy_clique_cover)
 from cttsolve.instance import build_conflict_graph
 from cttsolve.milp import export_mps
@@ -75,8 +75,7 @@ def build(name, instance):
         return with_cuts(build_surface2(instance), instance)
     # a dive as the strategies build it, from the surface's period
     # assignment: restrict, then implied-bound cuts
-    model = build_dive(build_monolithic(instance).freeze(),
-                       Neighborhood(name, BASIS, 0.0))
+    model = build_dive(build_monolithic(instance).freeze(), name, BASIS)
     add_implied_bound_cuts(model)
     return model
 

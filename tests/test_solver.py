@@ -13,9 +13,9 @@ from scipy import sparse
 import cttsolve
 from conftest import random_tiny_instance
 from cttsolve import solver
-from cttsolve.formulations import (DIVE_KINDS, Neighborhood, build_dive,
-                                   build_monolithic, build_surface,
-                                   build_surface2, decode_surface)
+from cttsolve.formulations import (DIVE_KINDS, build_dive, build_monolithic,
+                                   build_surface, build_surface2,
+                                   decode_surface)
 from cttsolve.milp import MilpModel
 from cttsolve.solver import (AdapterConfig, ExternalSolverError,
                              SearchSpaceError, SolveConfig, SolverError,
@@ -265,8 +265,7 @@ class TestAssembly:
                 continue
             basis = decode_surface(surface, result.incumbent.values)
             for kind in DIVE_KINDS:
-                self.assert_csc_layout(
-                    build_dive(mono, Neighborhood(kind, basis, 0.0)))
+                self.assert_csc_layout(build_dive(mono, kind, basis))
                 dives += 1
         assert dives > 0
 
