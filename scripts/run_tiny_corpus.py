@@ -2,11 +2,12 @@
 """Sweep a corpus of random tiny instances and cross-check the solvers.
 
 For each generated instance the script runs exhaustive enumeration, the
-built-in branch-and-bound (via the exact strategy), and the contract and
-anytime strategies, then prints one table row per instance (C and A are the
-contract and anytime bounds).  Any disagreement between the exact routes,
-or a contract or anytime bound that fails to bracket the optimum, is
-reported and makes the script exit non-zero.
+built-in branch-and-bound (via the exact strategy), the contract and
+anytime strategies, and contract over the room-aggregated surface2, then
+prints one table row per instance (C, A and S2 are their bounds).  Any
+disagreement between the exact routes, or a contract, anytime or surface2
+bound that fails to bracket the optimum, is reported and makes the script
+exit non-zero.
 
 The instances come from `random_tiny_instance` in the test suite's
 `tests/conftest.py`, loaded by file path, so the script and the tests
@@ -57,7 +58,8 @@ def main() -> int:
     rng = random.Random(args.seed)
     header = (f"{'#':>3}  {'crs':>3} {'rms':>3} {'slots':>5}  "
               f"{'brute':>7}  {'exact':>7}  {'C LB':>7}  {'C UB':>7}  "
-              f"{'A LB':>7}  {'A UB':>7}  {'secs':>6}  verdict")
+              f"{'A LB':>7}  {'A UB':>7}  {'S2 LB':>7}  {'S2 UB':>7}  "
+              f"{'secs':>6}  verdict")
     print(header)
     print("-" * len(header))
 
@@ -68,8 +70,11 @@ def main() -> int:
 
         brute = brute_force_instance(instance)
         exact = run_strategy(instance, StrategyConfig(strategy="exact"))
-        pipelines = [run_strategy(instance, StrategyConfig(strategy=s))
-                     for s in ("contract", "anytime")]
+        pipelines = [run_strategy(instance, StrategyConfig(**spec))
+                     for spec in ({"strategy": "contract"},
+                                  {"strategy": "anytime"},
+                                  {"strategy": "contract",
+                                   "surface_model": "surface2"})]
         elapsed = time.perf_counter() - started
 
         if brute.status == "infeasible":

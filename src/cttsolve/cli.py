@@ -184,14 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_arg(p)
     p.add_argument("--strategy", default="contract", choices=STRATEGIES)
     p.add_argument("--surface-model", default="surface",
-                   choices=("surface", "surface2"))
+                   choices=("surface", "surface2"),
+                   help="surface2 is an error with --strategy exact")
     p.add_argument("--surface-time", type=float, default=None,
                    help="seconds for the surface search of contract and"
                         " anytime (anytime's dives run inside it); without"
                         " it the surface may use all of --total-time and"
-                        " leave no time to dive")
+                        " leave no time to dive; an error with --strategy"
+                        " exact")
     p.add_argument("--per-dive-time", type=float, default=None,
-                   help="seconds for each dive")
+                   help="seconds for each dive; an error with"
+                        " --strategy exact")
     p.add_argument("--total-time", type=float, default=None,
                    help="seconds for the whole run: every search stops at"
                         " it and no dive starts after it; with --strategy"
@@ -200,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="node limit of the surface search, or with"
                         " --strategy exact of the exact search")
     p.add_argument("--dive-nodes", type=int, default=None,
-                   help="node limit of each dive")
+                   help="node limit of each dive; an error with"
+                        " --strategy exact")
     p.add_argument("--pattern-cuts", action="store_true",
                    help="add pattern-enumeration cuts to the searched model:"
                         " the surface, or the monolithic model with"

@@ -64,6 +64,11 @@ class StrategyConfig:
         if (self.total_time is not None and self.surface_time is not None
                 and self.total_time < self.surface_time):
             raise ControlError("total time must cover the surface time")
+        if self.strategy == "exact":  # options only surfaces and dives read
+            for name in ("surface_model", "surface_time", "per_dive_time",
+                         "dive_nodes"):
+                if getattr(self, name) not in (None, "surface"):
+                    raise ControlError(f"the exact strategy has no {name}")
 
     def timed(self) -> bool:
         return any(t is not None for t in

@@ -126,18 +126,14 @@ def _add_day_spread_machinery(model: MilpModel, instance: Instance) -> list:
                 obj.append((w.compactness,
                             _add_var(model, ("single", u.id, d, s))))
 
+    # no times[p,c] <= sched[d,c] rows: with nothing costing sched, none binds
     for c in instance.courses:
         for d in range(instance.days):
-            sched = var(("sched", d, c.id))
-            for p in instance.day_periods(d):
-                model.add_constraint(
-                    f"day_ub[{c.id},{d},{p}]",
-                    [(1.0, var(("times", p, c.id))), (-1.0, sched)],
-                    "<=", 0.0, origin="day-aggregation")
             model.add_constraint(
                 f"day_lb[{c.id},{d}]",
                 [(1.0, var(("times", p, c.id)))
-                 for p in instance.day_periods(d)] + [(-1.0, sched)],
+                 for p in instance.day_periods(d)]
+                + [(-1.0, var(("sched", d, c.id)))],
                 ">=", 0.0, origin="day-aggregation")
         model.add_constraint(
             f"min_days[{c.id}]",
@@ -208,12 +204,14 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
     # rows before or after the capacity rows, teacher or curriculum rows
     # first, or a change to this model only): every one lost search-mid
     # mid-1-1's upper bound (4 -> 11 to 15), one also mid-1-2's (2 -> 5),
-    # and one corpus-small small-1-2's exact optimum at 300 nodes.
+    # and one corpus-small small-1-2's exact optimum at 300 nodes.  Dropping
+    # the rows that cannot bind later moved mid-1-1's to 17 (ROADMAP).
     for p in range(instance.periods):
         _add_teacher_clash(model, instance, p)
         _add_curriculum_clash(model, instance, p)
     obj += _add_day_spread_machinery(model, instance)
 
+    # no uses[r,c] <= sum_p taught[p,r,c] rows: uses costs stability >= 0
     for key in room_keys:
         for c in instance.courses:
             obj.append((w.stability, _add_var(model, (uses, key, c.id))))
@@ -225,14 +223,6 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
                     [(1.0, var((taught, p, key, c.id))),
                      (-1.0, var((uses, key, c.id)))],
                     "<=", 0.0, origin="room-aggregation")
-    for key in room_keys:
-        for c in instance.courses:
-            model.add_constraint(
-                f"room_used_lb[{key},{c.id}]",
-                [(1.0, var((taught, p, key, c.id)))
-                 for p in range(instance.periods)]
-                + [(-1.0, var((uses, key, c.id)))],
-                ">=", 0.0, origin="room-aggregation")
     # the rooms' sum defines the occupancy variable, whose 0-1 bound keeps a
     # course from meeting twice in one period; placed last, these rows left
     # exact searches on fresh small instances fewer nodes than placed first

@@ -191,6 +191,13 @@ class TestSolve:
         assert main(["evaluate", tight_path, str(out_file)]) == 0
         assert "objective: 14" in capsys.readouterr().out
 
+    def test_exact_strategy_rejects_surface_time(self, tight_path, capsys):
+        assert main(["solve", tight_path, "--strategy", "exact",
+                     "--surface-time", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert "exact strategy has no surface_time" in captured.err
+        assert captured.out == ""
+
     def test_contract_json_report(self, tight_path, capsys):
         assert main(["solve", tight_path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

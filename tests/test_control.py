@@ -117,6 +117,13 @@ class TestConfig:
         with pytest.raises(ControlError):
             StrategyConfig(surface_time=10.0, total_time=5.0)
 
+    @pytest.mark.parametrize("option", [
+        {"surface_time": 0.5}, {"per_dive_time": 0.5}, {"dive_nodes": 10},
+        {"surface_model": "surface2"}])
+    def test_exact_rejects_options_it_ignores(self, option):
+        with pytest.raises(ControlError, match="exact strategy has no"):
+            StrategyConfig(strategy="exact", **option)
+
 
 class TestStrategies:
     def test_contract_brackets_optimum(self):
@@ -207,9 +214,9 @@ class TestStrategies:
         # one teacher for all six events, so each period holds one; the
         # search finds a timetable of penalty 2 before the optimum 0
         instance = make_instance(
-            [("c0", "t1", 1, 1, 10), ("c1", "t1", 2, 1, 10),
-             ("c2", "t1", 3, 1, 30)],
-            [("r1", 40), ("r2", 20)],
+            [("c0", "t1", 1, 1, 10), ("c1", "t1", 3, 1, 10),
+             ("c2", "t1", 2, 1, 30)],
+            [("r1", 40), ("r2", 25)],
             [("q1", ["c0", "c2"]), ("q2", ["c2", "c1", "c0"])])
         result = run_strategy(instance, StrategyConfig(strategy="exact"))
         uppers = [e.value for e in result.history if e.kind == "upper"]

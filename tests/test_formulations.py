@@ -16,7 +16,9 @@ from cttsolve.formulations import (DAY_FIXED, DIVE_KINDS, PERIOD_FIXED,
                                    decode_surface, greedy_clique_cover)
 from cttsolve.instance import build_conflict_graph, build_multirooms
 from cttsolve.milp import MilpError
-from cttsolve.solver import branch_and_bound, brute_force_instance
+from cttsolve.solver import (SearchSpaceError, _Arrays, branch_and_bound,
+                             brute_force_instance, brute_force_model,
+                             linprog)
 from test_evaluation import random_solution
 
 HARD_ORIGINS = {"event-count", "room-clash", "occupancy", "teacher-clash",
@@ -491,3 +493,72 @@ class TestPatternCuts:
                 values = encode_solution(instance, model, solution)
                 assert model.first_violation(values) is None
                 checked += 1
+
+
+def with_dropped_rows(model):
+    """A copy of a model with the rows the builders leave out written back:
+    day_ub (times[p,c] <= sched[d,c] for each period p of day d) and, in the
+    full formulations, room_used_lb (sum over p of taught[p,r,c] >=
+    uses[r,c])."""
+    instance = model.metadata["instance"]
+    model = model.copy()
+    var = model.by_tag
+    for c in instance.courses:
+        for d in range(instance.days):
+            for p in instance.day_periods(d):
+                model.add_constraint(
+                    f"day_ub[{c.id},{d},{p}]",
+                    [(1.0, var(("times", p, c.id))),
+                     (-1.0, var(("sched", d, c.id)))], "<=", 0.0)
+    if "uses" in model.metadata:
+        taught, uses = model.metadata["taught"], model.metadata["uses"]
+        for key in model.metadata["room_keys"]:
+            for c in instance.courses:
+                model.add_constraint(
+                    f"room_used_lb[{key},{c.id}]",
+                    [(1.0, var((taught, p, key, c.id)))
+                     for p in range(instance.periods)]
+                    + [(-1.0, var((uses, key, c.id)))], ">=", 0.0)
+    return model
+
+
+def root_lp(model):
+    arrays = _Arrays(model)
+    return linprog(arrays, arrays.lo, arrays.hi)[:2]
+
+
+class TestDroppedRowsCannotBind:
+    """sched[d,c] has no objective term and is only capped at the day's
+    events or rewarded, and uses[r,c] costs stability >= 0 and is only held
+    up, so writing day_ub and room_used_lb back changes no LP or IP
+    optimum.  An objective term on sched, or a row capping uses, fails
+    here."""
+
+    BRUTE_FORCE_GUARD = 2 ** 14
+
+    @pytest.mark.parametrize("build", [build_monolithic, build_surface,
+                                       build_surface2])
+    @pytest.mark.parametrize("source", ["toy", *range(20)])
+    def test_same_optima(self, build, source, toy_instance):
+        instance = (toy_instance if source == "toy"
+                    else random_tiny_instance(random.Random(source)))
+        model = build(instance)
+        add_implied_bound_cuts(model)
+        full = with_dropped_rows(model)
+        assert len(full.constraints) > len(model.constraints)
+        (status, value), (full_status, full_value) = (root_lp(model),
+                                                      root_lp(full))
+        assert status == full_status
+        if status == "optimal":
+            assert value == pytest.approx(full_value, rel=0, abs=1e-9)
+        search, full_search = branch_and_bound(model), branch_and_bound(full)
+        assert search.status == full_search.status
+        assert search.lower_bound == full_search.lower_bound
+        try:
+            exact = brute_force_model(model, self.BRUTE_FORCE_GUARD)
+        except SearchSpaceError:
+            return
+        full_exact = brute_force_model(full, self.BRUTE_FORCE_GUARD)
+        assert exact.status == full_exact.status
+        assert exact.lower_bound == full_exact.lower_bound
+        assert exact.lower_bound == search.lower_bound

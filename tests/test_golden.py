@@ -22,20 +22,20 @@ from cttsolve.milp import export_mps
 
 GOLDEN = {
     "monolithic": (
-        "6d58c330d216a9e0cb9f1506de5c1bb0e0871768ef46baf518e8f5619732911e",
-        "04382fb2ac9bcd9859c7537d52bd94744c7cb9f386dd652ec6bdb2e0f86da8c6"),
+        "72bab6c9e914836774395b31c533e448f19edcdb7e66e7b145187af8665f8588",
+        "74c6c5e8ee72b1c2d119cf0b11ac3927b10a4db56a3adf8dc92fd70fb79a2b18"),
     "surface": (
-        "d098ae1fdafef5c7105bbcaebfe07f7f8c4d69e468486a2ffba5bd2d44be62ae",
-        "45a6eae287f98cff867e2459f7a3bcf8753ca95380a6ae5fc859e81538d3beb6"),
+        "5bf2cbe7697283bbad96aafcab9ab92a5b0cc501423cf255a4265f6d6975f2a6",
+        "c22ae0038b1aece93fc1df3fa07b8fcdb2fae5ee84c62d420b1a1db9b273ff1e"),
     "surface2": (
-        "037d168023473dcc5dc2148db8a0e4b5790060f637e13c65002a717a8c0593a4",
-        "1807c879d45674f9b005cdc85873ee68a812965884ca5f02294965ff5f8ebf0b"),
+        "e230e59b360d184748fd7c990173c7da301f547da182c97f51bd9683967f5fb8",
+        "5e9d892ba49b8b64e9358cf3265748f0870e8eb788436777f4d76b60f06d6fda"),
     "period-fixed": (
-        "d7423a7791ed87c2573729d941d414a48c4e7eacf19bb6ffc3ff72c81fd50369",
-        "920d20b8296549164bb70595ea0784d3dc9fbf65198f49c734110bfbf34c5910"),
+        "982322a2ed77d27c031823e68b3f07efc4a2dbaebacd7f4614dafa8245fadea5",
+        "85971c6c208dc758ce22d7f676c36172414fe5fd7a919317ef1380333676b64a"),
     "day-fixed": (
-        "ec87fccf96c02f664b3c5f82f76fb6905373b240e546bf9c028ff476471cbc05",
-        "dad0ab51922dc9ea113cb7d00349b86e9d4c11f6fa6225caf75aa8aa119fd92e"),
+        "95397764ee0b5594eabb1e5986164bec8833495a59e408c7da0d621efe069d9f",
+        "d6c87d9832e32c46db96062a628134ee44be77d4c7854c1ca28c3acf0b4f556a"),
 }
 
 

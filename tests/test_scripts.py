@@ -28,6 +28,7 @@ def test_tiny_corpus_script_agrees(tmp_path):
         timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "3/3 instances agree" in proc.stdout
+    assert "S2 LB" in proc.stdout  # surface2 is swept too
 
 
 

@@ -424,11 +424,12 @@ class TestBranchAndBound:
             assert result.incumbent.status == "optimal"
             assert result.lower_bound == result.incumbent.objective_value == 2
 
-    @pytest.mark.parametrize("seed, nodes", [(16, 6), (9, 3)])
+    @pytest.mark.parametrize("seed, nodes", [(44, 5), (129, 9)])
     def test_tied_nodes_go_depth_first_down_child_first(self, seed, nodes):
         # a surface's bounds are integral, so nearly every open node ties
         # with its siblings; taking the newest tied node, down child first,
-        # plunges to an optimal leaf instead of sweeping each level
+        # plunges to an optimal leaf instead of sweeping each level (seed
+        # 44 takes 10 nodes oldest node first)
         model = build_surface(
             random_tiny_instance(random.Random(seed))).freeze()
         result = branch_and_bound(model)
