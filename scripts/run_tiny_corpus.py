@@ -7,7 +7,8 @@ anytime strategies, and contract over the room-aggregated surface2, then
 prints one table row per instance (C, A and S2 are their bounds).  Any
 disagreement between the exact routes, or a contract, anytime or surface2
 bound that fails to bracket the optimum, is reported and makes the script
-exit non-zero.
+exit non-zero.  A last line counts the feasible instances whose contract
+and anytime lower bounds both reach the optimum; it fails nothing.
 
 The instances come from `random_tiny_instance` in the test suite's
 `tests/conftest.py`, loaded by file path, so the script and the tests
@@ -63,7 +64,7 @@ def main() -> int:
     print(header)
     print("-" * len(header))
 
-    failures = 0
+    failures = feasible = tight = 0
     for i in range(args.count):
         instance = random_tiny_instance(rng)
         started = time.perf_counter()
@@ -91,6 +92,10 @@ def main() -> int:
                           for r in pipelines))
             brute_txt = f"{optimum:g}"
             exact_txt = f"{exact.upper_bound:g}"
+            feasible += 1
+            tight += all(r.lower_bound is not None
+                         and abs(r.lower_bound - optimum) <= 1e-9
+                         for r in pipelines[:2])
         bounds = "".join(f"{_bound(r.lower_bound):>7}  "
                          f"{_bound(r.upper_bound):>7}  " for r in pipelines)
 
@@ -101,6 +106,8 @@ def main() -> int:
               f"{bounds}{elapsed:>6.2f}  {verdict}")
 
     print(f"\n{args.count - failures}/{args.count} instances agree")
+    print(f"{tight}/{feasible} feasible instances: contract and anytime"
+          f" lower bounds equal the optimum")
     return 1 if failures else 0
 
 

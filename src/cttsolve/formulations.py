@@ -1,5 +1,6 @@
 """Model builders: the full timetabling formulation, the period-only
-surface relaxations, dive restrictions, cuts, and decoders.
+surface relaxations, the period-free room relaxation, dive restrictions,
+cuts, and decoders.
 
 Builders are pure; callers may freeze produced models before sharing them.
 """
@@ -53,14 +54,14 @@ class PeriodAssignment:
 
 # -- variables by tag ---------------------------------------------------------
 #
-# Every model has one binary occupancy variable ("times", p, c) per (period,
-# course), and every row that asks whether a course meets at a period reads
-# that one variable with coefficient 1.  The full formulations also record
-# in their metadata the tag kind of their room assignment variables
-# ("taught": taught or m_taught), the ordered keys of their (multi-)rooms
-# ("room_keys") and the tag kind of their room-usage indicators ("uses").
-# Variables are then found through MilpModel.by_tag; names are only ever
-# built, never parsed.
+# Every model but the room relaxation has one binary occupancy variable
+# ("times", p, c) per (period, course), and every row that asks whether a
+# course meets at a period reads that one variable with coefficient 1.  The
+# full formulations also record in their metadata the tag kind of their room
+# assignment variables ("taught": taught or m_taught), the ordered keys of
+# their (multi-)rooms ("room_keys") and the tag kind of their room-usage
+# indicators ("uses").  Variables are then found through MilpModel.by_tag;
+# names are only ever built, never parsed.
 
 def _add_var(model: MilpModel, tag: tuple, kind: str = "binary",
              lower: float = 0.0, upper: float = math.inf) -> int:
@@ -273,6 +274,45 @@ def build_surface(instance: Instance) -> MilpModel:
              for c in instance.courses],
             "<=", float(len(instance.rooms)), origin="room-bound")
     model.set_objective(_add_day_spread_machinery(model, instance))
+    return model
+
+
+def build_room_relaxation(instance: Instance) -> MilpModel:
+    """Period-free room relaxation: how many events ("x", c, r) each course
+    holds in each room, with each room holding at most one event per
+    period and ("y", c, r) marking the rooms a course uses.  Only the
+    capacity and stability terms are kept in the objective; they are the
+    terms the surface drops, so the two lower bounds add up."""
+    model = MilpModel("rooms")
+    model.metadata.update(formulation="rooms", instance=instance)
+    w = instance.weights
+    var = model.by_tag
+    obj = []
+    for c in instance.courses:
+        for r in instance.rooms:
+            x = _add_var(model, ("x", c.id, r.id), "integer", 0, c.events)
+            overflow = c.students - r.capacity
+            if w.capacity and overflow > 0:
+                obj.append((float(w.capacity * overflow), x))
+            obj.append((w.stability, _add_var(model, ("y", c.id, r.id))))
+    for c in instance.courses:
+        model.add_constraint(
+            f"event_count[{c.id}]",
+            [(1.0, var(("x", c.id, r.id))) for r in instance.rooms],
+            "=", float(c.events), origin="event-count")
+        for r in instance.rooms:
+            model.add_constraint(
+                f"room_used[{c.id},{r.id}]",
+                [(1.0, var(("x", c.id, r.id))),
+                 (-float(c.events), var(("y", c.id, r.id)))],
+                "<=", 0.0, origin="room-aggregation")
+    for r in instance.rooms:
+        model.add_constraint(
+            f"room_periods[{r.id}]",
+            [(1.0, var(("x", c.id, r.id))) for c in instance.courses],
+            "<=", float(instance.periods), origin="room-bound")
+    model.set_objective(
+        obj, constant=-float(w.stability) * len(instance.courses))
     return model
 
 

@@ -93,6 +93,18 @@ def tight_instance():
 
 
 @pytest.fixture
+def contended_instance():
+    """Two courses of 3 events compete for the one room that seats them:
+    the room optimum puts one course's 3 events and 1 of the other's in
+    the big room and 2 in the small one (capacity 30, stability 1), and
+    the room search needs 7 nodes to prove it."""
+    return make_instance(
+        courses=[("a", "t1", 3, 1, 25), ("b", "t2", 3, 1, 25)],
+        rooms=[("big", 30), ("small", 10)], curricula=[],
+        days=1, periods_per_day=4, name="contended")
+
+
+@pytest.fixture
 def lectures_instance():
     """Three courses with distinct teachers; two overlapping curricula."""
     return make_instance(

@@ -316,6 +316,86 @@ class TestStrategies:
         assert a.to_json() == b.to_json()
 
 
+def lower_events(result) -> list[tuple[float, str]]:
+    return [(e.value, e.source) for e in result.history if e.kind == "lower"]
+
+
+class TestRoomBound:
+    def test_room_bound_adds_to_surface_bound(self, contended_instance):
+        result = run_strategy(contended_instance)
+        assert lower_events(result) == [(0, "surface"),
+                                        (31, "surface+rooms")]
+        assert result.status == "optimal" and result.upper_bound == 31
+
+    def test_adds_the_room_lower_bound_not_its_incumbent(
+            self, contended_instance):
+        # at 6 nodes the room search holds an incumbent of 45 above its
+        # bound of 31; adding the incumbent would cross the dives' 31
+        result = run_strategy(contended_instance,
+                              StrategyConfig(surface_nodes=6))
+        assert lower_events(result) == [(0, "surface"),
+                                        (31, "surface+rooms")]
+
+    def test_untimed_room_search_within_surface_nodes(
+            self, contended_instance, monkeypatch):
+        searches = []
+        real = control.branch_and_bound
+
+        def recording(model, config):
+            result = real(model, config)
+            searches.append((model.name, config.node_limit,
+                             config.time_limit, result.nodes_explored))
+            return result
+
+        monkeypatch.setattr(control, "branch_and_bound", recording)
+        # the room search needs 7 nodes to prove its optimum of 31
+        result = run_strategy(contended_instance,
+                              StrategyConfig(surface_nodes=3))
+        assert [s for s in searches if s[0] == "rooms"] == [
+            ("rooms", 3, None, 3)]
+        assert lower_events(result)[-1] == (30, "surface+rooms")
+
+    @pytest.mark.parametrize("config, source", [
+        ({"surface_model": "surface2"}, "surface"),
+        ({"surface_model": "surface2", "strategy": "anytime"}, "surface"),
+        ({"strategy": "exact"}, "exact")])
+    def test_models_with_room_terms_record_no_room_bound(
+            self, contended_instance, config, source):
+        result = run_strategy(contended_instance, StrategyConfig(**config))
+        assert {s for _, s in lower_events(result)} == {source}
+        assert result.lower_bound == 31  # their own bound has the room terms
+
+    def test_lower_bounds_never_exceed_brute_force(self):
+        raised = 0
+        for seed in range(40):
+            instance = random_tiny_instance(random.Random(seed))
+            exact = brute_force_instance(instance)
+            for strategy in ("contract", "anytime"):
+                result = run_strategy(instance,
+                                      StrategyConfig(strategy=strategy))
+                if exact.status == "infeasible":
+                    assert result.status == "infeasible"
+                    continue
+                assert result.lower_bound <= exact.lower_bound + 1e-9
+                raised += any(source == "surface+rooms"
+                              for _, source in lower_events(result))
+        assert raised > 0
+
+    def test_limit_stopped_surface_reports_optimal(self):
+        # the surface stops at its node limit, and the dives reach the
+        # surface bound plus the room bound, 0 + 62
+        instance = make_instance(
+            [("c0", "t1", 2, 1, 6), ("c1", "t1", 2, 2, 33),
+             ("c2", "t2", 3, 1, 32)],
+            [("r0", 20)], [("q0", ["c0", "c2"])],
+            days=2, periods_per_day=4)
+        result = run_strategy(instance, StrategyConfig(surface_nodes=10))
+        assert result.surface_status == "limit-reached"
+        assert result.surface_nodes == 10
+        assert result.lower_bound == result.upper_bound == 62
+        assert result.status == "optimal"
+
+
 class TestReports:
     def test_json_round_trip(self, tight_instance):
         result = run_strategy(tight_instance)

@@ -1,19 +1,22 @@
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import (encode_solution, make_instance, project_solution,
                       random_tiny_instance)
-from cttsolve.evaluation import Solution, check_hard, count_isolated, evaluate
+from cttsolve.evaluation import (Solution, check_hard, count_isolated,
+                                 evaluate, penalties)
 from cttsolve.formulations import (DAY_FIXED, DIVE_KINDS, PERIOD_FIXED,
                                    FormulationError, PeriodAssignment,
                                    add_clique_cuts, add_implied_bound_cuts,
                                    add_pattern_cuts, all_patterns, build_dive,
-                                   build_monolithic, build_surface,
-                                   build_surface2, decode_monolithic,
-                                   decode_surface, greedy_clique_cover)
+                                   build_monolithic, build_room_relaxation,
+                                   build_surface, build_surface2,
+                                   decode_monolithic, decode_surface,
+                                   greedy_clique_cover)
 from cttsolve.instance import build_conflict_graph, build_multirooms
 from cttsolve.milp import MilpError
 from cttsolve.solver import (SearchSpaceError, _Arrays, branch_and_bound,
@@ -258,6 +261,55 @@ class TestSurface2:
                 assert a.status == "optimal"
                 assert a.incumbent.objective_value \
                     <= b.incumbent.objective_value + 1e-9
+
+
+def room_point(model, solution):
+    """Point of the room relaxation holding a timetable's events by room."""
+    held = Counter((cid, room) for cid, _, room in solution.events())
+    return np.array([held[v.tag[1:]] if v.tag[0] == "x"
+                     else float(held[v.tag[1:]] > 0)
+                     for v in model.variables])
+
+
+class TestRoomRelaxation:
+    def test_variables_and_origins(self, toy_instance):
+        model = build_room_relaxation(toy_instance)
+        assert [v.tag[0] for v in model.variables] == ["x", "y"] * 6
+        assert model.variables[0].upper == 3  # c1's events
+        assert {c.origin for c in model.constraints} == {
+            "event-count", "room-aggregation", "room-bound"}
+
+    def test_objective_omits_spread_and_compactness(self, toy_instance):
+        model = build_room_relaxation(toy_instance)
+        kinds = {model.variables[idx].tag[0]
+                 for coef, idx in model.objective_terms}
+        assert kinds == {"x", "y"}
+        assert model.objective_constant == -3.0  # stability 1, 3 courses
+
+    @pytest.mark.parametrize("fixture, optimum", [
+        ("toy_instance", 0), ("contended_instance", 31)])
+    def test_optimum_matches_brute_force(self, fixture, optimum, request):
+        model = build_room_relaxation(request.getfixturevalue(fixture))
+        search = branch_and_bound(model)
+        brute = brute_force_model(model)
+        assert search.status == brute.status == "optimal"
+        assert search.lower_bound == brute.lower_bound == optimum
+        assert search.incumbent.objective_value == optimum
+
+    def test_timetable_is_a_point_of_its_room_terms(self):
+        rng = random.Random(59)
+        checked = 0
+        while checked < 10:
+            instance = random_tiny_instance(rng)
+            model = build_room_relaxation(instance)
+            w = instance.weights
+            for solution in feasible_solutions(instance, rng):
+                values = room_point(model, solution)
+                assert model.first_violation(values) is None
+                cap, _, _, stab = penalties(instance, solution).as_tuple()
+                assert model.objective_value(values) == (
+                    w.capacity * cap + w.stability * stab)
+                checked += 1
 
 
 class TestRestrictions:

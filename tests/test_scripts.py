@@ -29,6 +29,9 @@ def test_tiny_corpus_script_agrees(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "3/3 instances agree" in proc.stdout
     assert "S2 LB" in proc.stdout  # surface2 is swept too
+    # one of the three is infeasible; the room bound closes the other two
+    assert ("2/2 feasible instances: contract and anytime lower bounds"
+            " equal the optimum") in proc.stdout.splitlines()
 
 
 
