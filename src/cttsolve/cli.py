@@ -189,9 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface-time", type=float, default=None,
                    help="seconds for the surface search of contract and"
                         " anytime (anytime's dives run inside it); without"
-                        " it the surface may use all of --total-time and"
-                        " leave no time to dive; an error with --strategy"
-                        " exact")
+                        " it, contract's surface takes half of"
+                        " --total-time; an error with --strategy exact")
     p.add_argument("--per-dive-time", type=float, default=None,
                    help="seconds for each dive; an error with"
                         " --strategy exact")

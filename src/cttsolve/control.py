@@ -32,6 +32,9 @@ from .solver import SolveConfig, SolveResult, branch_and_bound
 STRATEGIES = ("exact", "contract", "anytime")
 # pattern cuts enumerate all 2**periods_per_day day patterns
 PATTERN_CUT_MAX_PERIODS = 6
+# contract's surface and room searches, given a total time but no surface
+# time, take this share of the total, so time is left to dive
+CONTRACT_SURFACE_SHARE = 0.5
 
 
 class ControlError(Exception):
@@ -296,6 +299,9 @@ def run_strategy(instance: Instance,
         model = (build_surface(instance) if config.surface_model == "surface"
                  else build_surface2(instance))
         time_limit, source = config.surface_time, "surface"
+        if (config.strategy == "contract" and time_limit is None
+                and config.total_time is not None):
+            time_limit = CONTRACT_SURFACE_SHARE * config.total_time
         on_incumbent = harvest
     _add_cuts(instance, model, config)
     model.freeze()
@@ -313,7 +319,7 @@ def run_strategy(instance: Instance,
             and math.isfinite(result.lower_bound)):
         rooms = branch_and_bound(
             build_room_relaxation(instance).freeze(),
-            _budget(config.surface_time, config.surface_nodes, deadline))
+            _budget(time_limit, config.surface_nodes, deadline))
         if math.isfinite(rooms.lower_bound):
             ledger.record_lower(result.lower_bound + rooms.lower_bound,
                                 "surface+rooms")

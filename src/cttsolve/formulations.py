@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .evaluation import Solution, check_hard, count_isolated
-from .instance import ConflictGraph, Instance, MultiRoom, build_multirooms
+from .instance import ConflictGraph, Instance
 from .milp import FEAS_TOL, MilpModel
 
 PERIOD_FIXED = "period-fixed"
@@ -58,9 +58,9 @@ class PeriodAssignment:
 # ("times", p, c) per (period, course), and every row that asks whether a
 # course meets at a period reads that one variable with coefficient 1.  The
 # full formulations also record in their metadata the tag kind of their room
-# assignment variables ("taught": taught or m_taught), the ordered keys of
-# their (multi-)rooms ("room_keys") and the tag kind of their room-usage
-# indicators ("uses").  Variables are then found through MilpModel.by_tag;
+# assignment variables ("taught": taught or m_taught), the member rooms of
+# each room group by its key, in model order ("room_groups"), and the tag
+# kind of their room-usage indicators ("uses").  Variables are then found through MilpModel.by_tag;
 # names are only ever built, never parsed.
 
 def _add_var(model: MilpModel, tag: tuple, kind: str = "binary",
@@ -165,22 +165,38 @@ def _add_day_spread_machinery(model: MilpModel, instance: Instance) -> list:
     return obj
 
 
-def _build_full(instance: Instance, rooms: list[MultiRoom],
-                aggregated: bool) -> MilpModel:
-    """Full formulation over (multi-)rooms; the plain model is the identity
-    aggregation with unit multiplicities."""
+def _room_groups(instance: Instance, aggregated: bool) -> list:
+    """(key, capacity, member rooms) of each room group of a full
+    formulation: one group per room for the monolithic model, and for
+    surface2 the rooms of capacity at most the lower median, then the rest.
+    A group holds one event per member in each period, each event seeing
+    the largest member's capacity."""
+    rooms = instance.rooms
+    if not aggregated:
+        groups = [[r] for r in rooms]
+    else:
+        caps = sorted(r.capacity for r in rooms)
+        median = caps[(len(caps) - 1) // 2] if caps else 0
+        groups = [[r for r in rooms if r.capacity <= median],
+                  [r for r in rooms if r.capacity > median]]
+    return [("+".join(sorted(r.id for r in g)), max(r.capacity for r in g),
+             tuple(r.id for r in g)) for g in groups if g]
+
+
+def _build_full(instance: Instance, aggregated: bool) -> MilpModel:
+    """Full formulation over room groups (see _room_groups)."""
     name = "surface2" if aggregated else "monolithic"
     taught = "m_taught" if aggregated else "taught"
     uses = "m_uses" if aggregated else "uses"
-    room_keys = tuple(r.id for r in rooms)
+    groups = _room_groups(instance, aggregated)
+    capacity = {key: cap for key, cap, _ in groups}
+    members = {key: rooms for key, _, rooms in groups}
+    room_keys = list(members)
     model = MilpModel(name)
     model.metadata.update(formulation=name, instance=instance,
-                          taught=taught, room_keys=room_keys, uses=uses)
-    if aggregated:
-        model.metadata["multirooms"] = tuple(rooms)
+                          taught=taught, uses=uses, room_groups=members)
     w = instance.weights
     var = model.by_tag
-    by_key = {r.id: r for r in rooms}
 
     # occupancy first: branching ties then go to the period decision
     _add_times(model, instance)
@@ -189,7 +205,7 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
         for key in room_keys:
             for c in instance.courses:
                 idx = _add_var(model, (taught, p, key, c.id))
-                overflow = c.students - by_key[key].capacity
+                overflow = c.students - capacity[key]
                 if w.capacity and overflow > 0:
                     obj.append((float(w.capacity * overflow), idx))
 
@@ -199,7 +215,7 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
                 f"room_clash[{p},{key}]",
                 [(1.0, var((taught, p, key, c.id)))
                  for c in instance.courses],
-                "<=", float(by_key[key].multiplicity), origin="room-clash")
+                "<=", float(len(members[key])), origin="room-clash")
     # Each model keeps its own order of clash rows, and the searches depend
     # on it.  Six shared orders were measured on the bench instances (clash
     # rows before or after the capacity rows, teacher or curriculum rows
@@ -241,21 +257,13 @@ def _build_full(instance: Instance, rooms: list[MultiRoom],
 
 
 def build_monolithic(instance: Instance) -> MilpModel:
-    # identity multirooms come in instance.rooms order
-    return _build_full(instance, list(build_multirooms(instance, "identity")),
-                       aggregated=False)
+    return _build_full(instance, aggregated=False)
 
 
-def build_surface2(instance: Instance,
-                   multirooms: tuple[MultiRoom, ...] | None = None
-                   ) -> MilpModel:
-    """Full formulation over multirooms, by default the median split."""
-    if multirooms is None:
-        multirooms = build_multirooms(instance, "median-split")
-    members = sorted(m for r in multirooms for m in r.members)
-    if members != sorted(r.id for r in instance.rooms):
-        raise FormulationError("multirooms must partition the room set")
-    return _build_full(instance, list(multirooms), aggregated=True)
+def build_surface2(instance: Instance) -> MilpModel:
+    """Full formulation over two room groups split at the lower median
+    capacity."""
+    return _build_full(instance, aggregated=True)
 
 
 def build_surface(instance: Instance) -> MilpModel:
@@ -453,7 +461,7 @@ def add_implied_bound_cuts(model: MilpModel) -> int:
             model.add_constraint(
                 f"implied_rooms[{c.id}]",
                 [(1.0, model.by_tag((uses, key, c.id)))
-                 for key in sorted(model.metadata["room_keys"])],
+                 for key in sorted(model.metadata["room_groups"])],
                 ">=", 1.0, origin="implied-bound-cut")
             added += 1
     return added

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal
 
 DEFAULT_WEIGHTS = (1, 5, 2, 1)
 
@@ -178,23 +177,6 @@ class ConflictGraph:
         if n < 2:
             return 0.0
         return len(self.edges) / (n * (n - 1) / 2)
-
-
-@dataclass(frozen=True)
-class MultiRoom:
-    """A bundle of interchangeable rooms: multiplicity many slots, each of
-    the largest member's capacity."""
-
-    multiplicity: int
-    capacity: int
-    members: frozenset[str]
-
-    @property
-    def id(self) -> str:
-        return "+".join(sorted(self.members))
-
-
-AggregationPolicy = Literal["median-split", "identity"]
 
 
 def parse_ctt(text: str, weights: tuple[int, int, int, int] | None = None) -> Instance:
@@ -376,38 +358,6 @@ def build_conflict_graph(instance: Instance) -> ConflictGraph:
     return ConflictGraph(
         vertices=tuple(c.id for c in instance.courses),
         edges=frozenset(edges),
-    )
-
-
-def build_multirooms(
-    instance: Instance, policy: AggregationPolicy
-) -> tuple[MultiRoom, ...]:
-    """Partition the rooms into multi-rooms.
-
-    ``identity`` keeps each room separate, and ``median-split`` makes two
-    groups: rooms with capacity at most the lower median versus the rest.
-    """
-    rooms = instance.rooms
-    if not rooms:
-        return ()
-    if policy == "identity":
-        return tuple(_make_multiroom([r]) for r in rooms)
-    if policy == "median-split":
-        caps = sorted(r.capacity for r in rooms)
-        median = caps[(len(caps) - 1) // 2]  # lower median for even counts
-        small = [r for r in rooms if r.capacity <= median]
-        large = [r for r in rooms if r.capacity > median]
-        groups = [g for g in (small, large) if g]
-        return tuple(_make_multiroom(g) for g in groups)
-    raise ValueError(f"unknown aggregation policy {policy!r}")
-
-
-def _make_multiroom(rooms: Iterable[Room]) -> MultiRoom:
-    rooms = list(rooms)
-    return MultiRoom(
-        multiplicity=len(rooms),
-        capacity=max(r.capacity for r in rooms),
-        members=frozenset(r.id for r in rooms),
     )
 
 

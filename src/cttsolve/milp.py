@@ -48,7 +48,6 @@ class LinearConstraint:
 class MilpSolution:
     values: np.ndarray  # one entry per model variable, in model order
     objective_value: float
-    status: str  # optimal | feasible | infeasible | unbounded | limit-reached
 
 
 class MilpModel:
@@ -399,11 +398,9 @@ def parse_mps(text: str) -> MilpModel:
 
 
 def import_solution(model: MilpModel, text: str) -> MilpSolution:
-    """Read whitespace-separated ``name value`` lines and check feasibility.
-
-    Unlisted variables default to zero.  Status is ``feasible`` when every
-    constraint holds within tolerance, else ``infeasible``.
-    """
+    """Read whitespace-separated ``name value`` lines into a point of the
+    model; unlisted variables default to zero.  The point is not checked
+    (see ``MilpModel.first_violation``)."""
     values = np.zeros(len(model.variables))
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -416,9 +413,7 @@ def import_solution(model: MilpModel, text: str) -> MilpSolution:
         if not model.has_variable(name):
             raise MilpError(f"solution line {idx}: unknown variable {name!r}")
         values[model.var(name)] = float(value)
-    violated = model.first_violation(values)
-    status = "feasible" if violated is None else "infeasible"
-    return MilpSolution(values, model.objective_value(values), status)
+    return MilpSolution(values, model.objective_value(values))
 
 
 def format_values(model: MilpModel, values) -> str:

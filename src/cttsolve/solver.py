@@ -348,9 +348,7 @@ def branch_and_bound(model: MilpModel,
         status = "optimal"
     else:
         status = stop_status or "feasible"
-    inc_status = "feasible" if status == "limit-reached" else status
-    return SolveResult(status, MilpSolution(incumbent, inc_obj, inc_status),
-                       lb, explored)
+    return SolveResult(status, MilpSolution(incumbent, inc_obj), lb, explored)
 
 
 def _most_fractional(arrays: _Arrays, x) -> int | None:
@@ -398,7 +396,7 @@ def brute_force_model(model: MilpModel,
             best, best_obj = values, obj
     if best is None:
         return SolveResult("infeasible", None, math.inf, space)
-    return SolveResult("optimal", MilpSolution(best, best_obj, "optimal"),
+    return SolveResult("optimal", MilpSolution(best, best_obj),
                        best_obj, space)
 
 
@@ -434,55 +432,62 @@ def brute_force_instance(instance: Instance,
 
 # -- external adapter --------------------------------------------------------
 
-@dataclass
-class AdapterConfig:
-    command: list[str]  # template; {mps}, {time_limit}, {solution} placeholders
-    workdir: str | Path
-    solution_path: str | Path
-    bound_path: str | Path | None = None
-    time_limit: float = 60.0
+def external_solve(model: MilpModel, command: list[str], workdir: str | Path,
+                   time_limit: float = 60.0) -> SolveResult:
+    """Write ``<workdir>/<model name>.mps``, run the command and read back
+    the point it writes to ``.sol`` and the lower bound it may write to
+    ``.bound`` (``LOWER_BOUND value``) next to it.  The command template
+    can name ``{mps}``, ``{solution}``, ``{bound}`` and ``{time_limit}``.
 
-
-def external_solve(model: MilpModel, adapter: AdapterConfig) -> SolveResult:
-    """Write MPS, invoke the external process, read back and verify.
-
-    The external point is re-checked against the model; a constraint-violating
-    file is reported as an inconsistency, never trusted.
+    Both output files are deleted before the command runs, so a file left
+    by an earlier call is never read as this call's answer.  The point is
+    re-checked against the model and the bound against the point: a
+    violated constraint or a bound above the point's objective is reported
+    as an inconsistency, never trusted.
     """
-    workdir = Path(adapter.workdir)
+    if Path(model.name).name != model.name:  # the files stay in workdir
+        raise ExternalSolverError(f"model name {model.name!r} has a path")
+    workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    mps_path = workdir / f"{model.name}.mps"
-    mps_path.write_text(export_mps(model))
-    solution_path = Path(adapter.solution_path)
+    paths = {ext: workdir / f"{model.name}.{ext}"
+             for ext in ("mps", "sol", "bound")}
+    for ext in ("sol", "bound"):
+        paths[ext].unlink(missing_ok=True)
+    paths["mps"].write_text(export_mps(model))
 
-    command = [arg.format(mps=str(mps_path),
-                          time_limit=str(adapter.time_limit),
-                          solution=str(solution_path))
-               for arg in adapter.command]
+    command = [arg.format(mps=paths["mps"], solution=paths["sol"],
+                          bound=paths["bound"], time_limit=time_limit)
+               for arg in command]
     try:
         proc = subprocess.run(command, cwd=workdir, capture_output=True,
-                              text=True, timeout=adapter.time_limit + 60)
+                              text=True, timeout=time_limit + 60)
     except (OSError, subprocess.TimeoutExpired) as exc:
         raise ExternalSolverError(f"external process failed: {exc}")
     if proc.returncode != 0:
         raise ExternalSolverError(
             f"external process exited with {proc.returncode} "
             f"(command {command}, workdir {workdir}): {proc.stderr}")
-    if not solution_path.exists():
-        raise ExternalSolverError(f"missing solution file {solution_path}")
+    if not paths["sol"].exists():
+        raise ExternalSolverError(f"missing solution file {paths['sol']}")
 
-    imported = import_solution(model, solution_path.read_text())
-    if imported.status != "feasible":
-        violated = model.first_violation(imported.values)
+    imported = import_solution(model, paths["sol"].read_text())
+    violated = model.first_violation(imported.values)
+    if violated is not None:
         raise ExternalSolverError(
             f"external solution is inconsistent (violates {violated})")
 
     lower = -math.inf
-    if adapter.bound_path is not None:
-        bound_path = Path(adapter.bound_path)
-        if bound_path.exists():
-            fields = bound_path.read_text().split()
+    if paths["bound"].exists():
+        fields = paths["bound"].read_text().split()
+        try:
             if len(fields) != 2 or fields[0] != "LOWER_BOUND":
-                raise ExternalSolverError("malformed bound file")
+                raise ValueError
             lower = float(fields[1])
+        except ValueError:
+            raise ExternalSolverError("malformed bound file")
+        # NaN fails this test too
+        if not lower <= imported.objective_value + FEAS_TOL:
+            raise ExternalSolverError(
+                f"external lower bound {lower:g} is not at most the"
+                f" returned point's objective {imported.objective_value:g}")
     return SolveResult("feasible", imported, lower, 0)

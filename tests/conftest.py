@@ -157,9 +157,10 @@ def encode_solution(instance: Instance, model: MilpModel,
     (auxiliaries at their forced minima)."""
     taught = model.metadata.get("taught")
     uses = model.metadata.get("uses")
-    room_to_key = {r.id: r.id for r in instance.rooms}
-    for mr in model.metadata.get("multirooms", ()):
-        room_to_key.update((member, mr.id) for member in mr.members)
+    # a surface has no room variables and so no room groups
+    room_to_key = {room: key for key, rooms
+                   in model.metadata.get("room_groups", {}).items()
+                   for room in rooms}
 
     values: dict[tuple, float] = {}  # by tag; unlisted variables stay 0
     days_used: dict[str, set[int]] = {c.id: set() for c in instance.courses}
@@ -168,7 +169,7 @@ def encode_solution(instance: Instance, model: MilpModel,
         u.id: set() for u in instance.curricula}
 
     for cid, period, room in solution.events():
-        key = room_to_key[room]
+        key = room_to_key.get(room)
         values[("times", period, cid)] = 1.0
         values[(taught, period, key, cid)] = 1.0
         days_used[cid].add(instance.day_of(period))

@@ -292,6 +292,30 @@ class TestStrategies:
         assert result.dives == []
         assert result.upper_bound is None
 
+    @pytest.mark.parametrize("strategy, surface_time, expected", [
+        ("contract", None, 50.0), ("contract", 20.0, 20.0),
+        ("anytime", None, 100.0)])
+    def test_contract_leaves_half_the_total_time_to_dive(
+            self, tight_instance, monkeypatch, strategy, surface_time,
+            expected):
+        # a frozen clock keeps the whole total time remaining
+        monkeypatch.setattr(control, "time",
+                            SimpleNamespace(monotonic=lambda: 0.0))
+        limits = []
+        real = control.branch_and_bound
+
+        def recording(model, config):
+            limits.append((model.name, config.time_limit))
+            return real(model, config)
+
+        monkeypatch.setattr(control, "branch_and_bound", recording)
+        result = run_strategy(tight_instance, StrategyConfig(
+            strategy=strategy, surface_time=surface_time, total_time=100.0))
+        assert result.dives
+        assert [(n, t) for n, t in limits if n in ("surface", "rooms")] == [
+            ("surface", expected), ("rooms", expected)]
+        assert {t for n, t in limits if n.startswith("monolithic+")} == {100.0}
+
     def test_history_monotone(self, tight_instance):
         result = run_strategy(tight_instance)
         lowers = [e.value for e in result.history if e.kind == "lower"]

@@ -17,7 +17,7 @@ from cttsolve.formulations import (DAY_FIXED, DIVE_KINDS, PERIOD_FIXED,
                                    build_surface, build_surface2,
                                    decode_monolithic, decode_surface,
                                    greedy_clique_cover)
-from cttsolve.instance import build_conflict_graph, build_multirooms
+from cttsolve.instance import build_conflict_graph
 from cttsolve.milp import MilpError
 from cttsolve.solver import (SearchSpaceError, _Arrays, branch_and_bound,
                              brute_force_instance, brute_force_model,
@@ -161,7 +161,7 @@ class TestOccupancy:
                 if row.origin == "occupancy":
                     (_, p, cid), = [t for t in tags if t[0] == "times"]
                     assert sorted(t[2] for t in tags if t[0] == taught) \
-                        == sorted(model.metadata["room_keys"])
+                        == sorted(model.metadata["room_groups"])
                     seen.add((p, cid))
             assert seen == {(p, c.id) for p in range(toy_instance.periods)
                             for c in toy_instance.courses}
@@ -223,32 +223,58 @@ class TestSurface:
         assert "forbidden[c1,0]" in {c.name for c in model.constraints}
 
 
+def capacity_costs(model):
+    """Capacity cost of each (room key, course) pair, read off the
+    objective at period 0; a pair within capacity costs nothing."""
+    taught = model.metadata["taught"]
+    costs = {}
+    for coef, idx in model.objective_terms:
+        tag = model.variables[idx].tag
+        if tag[0] == taught and tag[1] == 0:
+            costs[tag[2:]] = coef
+    return costs
+
+
 class TestSurface2:
-    def test_identity_matches_monolithic_optimum(self):
-        rng = random.Random(47)
-        for _ in range(6):
-            instance = random_tiny_instance(rng)
-            identity = build_surface2(
-                instance, build_multirooms(instance, "identity"))
-            mono = build_monolithic(instance)
-            a = branch_and_bound(identity)
-            b = branch_and_bound(mono)
-            assert a.status == b.status
-            if b.status == "optimal":
-                assert a.incumbent.objective_value == pytest.approx(
-                    b.incumbent.objective_value)
-
     def test_variable_count_median_split(self, toy_instance):
-        multirooms = build_multirooms(toy_instance, "median-split")
-        model = build_surface2(toy_instance, multirooms)
+        model = build_surface2(toy_instance)
         tags = [v.tag[0] for v in model.variables]
-        assert tags.count("m_taught") == 6 * len(multirooms) * 3
+        # rooms of 32 and 20 seats: the lower median, 20, parts them
+        assert len(model.metadata["room_groups"]) == 2
+        assert tags.count("m_taught") == 6 * 2 * 3
 
-    def test_requires_partition(self, toy_instance):
-        from cttsolve.instance import MultiRoom
-        bad = (MultiRoom(1, 32, frozenset({"rA"})),)
-        with pytest.raises(FormulationError):
-            build_surface2(toy_instance, bad)
+    def test_even_room_count_splits_at_lower_median(self):
+        instance = make_instance(
+            [("c1", "t1", 1, 1, 50)],
+            [("r1", 10), ("r2", 20), ("r3", 30), ("r4", 40)],
+            [("q1", ["c1"])])
+        model = build_surface2(instance)
+        # lower median (20) splits: {10, 20} below, {30, 40} above
+        assert model.metadata["room_groups"] == {
+            "r1+r2": ("r1", "r2"), "r3+r4": ("r3", "r4")}
+        assert {c.name: c.rhs for c in model.constraints
+                if c.name.startswith("room_clash[0,")} == {
+            "room_clash[0,r1+r2]": 2, "room_clash[0,r3+r4]": 2}
+        # 50 students overflow a group of 20 seats by 30, one of 40 by 10
+        assert capacity_costs(model) == {("r1+r2", "c1"): 30,
+                                         ("r3+r4", "c1"): 10}
+
+    def test_groups_partition_rooms(self):
+        for seed in range(40):
+            instance = random_tiny_instance(random.Random(seed))
+            model = build_surface2(instance)
+            groups = model.metadata["room_groups"]
+            members = [m for rooms in groups.values() for m in rooms]
+            assert sorted(members) == sorted(r.id for r in instance.rooms)
+            # each group sees its largest member's capacity
+            w = instance.weights.capacity
+            expected = {}
+            for key, rooms in groups.items():
+                seats = max(instance.room_by_id[m].capacity for m in rooms)
+                for c in instance.courses:
+                    if w and c.students > seats:
+                        expected[key, c.id] = w * (c.students - seats)
+            assert capacity_costs(model) == expected
 
     def test_aggregation_never_exceeds_monolithic_optimum(self):
         rng = random.Random(53)
@@ -564,7 +590,7 @@ def with_dropped_rows(model):
                      (-1.0, var(("sched", d, c.id)))], "<=", 0.0)
     if "uses" in model.metadata:
         taught, uses = model.metadata["taught"], model.metadata["uses"]
-        for key in model.metadata["room_keys"]:
+        for key in model.metadata["room_groups"]:
             for c in instance.courses:
                 model.add_constraint(
                     f"room_used_lb[{key},{c.id}]",

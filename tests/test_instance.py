@@ -1,13 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import TOY_CTT, make_instance, random_tiny_instance
 from cttsolve.instance import (CttSemanticError, CttSyntaxError,
-                               build_conflict_graph, build_multirooms,
-                               instance_stats, parse_ctt, serialize_ctt)
+                               build_conflict_graph, instance_stats,
+                               parse_ctt, serialize_ctt)
 
 MINIMAL_CTT = """\
 Name: minimal
@@ -151,37 +149,6 @@ class TestConflictGraph:
             periods_per_day=toy_instance.periods_per_day)
         reduced = build_conflict_graph(reduced_instance)
         assert reduced.edges <= full.edges
-
-
-class TestMultiRooms:
-    def test_identity_policy(self, toy_instance):
-        mrs = build_multirooms(toy_instance, "identity")
-        assert len(mrs) == 2
-        assert all(mr.multiplicity == 1 for mr in mrs)
-
-    def test_median_split_even_count(self):
-        instance = make_instance(
-            [("c1", "t1", 1, 1, 5)],
-            [("r1", 10), ("r2", 20), ("r3", 30), ("r4", 40)],
-            [("q1", ["c1"])])
-        small, large = sorted(build_multirooms(instance, "median-split"),
-                              key=lambda m: m.capacity)
-        # lower median (20) splits: {10, 20} below, {30, 40} above
-        assert (small.multiplicity, small.capacity) == (2, 20)
-        assert (large.multiplicity, large.capacity) == (2, 40)
-
-    @given(st.integers(0, 2 ** 32), st.sampled_from(
-        ["median-split", "identity"]))
-    @settings(max_examples=40, deadline=None)
-    def test_policies_partition_rooms(self, seed, policy):
-        instance = random_tiny_instance(random.Random(seed))
-        mrs = build_multirooms(instance, policy)
-        members = [m for mr in mrs for m in mr.members]
-        assert sorted(members) == sorted(r.id for r in instance.rooms)
-        for mr in mrs:
-            assert mr.multiplicity == len(mr.members)
-            assert mr.capacity == max(instance.room_by_id[m].capacity
-                                      for m in mr.members)
 
 
 class TestStats:

@@ -17,9 +17,9 @@ from cttsolve.formulations import (DIVE_KINDS, build_dive, build_monolithic,
                                    build_surface, build_surface2,
                                    decode_surface)
 from cttsolve.milp import MilpModel
-from cttsolve.solver import (AdapterConfig, ExternalSolverError,
-                             SearchSpaceError, SolveConfig, SolverError,
-                             _Arrays, _most_fractional, branch_and_bound,
+from cttsolve.solver import (ExternalSolverError, SearchSpaceError,
+                             SolveConfig, SolverError, _Arrays,
+                             _most_fractional, branch_and_bound,
                              brute_force_instance, brute_force_model,
                              external_solve)
 
@@ -421,7 +421,6 @@ class TestBranchAndBound:
         for config in (SolveConfig(), SolveConfig(node_limit=6)):
             result = branch_and_bound(model, config)
             assert result.status == "optimal"
-            assert result.incumbent.status == "optimal"
             assert result.lower_bound == result.incumbent.objective_value == 2
 
     @pytest.mark.parametrize("seed, nodes", [(44, 5), (129, 9)])
@@ -507,33 +506,21 @@ class TestExternalAdapter:
         package_root = str(Path(cttsolve.__file__).resolve().parents[1])
         monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
             filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-        model = knapsack_model()
-        solution = tmp_path / "out.sol"
-        adapter = AdapterConfig(
-            command=[sys.executable, "-m", "cttsolve.cli", "solve-mps",
-                     "{mps}", "-o", "{solution}"],
-            workdir=tmp_path,
-            solution_path=solution,
-        )
-        result = external_solve(model, adapter)
+        result = external_solve(
+            knapsack_model(),
+            [sys.executable, "-m", "cttsolve.cli", "solve-mps", "{mps}",
+             "-o", "{solution}"], tmp_path)
         assert result.status == "feasible"
         assert result.incumbent.objective_value == pytest.approx(-9.0)
+        assert (tmp_path / "knapsack.sol").exists()
 
     def test_violating_point_rejected(self, tmp_path):
         model = MilpModel("m")
         model.add_variable("x", "binary")
         model.add_constraint("c", [(1.0, "x")], ">=", 1.0)
         model.set_objective([(1.0, "x")])
-        solution = tmp_path / "lie.sol"
-        script = tmp_path / "liar.py"
-        script.write_text(
-            "import sys\n"
-            f"open({str(solution)!r}, 'w').write('x 0\\n')\n")
-        adapter = AdapterConfig(
-            command=[sys.executable, str(script), "{mps}"],
-            workdir=tmp_path, solution_path=solution)
-        with pytest.raises(ExternalSolverError):
-            external_solve(model, adapter)
+        with pytest.raises(ExternalSolverError, match="violates c"):
+            external_solve(model, write_files("x 0"), tmp_path)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("kind", ["continuous", "integer"])
@@ -541,33 +528,69 @@ class TestExternalAdapter:
         model = MilpModel("m")
         model.add_variable("x", kind, 0.0, math.inf)
         model.set_objective([(1.0, "x")])
-        solution = tmp_path / "out.sol"
-        adapter = AdapterConfig(
-            command=[sys.executable, "-c",
-                     f"open({str(solution)!r}, 'w').write('x {value}\\n')"],
-            workdir=tmp_path, solution_path=solution)
         with pytest.raises(ExternalSolverError, match="bound:x"):
-            external_solve(model, adapter)
+            external_solve(model, write_files(f"x {value}"), tmp_path)
 
     def test_missing_solution_file(self, tmp_path):
-        model = knapsack_model()
-        adapter = AdapterConfig(
-            command=[sys.executable, "-c", "pass"],
-            workdir=tmp_path, solution_path=tmp_path / "never.sol")
-        with pytest.raises(ExternalSolverError):
-            external_solve(model, adapter)
+        with pytest.raises(ExternalSolverError, match="missing solution"):
+            external_solve(knapsack_model(), [sys.executable, "-c", "pass"],
+                           tmp_path)
 
     def test_bound_file(self, tmp_path):
-        model = knapsack_model()
-        solution = tmp_path / "out.sol"
-        bound = tmp_path / "bound.txt"
-        script = tmp_path / "solver.py"
-        script.write_text(
-            f"open({str(solution)!r}, 'w').write('a 1\\nb 1\\n')\n"
-            f"open({str(bound)!r}, 'w').write('LOWER_BOUND -10\\n')\n")
-        adapter = AdapterConfig(
-            command=[sys.executable, str(script)],
-            workdir=tmp_path, solution_path=solution, bound_path=bound)
-        result = external_solve(model, adapter)
+        result = external_solve(
+            knapsack_model(), write_files("a 1\nb 1", "LOWER_BOUND -10"),
+            tmp_path)
         assert result.lower_bound == -10.0
         assert result.incumbent.objective_value == pytest.approx(-9.0)
+
+    @pytest.mark.parametrize("name", ["../up", "sub/m", "/abs"])
+    def test_model_name_with_a_path_rejected(self, tmp_path, name):
+        (tmp_path / "w").mkdir()
+        (tmp_path / "up.sol").write_text("a 1\n")
+        model = knapsack_model()
+        model.name = name
+        with pytest.raises(ExternalSolverError, match="has a path"):
+            external_solve(model, write_files("a 1"), tmp_path / "w")
+        assert (tmp_path / "up.sol").exists()
+        assert list((tmp_path / "w").iterdir()) == []
+
+    def test_earlier_calls_files_are_not_read(self, tmp_path):
+        external_solve(knapsack_model(),
+                       write_files("a 1\nb 1", "LOWER_BOUND -10"), tmp_path)
+        # a call whose command writes no bound has none
+        result = external_solve(knapsack_model(), write_files("a 1"),
+                                tmp_path)
+        assert result.lower_bound == -math.inf
+        assert result.incumbent.objective_value == pytest.approx(-5.0)
+        # and one that writes no point fails, whatever an earlier call wrote
+        with pytest.raises(ExternalSolverError, match="missing solution"):
+            external_solve(knapsack_model(), [sys.executable, "-c", "pass"],
+                           tmp_path)
+
+    @pytest.mark.parametrize("bound, ok", [("-9", True), ("-8.9999995", True),
+                                           ("-8.999998", False), ("-8", False),
+                                           ("nan", False)])
+    def test_bound_above_point_rejected(self, tmp_path, bound, ok):
+        command = write_files("a 1\nb 1", f"LOWER_BOUND {bound}")
+        if ok:
+            assert external_solve(knapsack_model(), command,
+                                  tmp_path).lower_bound == float(bound)
+        else:
+            with pytest.raises(ExternalSolverError, match="is not at most"):
+                external_solve(knapsack_model(), command, tmp_path)
+
+    @pytest.mark.parametrize("text", ["LOWER_BOUND", "LOWER_BOUND x",
+                                      "UPPER_BOUND -10", "LOWER_BOUND -10 1"])
+    def test_malformed_bound_file(self, tmp_path, text):
+        with pytest.raises(ExternalSolverError, match="malformed bound"):
+            external_solve(knapsack_model(), write_files("a 1", text),
+                           tmp_path)
+
+
+def write_files(solution: str, bound: str | None = None) -> list[str]:
+    """Command writing the given solution and bound file texts."""
+    code = "import sys; open(sys.argv[1], 'w').write(sys.argv[2])"
+    if bound is not None:
+        code += "; open(sys.argv[3], 'w').write(sys.argv[4])"
+    return [sys.executable, "-c", code, "{solution}", solution + "\n",
+            "{bound}", f"{bound}\n"]
