@@ -252,8 +252,10 @@ def _run_dive(instance: Instance, monolithic, kind: str,
     model.freeze()
     cutoff = ledger.upper if math.isfinite(ledger.upper) else None
     objectives: list[float] = []
+    # a dive is a heuristic: it plunges to its first incumbent
     result = branch_and_bound(model, _budget(
         config.per_dive_time, config.dive_nodes, deadline, cutoff=cutoff,
+        plunge=True,
         on_incumbent=_recorder(instance, model, ledger, f"dive:{kind}",
                                objectives)))
     return DiveRecord(kind, objective, index, result.status,

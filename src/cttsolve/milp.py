@@ -289,8 +289,8 @@ def parse_mps(text: str) -> MilpModel:
     free rows and are dropped.  Any other section (OBJSENSE, RANGES, ...),
     an unknown row type, an entry on an undeclared row or column, a line
     short of a name or value, a coefficient or right-hand side that is not
-    finite, and a NaN bound raise MilpError rather than change the model
-    silently.
+    finite, a NaN bound and a text that ends before ENDATA (a truncated or
+    empty file) raise MilpError rather than change the model silently.
     """
     model = MilpModel("mps")
     section = None
@@ -371,6 +371,8 @@ def parse_mps(text: str) -> MilpModel:
                 raise MilpError(f"unsupported bound type {btype!r}")
         else:
             raise MilpError(f"MPS data line outside a section: {raw!r}")
+    else:
+        raise MilpError("MPS text ends without ENDATA")
 
     for name in col_order:
         lo, hi = bounds.get(name, [0.0, math.inf])

@@ -16,7 +16,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Callable
 
@@ -108,6 +108,7 @@ class SolveConfig:
     cutoff: float | None = None  # prune nodes whose bound reaches this value
     node_limit: int | None = None
     on_incumbent: Callable | None = None  # (point, objective) -> None
+    plunge: bool = False  # depth-first until the first incumbent
 
     def __post_init__(self):
         if self.time_limit is not None and not self.time_limit > 0:
@@ -263,6 +264,10 @@ def branch_and_bound(model: MilpModel,
     index).  Among open nodes of equal bound the newest goes first, and of
     two siblings the down child (``x <= floor``) is the newer, so each
     plateau of tied bounds is searched depth-first, down child first.
+    With ``config.plunge`` the search first plunges: until it has an
+    incumbent it takes the newest open node whatever its bound, which is
+    the down child of the node it just branched on; from its first
+    incumbent on it takes the nodes in the best-bound order above.
     Nodes are pruned once their bound reaches the lesser of the cutoff and
     the incumbent.  Stops only at the node limit, the time limit
     or an exhausted tree; a stop with the open bound at the incumbent is
@@ -280,8 +285,10 @@ def branch_and_bound(model: MilpModel,
     inc_obj = math.inf
     pruned_min = math.inf
     explored = 0
-    heap = [(-math.inf, 0, arrays.lo.copy(), arrays.hi.copy())]
+    # (bound, -seq, lo, hi): a stack while plunging, else a heap
+    nodes = [(-math.inf, 0, arrays.lo.copy(), arrays.hi.copy())]
     seq = itertools.count(1)
+    plunging = config.plunge
     stop_status = None
 
     def cut_line() -> float:
@@ -289,7 +296,7 @@ def branch_and_bound(model: MilpModel,
             return inc_obj
         return min(config.cutoff, inc_obj)
 
-    while heap:
+    while nodes:
         if config.node_limit is not None and explored >= config.node_limit:
             stop_status = "limit-reached"
             break
@@ -298,7 +305,7 @@ def branch_and_bound(model: MilpModel,
             stop_status = "limit-reached"
             break
 
-        bound, _, lo, hi = heappop(heap)
+        bound, _, lo, hi = nodes.pop() if plunging else heappop(nodes)
         if bound >= cut_line() - FEAS_TOL:
             pruned_min = min(pruned_min, bound)
             continue
@@ -321,6 +328,9 @@ def branch_and_bound(model: MilpModel,
             if exact < cut_line() - FEAS_TOL:
                 incumbent = x
                 inc_obj = exact
+                if plunging:
+                    heapify(nodes)
+                    plunging = False
                 if config.on_incumbent is not None:
                     config.on_incumbent(x.copy(), exact)
             else:
@@ -332,12 +342,14 @@ def branch_and_bound(model: MilpModel,
         down_hi[branch_var] = math.floor(xv)
         up_lo = lo.copy()
         up_lo[branch_var] = math.ceil(xv)
-        # ties go to the newest node, so the down child, pushed last, is next
-        heappush(heap, (node_bound, -next(seq), up_lo, hi))
-        heappush(heap, (node_bound, -next(seq), lo, down_hi))
+        # the newest node goes first (among tied bounds once the search
+        # stops plunging), so the down child, pushed last, is next
+        push = list.append if plunging else heappush
+        push(nodes, (node_bound, -next(seq), up_lo, hi))
+        push(nodes, (node_bound, -next(seq), lo, down_hi))
 
-    # the heap is ordered by bound, so its head holds the least one
-    lb = min(heap[0][0] if heap else math.inf, pruned_min, inc_obj)
+    # a plunge's stack is not kept in bound order, so scan every open node
+    lb = min([node[0] for node in nodes] + [pruned_min, inc_obj])
     if incumbent is None:
         if stop_status is None:
             # tree exhausted; every prune was against the cutoff, if any

@@ -132,6 +132,19 @@ class TestBuildAndSolveMps:
         assert "status: optimal" in out
         assert "objective: 14" in out
 
+    def test_truncated_export_exit_2(self, tight_path, tmp_path, capsys):
+        mps = tmp_path / "tight.mps"
+        assert main(["build", tight_path, "--formulation", "monolithic",
+                     "-o", str(mps)]) == 0
+        text = mps.read_text()
+        columns = text.index("COLUMNS\n")
+        # cut at a line end halfway through the COLUMNS section
+        cut = text.index("\n", (columns + text.index("RHS\n")) // 2) + 1
+        mps.write_text(text[:cut])
+        capsys.readouterr()
+        assert main(["solve-mps", str(mps)]) == 2
+        assert "without ENDATA" in capsys.readouterr().err
+
     def test_unsupported_mps_exit_2(self, tmp_path, capsys):
         mps = tmp_path / "ranged.mps"
         mps.write_text("NAME r\nROWS\n N  OBJ\n L  c\nCOLUMNS\n"

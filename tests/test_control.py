@@ -316,6 +316,24 @@ class TestStrategies:
             ("surface", expected), ("rooms", expected)]
         assert {t for n, t in limits if n.startswith("monolithic+")} == {100.0}
 
+    @pytest.mark.parametrize("strategy", ["contract", "anytime", "exact"])
+    def test_only_dives_plunge(self, tight_instance, monkeypatch, strategy):
+        searches = []
+        real = control.branch_and_bound
+
+        def recording(model, config):
+            searches.append((model.metadata.get("dive"), config.plunge))
+            return real(model, config)
+
+        monkeypatch.setattr(control, "branch_and_bound", recording)
+        run_strategy(tight_instance, StrategyConfig(strategy=strategy))
+        assert all(plunge == (dive is not None) for dive, plunge in searches)
+        kinds = {dive for dive, _ in searches}
+        if strategy == "exact":
+            assert kinds == {None}
+        else:
+            assert kinds == {None, *DIVE_KINDS}
+
     def test_history_monotone(self, tight_instance):
         result = run_strategy(tight_instance)
         lowers = [e.value for e in result.history if e.kind == "lower"]

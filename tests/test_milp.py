@@ -214,13 +214,19 @@ class TestMps:
         (" UP BND  x  1\n", " UP BND  x\n"),
         (" UP BND  y  1\n", " FX BND  y\n"),
         (" UP BND  y  1\n", " UP BND\n"),
+        ("    y  cover  1\n", None),
+        ("NAME", None),
     ], ids=["rows-no-name", "columns-no-value", "rhs-no-value",
-            "lo-no-value", "up-no-value", "fx-no-value", "bound-no-column"])
+            "lo-no-value", "up-no-value", "fx-no-value", "bound-no-column",
+            "truncated-in-columns", "empty"])
     def test_short_line_rejected(self, old, new):
+        # new None cuts the text just before old
         text = export_mps(simple_model())
         assert old in text
+        short = (text.replace(old, new) if new is not None
+                 else text[:text.index(old)])
         with pytest.raises(MilpError, match="MPS .*without"):
-            parse_mps(text.replace(old, new))
+            parse_mps(short)
 
     @pytest.mark.parametrize("old, new", [
         ("    y  cover  1\n", "    y  cover  nan\n"),

@@ -312,11 +312,44 @@ class TestBranchAndBound:
             model.set_objective([(float(rng.randint(-3, 3)), f"v{i}")
                                  for i in range(n)])
             exact = brute_force_model(model)
-            bb = branch_and_bound(model)
-            assert bb.status == exact.status
-            if exact.status == "optimal":
-                assert bb.incumbent.objective_value == pytest.approx(
-                    exact.incumbent.objective_value)
+            # a plunge changes the node order only, so a finished search
+            # ends where the best-bound search does
+            for config in (SolveConfig(), SolveConfig(plunge=True)):
+                bb = branch_and_bound(model, config)
+                assert bb.status == exact.status
+                if exact.status == "optimal":
+                    assert bb.incumbent.objective_value == pytest.approx(
+                        exact.incumbent.objective_value)
+                    assert bb.lower_bound == pytest.approx(
+                        exact.incumbent.objective_value)
+
+    def test_plunge_finds_an_incumbent_sooner(self):
+        # the plunge reaches its first incumbent at node 3, best-bound
+        # order at node 5
+        model = build_monolithic(
+            random_tiny_instance(random.Random(48))).freeze()
+        optimum = branch_and_bound(model).incumbent.objective_value
+        plunged = branch_and_bound(model,
+                                   SolveConfig(node_limit=3, plunge=True))
+        best = branch_and_bound(model, SolveConfig(node_limit=3))
+        assert plunged.incumbent is not None
+        assert plunged.incumbent.objective_value >= optimum
+        assert best.status == "limit-reached" and best.incumbent is None
+
+    def test_plunge_stopped_by_a_limit_bounds_the_optimum(self):
+        # a stack is not ordered by bound, so the final lower bound must
+        # be the least over every open node, not the last one pushed
+        for seed in range(12):
+            model = build_monolithic(
+                random_tiny_instance(random.Random(seed))).freeze()
+            full = branch_and_bound(model)
+            if full.incumbent is None:
+                continue
+            optimum = full.incumbent.objective_value
+            for nodes in range(1, full.nodes_explored + 1):
+                limited = branch_and_bound(
+                    model, SolveConfig(node_limit=nodes, plunge=True))
+                assert limited.lower_bound <= optimum + 1e-9
 
     def test_infeasible_integer_model(self):
         model = MilpModel("bad")
