@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (valid / feasible), 1 semantic failure (invalid
 instance, infeasible problem, hard-constraint violations), 2 usage or
-syntax errors.
+syntax errors, and an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def cmd_build(args) -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"wrote {args.output} ({len(model.variables)} variables,"
-              f" {len(model.constraints)} constraints)")
+              f" {len(model.constraints)} constraints)", file=sys.stderr)
     else:
         sys.stdout.write(text)
     return 0
@@ -125,7 +125,7 @@ def cmd_solve(args) -> int:
         solution = solution_from_payload(report.solution)
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(format_solution(instance, solution))
-        print(f"wrote {args.output}")
+        print(f"wrote {args.output}", file=sys.stderr)
     return 1 if report.status == "infeasible" else 0
 
 
@@ -142,7 +142,7 @@ def cmd_solve_mps(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(format_values(model, result.incumbent.values))
-        print(f"wrote {args.output}")
+        print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
 
@@ -238,7 +238,7 @@ def main(argv=None) -> int:
     except (CttSemanticError, ControlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CttError, MilpError, SolverError, ValueError) as exc:
+    except (CttError, MilpError, SolverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

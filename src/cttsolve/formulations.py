@@ -359,42 +359,38 @@ def build_dive(monolithic: MilpModel, kind: str,
 
 # -- decoding ----------------------------------------------------------------
 
-def _integral(value: float, context: str) -> int:
-    if abs(value - round(value)) > FEAS_TOL:
-        raise FormulationError(f"non-integral value {value} for {context}")
-    return int(round(value))
-
-
-def _checked_values(model: MilpModel, values):
+def _tags_set(model: MilpModel, values, kind: str):
+    """Tags of the model's ``kind`` variables set to 1 at the point."""
     if len(values) != len(model.variables):
         raise FormulationError(
             f"solution has {len(values)} values for"
             f" {len(model.variables)} variables")
-    return values.tolist()
+    for v, x in zip(model.variables, values.tolist()):
+        if v.tag[:1] != (kind,):
+            continue
+        if abs(x - round(x)) > FEAS_TOL:
+            raise FormulationError(f"non-integral value {x} for {v.name}")
+        if round(x):
+            yield v.tag
 
 
 def decode_monolithic(model: MilpModel, values) -> Solution:
     """Timetable of a point of the monolithic model or one of its dives."""
-    values = _checked_values(model, values)
     instance: Instance = model.metadata["instance"]
     assignments: dict[str, list[tuple[int, str]]] = {
         c.id: [] for c in instance.courses}
-    for v, x in zip(model.variables, values):
-        if v.tag[:1] == ("taught",) and _integral(x, v.name):
-            _, p, room, cid = v.tag
-            assignments[cid].append((p, room))
+    for _, p, room, cid in _tags_set(model, values, "taught"):
+        assignments[cid].append((p, room))
     return Solution({cid: tuple(sorted(v)) for cid, v in assignments.items()})
 
 
 def decode_surface(model: MilpModel, values) -> PeriodAssignment:
     """Periods used by each course at a point of any model (surface,
     surface2, monolithic or a dive)."""
-    values = _checked_values(model, values)
     instance: Instance = model.metadata["instance"]
     periods: dict[str, set[int]] = {c.id: set() for c in instance.courses}
-    for v, x in zip(model.variables, values):
-        if v.tag[:1] == ("times",) and _integral(x, v.name):
-            periods[v.tag[-1]].add(v.tag[1])
+    for _, p, cid in _tags_set(model, values, "times"):
+        periods[cid].add(p)
     return PeriodAssignment({cid: frozenset(v) for cid, v in periods.items()})
 
 

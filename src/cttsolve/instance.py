@@ -42,9 +42,6 @@ class WeightVector:
         if min(self.capacity, self.spread, self.compactness, self.stability) < 0:
             raise CttSemanticError("weights must be non-negative")
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.capacity, self.spread, self.compactness, self.stability)
-
 
 @dataclass(frozen=True)
 class Course:

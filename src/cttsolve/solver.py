@@ -127,15 +127,15 @@ class SolveResult:
 
 
 class _Arrays:
-    """Dense objective and column bounds of one model, with its LP passed
-    once to the HiGHS instance its node LPs run on; a node LP differs from
-    the model's only in its column bounds."""
+    """Column bounds of one model, with its LP passed once to the HiGHS
+    instance its node LPs run on; a node LP differs from the model's only
+    in its column bounds."""
 
     def __init__(self, model: MilpModel):
         n = len(model.variables)
-        self.c = np.zeros(n)
+        cost = np.zeros(n)
         for coef, idx in model.objective_terms:
-            self.c[idx] += coef
+            cost[idx] += coef
         self.constant = model.objective_constant
         self.lo = np.array([v.lower for v in model.variables])
         self.hi = np.array([v.upper for v in model.variables])
@@ -159,40 +159,32 @@ class _Arrays:
         # end at the same vertex; other rows would change the vertices
         # found, and with them the search
         rows = sorted(model.constraints, key=lambda con: con.sense == "=")
-        data, ri, ci = [], [], []
+        start, index, value = [0], [], []
         self.row_lower = np.full(len(rows), -np.inf)
         self.row_upper = np.empty(len(rows))
         for r, con in enumerate(rows):
             sign = -1.0 if con.sense == ">=" else 1.0
             for coef, idx in con.terms:
-                ri.append(r)
-                ci.append(idx)
-                data.append(sign * coef)
+                index.append(idx)
+                value.append(sign * coef)
+            start.append(len(index))
             self.row_upper[r] = sign * con.rhs
             if con.sense == "=":
                 self.row_lower[r] = con.rhs
-        # column-wise, rows ascending within each column, explicit zeros
-        # kept: the layout scipy.sparse.csc_array gives these triplets, as
-        # each row's terms name each column once (MilpModel merges them)
-        ri = np.array(ri, dtype=np.int32)
-        ci = np.array(ci, dtype=np.int32)
-        order = np.lexsort((ri, ci))
-        start = np.concatenate(([0], np.cumsum(np.bincount(ci, minlength=n))))
 
         lp = HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
         lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
-        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        # HiGHS lays the rows out column-wise and drops explicit zeros
+        lp.a_matrix_.format_ = MatrixFormat.kRowwise
         lp.a_matrix_.start_ = start
-        lp.a_matrix_.index_ = ri[order]
-        lp.a_matrix_.value_ = np.array(data)[order]
-        lp.col_cost_ = self.c
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = value
+        lp.col_cost_ = cost
         lp.col_lower_ = self.lo
         lp.col_upper_ = self.hi
         lp.row_lower_ = self.row_lower
         lp.row_upper_ = self.row_upper
-        # the LP as handed to HiGHS, whose own copy drops explicit zeros
-        self.lp = lp
         self.highs = _Highs()
         self.highs.passOptions(_HIGHS_OPTIONS)
         # a rejected model would leave HiGHS to solve an empty one

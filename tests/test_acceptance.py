@@ -9,6 +9,7 @@ checks, and the printed line says so.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import os
@@ -99,8 +100,8 @@ def test_criterion_1_instance_fidelity():
     ok = True
     for _ in range(30):
         instance = random_tiny_instance(rng)
-        ok &= parse_ctt(serialize_ctt(instance),
-                        weights=instance.weights.as_tuple()) == instance
+        weights = dataclasses.astuple(instance.weights)
+        ok &= parse_ctt(serialize_ctt(instance), weights=weights) == instance
     synthetic = parse_ctt(TIGHT_CTT)
     stats = instance_stats(synthetic)
     ok &= stats.events == 6 and stats.frequency == 1.0

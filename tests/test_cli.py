@@ -192,6 +192,24 @@ class TestBuildAndSolveMps:
         assert "ENDATA" in capsys.readouterr().out
 
 
+class TestOutputFile:
+    @pytest.mark.parametrize("command", ["build", "solve", "solve-mps"])
+    def test_missing_directory_exit_2(self, tight_path, tmp_path, capsys,
+                                      command):
+        target = tmp_path / "missing" / "out"
+        if command == "solve-mps":
+            mps = tmp_path / "tight.mps"
+            assert main(["build", tight_path, "-o", str(mps)]) == 0
+            argv = [command, str(mps)]
+        else:
+            argv = [command, tight_path]
+        capsys.readouterr()
+        # an OSError escaping main would end the command in a traceback
+        assert main(argv + ["-o", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not target.parent.exists()
+
+
 class TestSolve:
     def test_exact_strategy(self, tight_path, tmp_path, capsys):
         out_file = tmp_path / "tight.sol"
@@ -252,7 +270,17 @@ class TestSolve:
                      "-o", str(mps)]) == 0
         model = parse_mps(mps.read_text())
         assert len(model.variables) > 0
-        assert f"{len(model.variables)} variables" in capsys.readouterr().out
+        assert f"{len(model.variables)} variables" in capsys.readouterr().err
+
+    def test_json_report_with_output_file(self, tight_path, tmp_path,
+                                          capsys):
+        out_file = tmp_path / "tight.sol"
+        assert main(["solve", tight_path, "--json",
+                     "-o", str(out_file)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["upper_bound"] == 14
+        assert captured.err == f"wrote {out_file}\n"
+        assert out_file.exists()
 
     def test_pattern_cuts_on_long_days_exit_1(self, tmp_path, capsys):
         path = tmp_path / "long.ctt"

@@ -441,12 +441,17 @@ class TestDecoders:
         basis = decode_surface(model, values)
         assert basis == project_solution(solution)
 
-    def test_decode_surface_rejects_fractional(self, toy_instance):
-        model = build_surface(toy_instance)
+    @pytest.mark.parametrize("build, decode, tag", [
+        (build_surface, decode_surface, ("times", 1, "c1")),
+        (build_monolithic, decode_monolithic, ("taught", 1, "rA", "c1")),
+    ], ids=["surface", "monolithic"])
+    def test_decode_rejects_fractional(self, toy_instance, build, decode,
+                                       tag):
+        model = build(toy_instance)
         values = np.zeros(len(model.variables))
-        values[model.by_tag(("times", 1, "c1"))] = 0.5
-        with pytest.raises(FormulationError):
-            decode_surface(model, values)
+        values[model.by_tag(tag)] = 0.5
+        with pytest.raises(FormulationError, match="non-integral"):
+            decode(model, values)
 
 
 class TestCliqueCuts:

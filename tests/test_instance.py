@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -48,7 +49,7 @@ class TestParsing:
         assert instance.courses[0].events == 1
 
     def test_default_weights(self, toy_instance):
-        assert toy_instance.weights.as_tuple() == (1, 5, 2, 1)
+        assert dataclasses.astuple(toy_instance.weights) == (1, 5, 2, 1)
 
     def test_weight_override(self):
         instance = parse_ctt(MINIMAL_CTT, weights=(1, 5, 2, 0))
@@ -111,8 +112,9 @@ class TestRoundTrip:
         rng = random.Random(7)
         for _ in range(25):
             instance = random_tiny_instance(rng)
+            weights = dataclasses.astuple(instance.weights)
             assert parse_ctt(serialize_ctt(instance),
-                             weights=instance.weights.as_tuple()) == instance
+                             weights=weights) == instance
 
 
 class TestConflictGraph:

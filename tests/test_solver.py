@@ -14,8 +14,8 @@ import cttsolve
 from conftest import random_tiny_instance
 from cttsolve import solver
 from cttsolve.formulations import (DIVE_KINDS, build_dive, build_monolithic,
-                                   build_surface, build_surface2,
-                                   decode_surface)
+                                   build_room_relaxation, build_surface,
+                                   build_surface2, decode_surface)
 from cttsolve.milp import MilpModel
 from cttsolve.solver import (ExternalSolverError, SearchSpaceError,
                              SolveConfig, SolverError, _Arrays,
@@ -234,22 +234,25 @@ class TestPublicLinprogCrossCheck:
 
 
 class TestAssembly:
-    """``_Arrays`` lays out its matrix with numpy; it must hand HiGHS the
-    very arrays ``scipy.sparse.csc_array`` gives the rows linprog takes,
-    or the LPs, and with them every search, would change."""
+    """``_Arrays`` hands HiGHS the rows row-wise; the column-wise matrix
+    HiGHS keeps must be the one ``scipy.sparse.csc_array`` gives the rows
+    linprog takes, less explicit zeros, which HiGHS drops from both, or the
+    LPs, and with them every search, would change."""
 
     @staticmethod
     def assert_csc_layout(model):
         rows = linprog_arrays(model)
         expected = sparse.csc_array(sparse.vstack((rows["A_ub"],
                                                    rows["A_eq"])))
-        matrix = _Arrays(model).lp.a_matrix_
+        expected.eliminate_zeros()
+        matrix = _Arrays(model).highs.getLp().a_matrix_
+        assert matrix.format_ == solver.MatrixFormat.kColwise
         assert np.array_equal(matrix.start_, expected.indptr)
         assert np.array_equal(matrix.index_, expected.indices)
         # bytes, so a -0.0 for a 0.0 shows too
         assert (np.array(matrix.value_, dtype=float).tobytes()
                 == expected.data.tobytes())
-        return expected
+        return matrix
 
     def test_tiny_corpus_models(self):
         rng = random.Random(23)
@@ -258,7 +261,8 @@ class TestAssembly:
             instance = random_tiny_instance(rng)
             surface = build_surface(instance)
             mono = build_monolithic(instance).freeze()
-            for model in (surface, mono, build_surface2(instance)):
+            for model in (surface, mono, build_surface2(instance),
+                          build_room_relaxation(instance)):
                 self.assert_csc_layout(model)
             result = branch_and_bound(surface.freeze())
             if result.incumbent is None:
@@ -269,15 +273,16 @@ class TestAssembly:
                 dives += 1
         assert dives > 0
 
-    def test_explicit_zeros_kept(self):
+    def test_explicit_zeros_dropped(self):
         model = MilpModel("zeros")
         for name in "xyz":
             model.add_variable(name, "integer", 0, 3)
         model.add_constraint("le", [(0.0, "x"), (1.0, "y")], "<=", 2)
         model.add_constraint("eq", [(0.0, "y"), (1.0, "z")], "=", 1)
         model.add_constraint("ge", [(2.0, "z"), (0.0, "x")], ">=", 1)
-        expected = self.assert_csc_layout(model)
-        assert expected.nnz == 6 and (expected.data == 0.0).sum() == 3
+        assert sum(len(con.terms) for con in model.constraints) == 6
+        matrix = self.assert_csc_layout(model)
+        assert len(matrix.value_) == 3 and 0.0 not in matrix.value_
 
 
 class TestBranchAndBound:
