@@ -8,11 +8,12 @@ syntax errors, and an output file that cannot be written.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
 from .control import (PATTERN_CUT_MAX_PERIODS, STRATEGIES, ControlError,
-                      StrategyConfig, run_strategy)
+                      StrategyConfig, run_strategy, solution_from_payload)
 from .evaluation import (check_hard, format_solution, objective,
                          parse_solution, penalties)
 from .formulations import build_monolithic, build_surface, build_surface2
@@ -20,6 +21,10 @@ from .instance import (CttError, CttSemanticError, CttSyntaxError,
                        instance_stats, parse_ctt)
 from .milp import MilpError, export_mps, format_values, parse_mps
 from .solver import SolveConfig, SolverError, branch_and_bound
+
+
+_BUILDERS = {"monolithic": build_monolithic, "surface": build_surface,
+            "surface2": build_surface2}
 
 
 def _read(path: str) -> str:
@@ -40,6 +45,18 @@ def _parse_weights(text: str | None):
     return tuple(int(f) for f in fields)
 
 
+def _check_output(path: str | None) -> None:
+    """Raise OSError unless a file can be written at ``path``, before a
+    search spends its budget; the file is neither created nor truncated."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if not os.access(target, os.W_OK):
+        raise OSError(f"cannot write {path}: {target} is missing or read-only")
+
+
 def _load_instance(args):
     return parse_ctt(_read(args.instance), weights=args.weights)
 
@@ -55,11 +72,8 @@ def cmd_stats(args) -> int:
     instance = _load_instance(args)
     stats = instance_stats(instance)
     print(f"instance: {instance.name}")
-    print(f"courses: {stats.courses}")
-    print(f"rooms: {stats.rooms}")
-    print(f"periods: {stats.periods}")
-    print(f"events: {stats.events}")
-    print(f"curricula: {stats.curricula}")
+    for field in ("courses", "rooms", "periods", "events", "curricula"):
+        print(f"{field}: {getattr(stats, field)}")
     print(f"frequency: {stats.frequency:.4f}")
     print(f"utilisation: {stats.utilisation:.4f}")
     print(f"conflict edges: {stats.conflict_edges}")
@@ -76,22 +90,15 @@ def cmd_evaluate(args) -> int:
             print(f"violation [{v.kind}] {v.detail}", file=sys.stderr)
         return 1
     p = penalties(instance, solution)
-    print(f"capacity: {p.capacity}")
-    print(f"spread: {p.spread}")
-    print(f"compactness: {p.compactness}")
-    print(f"stability: {p.stability}")
+    for field in ("capacity", "spread", "compactness", "stability"):
+        print(f"{field}: {getattr(p, field)}")
     print(f"objective: {objective(instance.weights, p)}")
     return 0
 
 
 def cmd_build(args) -> int:
     instance = _load_instance(args)
-    if args.formulation == "monolithic":
-        model = build_monolithic(instance)
-    elif args.formulation == "surface":
-        model = build_surface(instance)
-    else:
-        model = build_surface2(instance)
+    model = _BUILDERS[args.formulation](instance)
     text = export_mps(model)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -105,6 +112,7 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = _load_instance(args)
+    _check_output(args.output)
     config = StrategyConfig(
         strategy=args.strategy,
         surface_model=args.surface_model,
@@ -121,7 +129,6 @@ def cmd_solve(args) -> int:
     else:
         sys.stdout.write(report.to_text())
     if report.solution is not None and args.output:
-        from .control import solution_from_payload
         solution = solution_from_payload(report.solution)
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(format_solution(instance, solution))
@@ -131,6 +138,7 @@ def cmd_solve(args) -> int:
 
 def cmd_solve_mps(args) -> int:
     model = parse_mps(_read(args.model)).freeze()
+    _check_output(args.output)
     config = SolveConfig(time_limit=args.time_limit,
                          node_limit=args.node_limit)
     result = branch_and_bound(model, config)
@@ -176,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="export a model as MPS")
     add_instance_arg(p)
     p.add_argument("--formulation", default="monolithic",
-                   choices=("monolithic", "surface", "surface2"))
+                   choices=tuple(_BUILDERS))
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_build)
 

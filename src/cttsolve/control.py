@@ -314,10 +314,10 @@ def run_strategy(instance: Instance,
     # problem, so either bound is a global one
     if math.isfinite(result.lower_bound):
         ledger.record_lower(result.lower_bound, source)
-    # the plain surface's objective holds the period terms alone, and the
-    # room relaxation's the room terms alone, so their lower bounds add up;
-    # surface2 and the exact model hold both
-    if (config.strategy != "exact" and config.surface_model == "surface"
+    # a model without rooms holds the period terms alone, and the room
+    # relaxation's the room terms alone, so their lower bounds add up;
+    # surface2 and the exact model have rooms and hold both
+    if ("room_groups" not in model.metadata
             and math.isfinite(result.lower_bound)):
         rooms = branch_and_bound(
             build_room_relaxation(instance).freeze(),

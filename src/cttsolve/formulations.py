@@ -57,11 +57,10 @@ class PeriodAssignment:
 # Every model but the room relaxation has one binary occupancy variable
 # ("times", p, c) per (period, course), and every row that asks whether a
 # course meets at a period reads that one variable with coefficient 1.  The
-# full formulations also record in their metadata the tag kind of their room
-# assignment variables ("taught": taught or m_taught), the member rooms of
-# each room group by its key, in model order ("room_groups"), and the tag
-# kind of their room-usage indicators ("uses").  Variables are then found through MilpModel.by_tag;
-# names are only ever built, never parsed.
+# full formulations tag their room variables ("taught", p, key, c) and
+# ("uses", key, c) by room-group key, and record each key's member rooms, in
+# model order, as metadata["room_groups"].  Variables are found through
+# MilpModel.by_tag; names are only ever built, never parsed.
 
 def _add_var(model: MilpModel, tag: tuple, kind: str = "binary",
              lower: float = 0.0, upper: float = math.inf) -> int:
@@ -165,36 +164,17 @@ def _add_day_spread_machinery(model: MilpModel, instance: Instance) -> list:
     return obj
 
 
-def _room_groups(instance: Instance, aggregated: bool) -> list:
-    """(key, capacity, member rooms) of each room group of a full
-    formulation: one group per room for the monolithic model, and for
-    surface2 the rooms of capacity at most the lower median, then the rest.
-    A group holds one event per member in each period, each event seeing
-    the largest member's capacity."""
-    rooms = instance.rooms
-    if not aggregated:
-        groups = [[r] for r in rooms]
-    else:
-        caps = sorted(r.capacity for r in rooms)
-        median = caps[(len(caps) - 1) // 2] if caps else 0
-        groups = [[r for r in rooms if r.capacity <= median],
-                  [r for r in rooms if r.capacity > median]]
-    return [("+".join(sorted(r.id for r in g)), max(r.capacity for r in g),
-             tuple(r.id for r in g)) for g in groups if g]
-
-
-def _build_full(instance: Instance, aggregated: bool) -> MilpModel:
-    """Full formulation over room groups (see _room_groups)."""
-    name = "surface2" if aggregated else "monolithic"
-    taught = "m_taught" if aggregated else "taught"
-    uses = "m_uses" if aggregated else "uses"
-    groups = _room_groups(instance, aggregated)
-    capacity = {key: cap for key, cap, _ in groups}
-    members = {key: rooms for key, _, rooms in groups}
-    room_keys = list(members)
+def _build_full(instance: Instance, name: str, groups: list) -> MilpModel:
+    """Full formulation over room groups, each a list of rooms.  A group
+    holds one event per member in each period, each event seeing the
+    largest member's capacity."""
+    room_keys = ["+".join(sorted(r.id for r in g)) for g in groups]
+    members = {k: tuple(r.id for r in g) for k, g in zip(room_keys, groups)}
+    capacity = {k: max(r.capacity for r in g)
+                for k, g in zip(room_keys, groups)}
     model = MilpModel(name)
     model.metadata.update(formulation=name, instance=instance,
-                          taught=taught, uses=uses, room_groups=members)
+                          room_groups=members)
     w = instance.weights
     var = model.by_tag
 
@@ -204,7 +184,7 @@ def _build_full(instance: Instance, aggregated: bool) -> MilpModel:
     for p in range(instance.periods):
         for key in room_keys:
             for c in instance.courses:
-                idx = _add_var(model, (taught, p, key, c.id))
+                idx = _add_var(model, ("taught", p, key, c.id))
                 overflow = c.students - capacity[key]
                 if w.capacity and overflow > 0:
                     obj.append((float(w.capacity * overflow), idx))
@@ -213,7 +193,7 @@ def _build_full(instance: Instance, aggregated: bool) -> MilpModel:
         for key in room_keys:
             model.add_constraint(
                 f"room_clash[{p},{key}]",
-                [(1.0, var((taught, p, key, c.id)))
+                [(1.0, var(("taught", p, key, c.id)))
                  for c in instance.courses],
                 "<=", float(len(members[key])), origin="room-clash")
     # Each model keeps its own order of clash rows, and the searches depend
@@ -231,14 +211,14 @@ def _build_full(instance: Instance, aggregated: bool) -> MilpModel:
     # no uses[r,c] <= sum_p taught[p,r,c] rows: uses costs stability >= 0
     for key in room_keys:
         for c in instance.courses:
-            obj.append((w.stability, _add_var(model, (uses, key, c.id))))
+            obj.append((w.stability, _add_var(model, ("uses", key, c.id))))
     for p in range(instance.periods):
         for key in room_keys:
             for c in instance.courses:
                 model.add_constraint(
                     f"room_used_ub[{p},{key},{c.id}]",
-                    [(1.0, var((taught, p, key, c.id))),
-                     (-1.0, var((uses, key, c.id)))],
+                    [(1.0, var(("taught", p, key, c.id))),
+                     (-1.0, var(("uses", key, c.id)))],
                     "<=", 0.0, origin="room-aggregation")
     # the rooms' sum defines the occupancy variable, whose 0-1 bound keeps a
     # course from meeting twice in one period; placed last, these rows left
@@ -247,7 +227,7 @@ def _build_full(instance: Instance, aggregated: bool) -> MilpModel:
         for c in instance.courses:
             model.add_constraint(
                 f"occupancy[{p},{c.id}]",
-                [(1.0, var((taught, p, key, c.id))) for key in room_keys]
+                [(1.0, var(("taught", p, key, c.id))) for key in room_keys]
                 + [(-1.0, var(("times", p, c.id)))],
                 "=", 0.0, origin="occupancy")
 
@@ -257,13 +237,17 @@ def _build_full(instance: Instance, aggregated: bool) -> MilpModel:
 
 
 def build_monolithic(instance: Instance) -> MilpModel:
-    return _build_full(instance, aggregated=False)
+    return _build_full(instance, "monolithic", [[r] for r in instance.rooms])
 
 
 def build_surface2(instance: Instance) -> MilpModel:
-    """Full formulation over two room groups split at the lower median
-    capacity."""
-    return _build_full(instance, aggregated=True)
+    """Full formulation over two room groups: the rooms of capacity at most
+    the lower median, then the rest."""
+    caps = sorted(r.capacity for r in instance.rooms)
+    median = caps[(len(caps) - 1) // 2] if caps else 0
+    groups = ([r for r in instance.rooms if r.capacity <= median],
+              [r for r in instance.rooms if r.capacity > median])
+    return _build_full(instance, "surface2", [g for g in groups if g])
 
 
 def build_surface(instance: Instance) -> MilpModel:
@@ -442,7 +426,7 @@ def add_implied_bound_cuts(model: MilpModel) -> int:
     """Static at-least-one rows on day indicators and, when present, on
     room-usage indicators."""
     instance: Instance = model.metadata["instance"]
-    uses = model.metadata.get("uses")
+    groups = model.metadata.get("room_groups")
     added = 0
     for c in instance.courses:
         if c.events < 1:
@@ -453,11 +437,11 @@ def add_implied_bound_cuts(model: MilpModel) -> int:
              for d in range(instance.days)],
             ">=", 1.0, origin="implied-bound-cut")
         added += 1
-        if uses is not None:
+        if groups is not None:
             model.add_constraint(
                 f"implied_rooms[{c.id}]",
-                [(1.0, model.by_tag((uses, key, c.id)))
-                 for key in sorted(model.metadata["room_groups"])],
+                [(1.0, model.by_tag(("uses", key, c.id)))
+                 for key in sorted(groups)],
                 ">=", 1.0, origin="implied-bound-cut")
             added += 1
     return added

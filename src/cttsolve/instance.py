@@ -115,6 +115,9 @@ class Instance:
                 raise CttSemanticError(f"duplicate {kind} id {dup!r}")
         if self.days < 1 or self.periods_per_day < 1:
             raise CttSemanticError("days and periods per day must be positive")
+        for r in self.rooms:
+            if r.capacity < 0:
+                raise CttSemanticError(f"room {r.id!r} has negative capacity")
         known = set(self.course_by_id)
         for u in self.curricula:
             if not u.courses:

@@ -414,7 +414,10 @@ def import_solution(model: MilpModel, text: str) -> MilpSolution:
         name, value = fields
         if not model.has_variable(name):
             raise MilpError(f"solution line {idx}: unknown variable {name!r}")
-        values[model.var(name)] = float(value)
+        try:
+            values[model.var(name)] = float(value)
+        except ValueError:
+            raise MilpError(f"solution line {idx}: bad value {value!r}")
     return MilpSolution(values, model.objective_value(values))
 
 

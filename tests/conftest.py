@@ -155,8 +155,6 @@ def encode_solution(instance: Instance, model: MilpModel,
                     solution: Solution) -> np.ndarray:
     """Point realising a full solution in a full-formulation model
     (auxiliaries at their forced minima)."""
-    taught = model.metadata.get("taught")
-    uses = model.metadata.get("uses")
     # a surface has no room variables and so no room groups
     room_to_key = {room: key for key, rooms
                    in model.metadata.get("room_groups", {}).items()
@@ -171,7 +169,7 @@ def encode_solution(instance: Instance, model: MilpModel,
     for cid, period, room in solution.events():
         key = room_to_key.get(room)
         values[("times", period, cid)] = 1.0
-        values[(taught, period, key, cid)] = 1.0
+        values[("taught", period, key, cid)] = 1.0
         days_used[cid].add(instance.day_of(period))
         rooms_used[cid].add(key)
         for u in instance.curricula:
@@ -184,7 +182,7 @@ def encode_solution(instance: Instance, model: MilpModel,
         values[("mdv", c.id)] = float(
             max(0, c.min_days - len(days_used[c.id])))
         for key in rooms_used[c.id]:
-            values[(uses, key, c.id)] = 1.0
+            values[("uses", key, c.id)] = 1.0
 
     for u in instance.curricula:
         for d in range(instance.days):

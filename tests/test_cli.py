@@ -4,6 +4,7 @@ import re
 import pytest
 
 from conftest import TIGHT_CTT, TOY_CTT
+from cttsolve import cli
 from cttsolve.cli import main
 from cttsolve.formulations import DIVE_KINDS
 from cttsolve.milp import parse_mps
@@ -54,6 +55,12 @@ class TestValidate:
         path.write_text(TOY_CTT.replace("c1 0 0", "c1 0 3"))
         assert main(["validate", str(path)]) == 1
         assert "out of range" in capsys.readouterr().err
+
+    def test_negative_room_capacity_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.ctt"
+        path.write_text(TOY_CTT.replace("rA 32", "rA -5"))
+        assert main(["validate", str(path)]) == 1
+        assert "negative capacity" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edits, message", [
         ([("q1 2 c1 c2", "q1 2 c1 c1")], "lists a course twice"),
@@ -208,6 +215,26 @@ class TestOutputFile:
         assert main(argv + ["-o", str(target)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize("target", ["missing/out", "."],
+                             ids=["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["solve", "solve-mps"])
+    def test_unwritable_output_fails_before_search(
+            self, tight_path, tmp_path, capsys, monkeypatch, command, target):
+        argv = [command, tight_path]
+        if command == "solve-mps":
+            mps = tmp_path / "tight.mps"
+            assert main(["build", tight_path, "-o", str(mps)]) == 0
+            argv = [command, str(mps)]
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(cli, "run_strategy", no_search)
+        monkeypatch.setattr(cli, "branch_and_bound", no_search)
+        capsys.readouterr()
+        assert main(argv + ["-o", str(tmp_path / target)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
 
 
 class TestSolve:

@@ -150,17 +150,16 @@ class TestOccupancy:
 
     def test_room_variables_only_in_room_rows(self, toy_instance):
         for model in self.full_models(toy_instance):
-            taught = model.metadata["taught"]
             seen = set()
             for row in model.constraints:
                 tags = [model.variables[i].tag for _, i in row.terms]
-                if any(t[0] == taught for t in tags):
+                if any(t[0] == "taught" for t in tags):
                     assert row.origin in self.ROOM_ORIGINS, row.name
                 else:
                     assert row.origin not in self.ROOM_ORIGINS, row.name
                 if row.origin == "occupancy":
                     (_, p, cid), = [t for t in tags if t[0] == "times"]
-                    assert sorted(t[2] for t in tags if t[0] == taught) \
+                    assert sorted(t[2] for t in tags if t[0] == "taught") \
                         == sorted(model.metadata["room_groups"])
                     seen.add((p, cid))
             assert seen == {(p, c.id) for p in range(toy_instance.periods)
@@ -226,11 +225,10 @@ class TestSurface:
 def capacity_costs(model):
     """Capacity cost of each (room key, course) pair, read off the
     objective at period 0; a pair within capacity costs nothing."""
-    taught = model.metadata["taught"]
     costs = {}
     for coef, idx in model.objective_terms:
         tag = model.variables[idx].tag
-        if tag[0] == taught and tag[1] == 0:
+        if tag[0] == "taught" and tag[1] == 0:
             costs[tag[2:]] = coef
     return costs
 
@@ -241,7 +239,23 @@ class TestSurface2:
         tags = [v.tag[0] for v in model.variables]
         # rooms of 32 and 20 seats: the lower median, 20, parts them
         assert len(model.metadata["room_groups"]) == 2
-        assert tags.count("m_taught") == 6 * 2 * 3
+        assert tags.count("taught") == 6 * 2 * 3
+
+    def test_one_room_per_group_is_the_monolithic_model(self):
+        # the smaller room listed first: the lower-median split gives each
+        # room a group of its own, in the monolithic model's room order
+        instance = make_instance(
+            [("c1", "t1", 2, 1, 25), ("c2", "t2", 2, 2, 15)],
+            [("rS", 20), ("rL", 30)], [("q1", ["c1", "c2"])])
+        models = [build_monolithic(instance), build_surface2(instance)]
+        for model in models:
+            add_implied_bound_cuts(model)
+        mono, agg = models
+        assert agg.variables == mono.variables
+        assert agg.constraints == mono.constraints
+        assert (agg.objective_terms, agg.objective_constant) \
+            == (mono.objective_terms, mono.objective_constant)
+        assert agg.metadata["room_groups"] == {"rS": ("rS",), "rL": ("rL",)}
 
     def test_even_room_count_splits_at_lower_median(self):
         instance = make_instance(
@@ -593,15 +607,14 @@ def with_dropped_rows(model):
                     f"day_ub[{c.id},{d},{p}]",
                     [(1.0, var(("times", p, c.id))),
                      (-1.0, var(("sched", d, c.id)))], "<=", 0.0)
-    if "uses" in model.metadata:
-        taught, uses = model.metadata["taught"], model.metadata["uses"]
+    if "room_groups" in model.metadata:
         for key in model.metadata["room_groups"]:
             for c in instance.courses:
                 model.add_constraint(
                     f"room_used_lb[{key},{c.id}]",
-                    [(1.0, var((taught, p, key, c.id)))
+                    [(1.0, var(("taught", p, key, c.id)))
                      for p in range(instance.periods)]
-                    + [(-1.0, var((uses, key, c.id)))], ">=", 0.0)
+                    + [(-1.0, var(("uses", key, c.id)))], ">=", 0.0)
     return model
 
 

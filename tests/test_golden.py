@@ -28,8 +28,8 @@ GOLDEN = {
         "5bf2cbe7697283bbad96aafcab9ab92a5b0cc501423cf255a4265f6d6975f2a6",
         "c22ae0038b1aece93fc1df3fa07b8fcdb2fae5ee84c62d420b1a1db9b273ff1e"),
     "surface2": (
-        "e230e59b360d184748fd7c990173c7da301f547da182c97f51bd9683967f5fb8",
-        "5e9d892ba49b8b64e9358cf3265748f0870e8eb788436777f4d76b60f06d6fda"),
+        "55ce49567c631ce45c5317339acdc50e93504b4f4e71d79af0579b7437b9e994",
+        "2eddc6641e0fe3981b0439be8390ea663515f0b983d10f596ee7ed780f37ce66"),
     "period-fixed": (
         "982322a2ed77d27c031823e68b3f07efc4a2dbaebacd7f4614dafa8245fadea5",
         "85971c6c208dc758ce22d7f676c36172414fe5fd7a919317ef1380333676b64a"),

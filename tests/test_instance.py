@@ -81,6 +81,11 @@ class TestParsing:
                            match="line 23: repeated unavailability: 'c1 0 0'"):
             parse_ctt(text)
 
+    def test_negative_room_capacity(self):
+        with pytest.raises(CttSemanticError,
+                           match="room 'r1' has negative capacity"):
+            parse_ctt(MINIMAL_CTT.replace("r1 20", "r1 -5"))
+
     def test_truncated_file_is_syntax_error(self):
         with pytest.raises(CttSyntaxError) as err:
             parse_ctt(TOY_CTT.replace("END.\n", ""))

@@ -285,6 +285,10 @@ class TestImportSolution:
         with pytest.raises(MilpError):
             import_solution(simple_model(), "z 1\n")
 
+    def test_malformed_value_names_line(self):
+        with pytest.raises(MilpError, match="line 2: bad value 'abc'"):
+            import_solution(simple_model(), "x 1\ny abc\n")
+
     def test_missing_names_default_zero(self):
         model = simple_model()
         result = import_solution(model, "y 1\n")
