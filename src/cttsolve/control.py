@@ -217,12 +217,15 @@ def _add_cuts(instance: Instance, model, config: StrategyConfig) -> None:
         add_pattern_cuts(model)
 
 
-def _budget(limit_time, limit_nodes, deadline, **extra) -> SolveConfig:
+def _search(model, limit_time, limit_nodes, deadline, **extra) -> SolveResult:
+    """Every search of a run, under its limits cut short by the deadline,
+    through the global ``branch_and_bound`` that ``bench/run.py`` wraps."""
     if deadline is not None:
         remaining = max(0.01, deadline - time.monotonic())
         limit_time = remaining if limit_time is None else min(limit_time,
                                                               remaining)
-    return SolveConfig(time_limit=limit_time, node_limit=limit_nodes, **extra)
+    return branch_and_bound(model, SolveConfig(
+        time_limit=limit_time, node_limit=limit_nodes, **extra))
 
 
 def _recorder(instance: Instance, model, ledger: BoundsLedger, source: str,
@@ -253,11 +256,11 @@ def _run_dive(instance: Instance, monolithic, kind: str,
     cutoff = ledger.upper if math.isfinite(ledger.upper) else None
     objectives: list[float] = []
     # a dive is a heuristic: it plunges to its first incumbent
-    result = branch_and_bound(model, _budget(
-        config.per_dive_time, config.dive_nodes, deadline, cutoff=cutoff,
-        plunge=True,
+    result = _search(
+        model, config.per_dive_time, config.dive_nodes, deadline,
+        cutoff=cutoff, plunge=True,
         on_incumbent=_recorder(instance, model, ledger, f"dive:{kind}",
-                               objectives)))
+                               objectives))
     return DiveRecord(kind, objective, index, result.status,
                       objectives[-1] if objectives else None,
                       result.nodes_explored)
@@ -307,9 +310,8 @@ def run_strategy(instance: Instance,
         on_incumbent = harvest
     _add_cuts(instance, model, config)
     model.freeze()
-    result = branch_and_bound(model, _budget(
-        time_limit, config.surface_nodes, deadline,
-        on_incumbent=on_incumbent))
+    result = _search(model, time_limit, config.surface_nodes, deadline,
+                     on_incumbent=on_incumbent)
     # the surface relaxes the full problem and the exact model is the whole
     # problem, so either bound is a global one
     if math.isfinite(result.lower_bound):
@@ -319,9 +321,8 @@ def run_strategy(instance: Instance,
     # surface2 and the exact model have rooms and hold both
     if ("room_groups" not in model.metadata
             and math.isfinite(result.lower_bound)):
-        rooms = branch_and_bound(
-            build_room_relaxation(instance).freeze(),
-            _budget(time_limit, config.surface_nodes, deadline))
+        rooms = _search(build_room_relaxation(instance).freeze(),
+                        time_limit, config.surface_nodes, deadline)
         if math.isfinite(rooms.lower_bound):
             ledger.record_lower(result.lower_bound + rooms.lower_bound,
                                 "surface+rooms")

@@ -320,8 +320,7 @@ def build_dive(monolithic: MilpModel, kind: str,
     instance: Instance = monolithic.metadata["instance"]
     basis.validate(instance)
     # the name is the MPS NAME too
-    suffix = "day-plain" if kind == DAY_FIXED else kind
-    model = monolithic.copy(name=f"{monolithic.name}+{suffix}")
+    model = monolithic.copy(name=f"{monolithic.name}+{kind}")
     model.metadata["dive"] = kind  # bench/run.py tags dive spans by it
     var = model.by_tag
     for c in instance.courses:

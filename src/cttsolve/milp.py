@@ -274,9 +274,12 @@ def _pairs(fields: list[str], raw: str):
 
 
 def _number(field: str, raw: str, infinite: bool = False) -> float:
-    """The value in an MPS line's field; NaN, and an infinity unless
-    ``infinite``, raise MilpError."""
-    value = float(field)
+    """The value in an MPS line's field; a non-number, NaN, and an infinity
+    unless ``infinite``, raise MilpError."""
+    try:
+        value = float(field)
+    except ValueError:
+        raise MilpError(f"MPS value {field!r} is not a number: {raw!r}")
     if math.isnan(value) or (math.isinf(value) and not infinite):
         raise MilpError(f"MPS value {field!r} is not finite: {raw!r}")
     return value
@@ -288,9 +291,9 @@ def parse_mps(text: str) -> MilpModel:
     The first N row is the objective, whatever its name; later N rows are
     free rows and are dropped.  Any other section (OBJSENSE, RANGES, ...),
     an unknown row type, an entry on an undeclared row or column, a line
-    short of a name or value, a coefficient or right-hand side that is not
-    finite, a NaN bound and a text that ends before ENDATA (a truncated or
-    empty file) raise MilpError rather than change the model silently.
+    short of a name or value, a non-numeric or NaN value, an infinite
+    coefficient or right-hand side and a text that ends before ENDATA (a
+    truncated or empty file) raise MilpError, never change the model.
     """
     model = MilpModel("mps")
     section = None

@@ -1,5 +1,5 @@
-"""Exact desk-scale solving: LP relaxation, branch and bound, brute force,
-and a file-based adapter for external solvers.
+"""Exact desk-scale searches, each a ``SolveConfig`` in and a ``SolveResult``
+out (LP-based branch and bound, a file-based external adapter), and oracles.
 
 Each solve is single-threaded; distinct models may be solved concurrently.
 An ``_Arrays`` holds the HiGHS instance its node LPs run on, so one must
@@ -102,7 +102,7 @@ class ExternalSolverError(SolverError):
 
 @dataclass
 class SolveConfig:
-    """Limits, cutoff and incumbent hook of one branch-and-bound search."""
+    """Limits, cutoff and incumbent hook of one search, by any engine."""
 
     time_limit: float | None = None  # seconds; None disables the clock
     cutoff: float | None = None  # prune nodes whose bound reaches this value
@@ -437,21 +437,28 @@ def brute_force_instance(instance: Instance,
 # -- external adapter --------------------------------------------------------
 
 def external_solve(model: MilpModel, command: list[str], workdir: str | Path,
-                   time_limit: float = 60.0) -> SolveResult:
+                   config: SolveConfig | None = None) -> SolveResult:
     """Write ``<workdir>/<model name>.mps``, run the command and read back
     the point it writes to ``.sol`` and the lower bound it may write to
     ``.bound`` (``LOWER_BOUND value``) next to it.  The command template
-    can name ``{mps}``, ``{solution}``, ``{bound}`` and ``{time_limit}``.
+    can name ``{mps}``, ``{solution}``, ``{bound}`` and ``{time_limit}``
+    (``config.time_limit``, or ``inf``); it is killed 60 s after a finite
+    limit.  A node limit raises ExternalSolverError; a cutoff or plunge
+    only steers a search, so the point comes back whatever they are.
 
     Both output files are deleted before the command runs, so a file left
     by an earlier call is never read as this call's answer.  The point is
     re-checked against the model and the bound against the point: a
     violated constraint or a bound above the point's objective is reported
-    as an inconsistency, never trusted.
+    as an inconsistency, never trusted.  The checked point goes once to
+    ``on_incumbent``, and is ``optimal`` when the bound meets it.
     """
+    config = config or SolveConfig()
+    if config.node_limit is not None:
+        raise ExternalSolverError("an external solver takes no node limit")
     if Path(model.name).name != model.name:  # the files stay in workdir
         raise ExternalSolverError(f"model name {model.name!r} has a path")
-    workdir = Path(workdir)
+    workdir = Path(workdir).resolve()  # the command runs inside it
     workdir.mkdir(parents=True, exist_ok=True)
     paths = {ext: workdir / f"{model.name}.{ext}"
              for ext in ("mps", "sol", "bound")}
@@ -459,12 +466,14 @@ def external_solve(model: MilpModel, command: list[str], workdir: str | Path,
         paths[ext].unlink(missing_ok=True)
     paths["mps"].write_text(export_mps(model))
 
+    limit = math.inf if config.time_limit is None else config.time_limit
+    timeout = limit + 60 if math.isfinite(limit) else None
     command = [arg.format(mps=paths["mps"], solution=paths["sol"],
-                          bound=paths["bound"], time_limit=time_limit)
+                          bound=paths["bound"], time_limit=limit)
                for arg in command]
     try:
         proc = subprocess.run(command, cwd=workdir, capture_output=True,
-                              text=True, timeout=time_limit + 60)
+                              text=True, timeout=timeout)
     except (OSError, subprocess.TimeoutExpired) as exc:
         raise ExternalSolverError(f"external process failed: {exc}")
     if proc.returncode != 0:
@@ -494,4 +503,8 @@ def external_solve(model: MilpModel, command: list[str], workdir: str | Path,
             raise ExternalSolverError(
                 f"external lower bound {lower:g} is not at most the"
                 f" returned point's objective {imported.objective_value:g}")
-    return SolveResult("feasible", imported, lower, 0)
+    if config.on_incumbent is not None:
+        config.on_incumbent(imported.values.copy(), imported.objective_value)
+    status = ("optimal" if lower >= imported.objective_value - FEAS_TOL
+              else "feasible")
+    return SolveResult(status, imported, lower, 0)

@@ -1,13 +1,18 @@
 """Shared fixtures: hand-built instances, a seeded tiny-instance generator,
-and the encoder that turns a timetable into a point of a full model."""
+the encoder that turns a timetable into a point of a full model, and the
+command that makes ``cttsolve solve-mps`` an external solver."""
 
 from __future__ import annotations
 
+import os
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cttsolve
 from cttsolve.evaluation import Solution
 from cttsolve.formulations import PeriodAssignment
 from cttsolve.instance import (Course, Curriculum, Instance, Room,
@@ -80,6 +85,20 @@ def make_instance(courses, rooms, curricula, days=2, periods_per_day=3,
         unavailability=frozenset(unavailability),
         weights=WeightVector(*weights),
     )
+
+
+@pytest.fixture
+def self_adapter(monkeypatch):
+    """``external_solve`` command running ``cttsolve solve-mps`` under the
+    search's time limit.  The child runs in the work directory and inherits
+    this environment, so a relative PYTHONPATH entry (such as ``src``) would
+    not resolve there: the directory holding the imported package goes
+    first, absolutely."""
+    package_root = str(Path(cttsolve.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return [sys.executable, "-m", "cttsolve.cli", "solve-mps", "{mps}",
+            "--time-limit", "{time_limit}", "-o", "{solution}"]
 
 
 @pytest.fixture

@@ -7,12 +7,12 @@ import pytest
 
 from conftest import make_instance, random_tiny_instance
 from cttsolve import control
-from cttsolve.control import (BoundsLedger, ControlError, RunReport,
-                              StrategyConfig, run_strategy,
+from cttsolve.control import (STRATEGIES, BoundsLedger, ControlError,
+                              RunReport, StrategyConfig, run_strategy,
                               solution_from_payload)
 from cttsolve.evaluation import Solution, check_hard, evaluate
 from cttsolve.formulations import DIVE_KINDS
-from cttsolve.solver import brute_force_instance
+from cttsolve.solver import brute_force_instance, external_solve
 
 
 class TestLedger:
@@ -360,6 +360,39 @@ class TestStrategies:
 
 def lower_events(result) -> list[tuple[float, str]]:
     return [(e.value, e.source) for e in result.history if e.kind == "lower"]
+
+
+class TestExternalEngine:
+    def test_every_strategy_runs_on_the_external_adapter(
+            self, tmp_path, monkeypatch, self_adapter):
+        """Every search goes through the module global ``branch_and_bound``,
+        so swapping it for the external adapter running ``cttsolve
+        solve-mps`` puts each search in a child process.  That command
+        writes no bound file, so only upper bounds reach the ledger."""
+        limits = []
+
+        def engine(model, config):
+            limits.append(config.time_limit)
+            return external_solve(model, self_adapter, tmp_path, config)
+        monkeypatch.setattr(control, "branch_and_bound", engine)
+        rng = random.Random(7)
+        checked = 0
+        while checked < 3:
+            instance = random_tiny_instance(rng)
+            exact = brute_force_instance(instance)
+            if exact.status == "infeasible":  # the child writes no point
+                continue
+            for strategy in STRATEGIES:
+                # a total time gives every child a timeout
+                result = run_strategy(instance, StrategyConfig(
+                    strategy=strategy, total_time=600.0))
+                if strategy == "exact":
+                    assert result.upper_bound == exact.lower_bound
+                else:
+                    assert result.upper_bound >= exact.lower_bound
+            checked += 1
+        # every search ran in a child, under a finite time limit
+        assert len(limits) >= 9 and all(0 < t <= 600 for t in limits)
 
 
 class TestRoomBound:

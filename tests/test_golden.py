@@ -35,7 +35,7 @@ GOLDEN = {
         "85971c6c208dc758ce22d7f676c36172414fe5fd7a919317ef1380333676b64a"),
     "day-fixed": (
         "95397764ee0b5594eabb1e5986164bec8833495a59e408c7da0d621efe069d9f",
-        "d6c87d9832e32c46db96062a628134ee44be77d4c7854c1ca28c3acf0b4f556a"),
+        "81d68783f564e55f7f121373357bf840771de6998f31f713cd0907483f03f49a"),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -241,6 +242,18 @@ class TestMps:
         text = export_mps(simple_model())
         assert old in text
         with pytest.raises(MilpError, match="not finite"):
+            parse_mps(text.replace(old, new))
+
+    @pytest.mark.parametrize("old, new", [
+        ("    y  cover  1\n", "    y  cover  abc\n"),
+        ("    RHS  cover  1\n", "    RHS  cover  abc\n"),
+        (" UP BND  x  1\n", " UP BND  x  abc\n"),
+    ], ids=["coef", "rhs", "bound"])
+    def test_non_numeric_value_names_its_line(self, old, new):
+        text = export_mps(simple_model())
+        assert old in text
+        with pytest.raises(MilpError, match="'abc' is not a number: "
+                           + re.escape(repr(new.rstrip("\n")))):
             parse_mps(text.replace(old, new))
 
     def test_infinite_bound_accepted(self):

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -623,6 +624,71 @@ class TestExternalAdapter:
         with pytest.raises(ExternalSolverError, match="malformed bound"):
             external_solve(knapsack_model(), write_files("a 1", text),
                            tmp_path)
+
+    def test_node_limit_rejected(self, tmp_path):
+        with pytest.raises(ExternalSolverError, match="no node limit"):
+            external_solve(knapsack_model(), write_files("a 1"), tmp_path,
+                           SolveConfig(node_limit=5))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("limit, text, timeout", [(2.5, "2.5", 62.5),
+                                                      (None, "inf", None)])
+    def test_time_limit(self, tmp_path, monkeypatch, limit, text, timeout):
+        run = subprocess.run
+        timeouts = []
+
+        def recording_run(command, **kwargs):
+            timeouts.append(kwargs["timeout"])
+            return run(command, **kwargs)
+        monkeypatch.setattr(subprocess, "run", recording_run)
+        # the command runs in the work directory and writes its
+        # {time_limit} argument to limit.txt there
+        code = ("import sys; open(sys.argv[1], 'w').write('a 1');"
+                " open('limit.txt', 'w').write(sys.argv[2])")
+        external_solve(knapsack_model(),
+                       [sys.executable, "-c", code, "{solution}",
+                        "{time_limit}"],
+                       tmp_path, SolveConfig(time_limit=limit))
+        assert (tmp_path / "limit.txt").read_text() == text
+        assert timeouts == [timeout]
+
+    def test_on_incumbent_called_once_with_the_point(self, tmp_path):
+        calls = []
+        result = external_solve(
+            knapsack_model(), write_files("a 1\nb 1"), tmp_path,
+            SolveConfig(on_incumbent=lambda *call: calls.append(call)))
+        assert len(calls) == 1
+        values, objective = calls[0]
+        assert values.tolist() == [1.0, 1.0, 0.0]
+        assert objective == pytest.approx(-9.0)
+        # a copy: the hook cannot change the returned point
+        assert values is not result.incumbent.values
+
+    @pytest.mark.parametrize("bound, status", [("-9", "optimal"),
+                                               ("-9.0000001", "optimal"),
+                                               ("-9.5", "feasible")])
+    def test_status_from_the_bound(self, tmp_path, bound, status):
+        result = external_solve(
+            knapsack_model(),
+            write_files("a 1\nb 1", f"LOWER_BOUND {bound}"), tmp_path)
+        assert result.status == status
+
+    def test_point_above_the_cutoff_returned(self, tmp_path):
+        calls = []
+        config = SolveConfig(cutoff=-20.0, plunge=True,
+                             on_incumbent=lambda *call: calls.append(call))
+        result = external_solve(knapsack_model(), write_files("a 1"),
+                                tmp_path, config)
+        assert result.status == "feasible"
+        assert result.incumbent.objective_value == pytest.approx(-5.0)
+        assert len(calls) == 1
+
+    def test_relative_workdir(self, tmp_path, monkeypatch, self_adapter):
+        # solve-mps also takes the "inf" of a search without a time limit
+        monkeypatch.chdir(tmp_path)
+        result = external_solve(knapsack_model(), self_adapter, "w")
+        assert result.incumbent.objective_value == pytest.approx(-9.0)
+        assert (tmp_path / "w" / "knapsack.sol").exists()
 
 
 def write_files(solution: str, bound: str | None = None) -> list[str]:
