@@ -134,7 +134,7 @@ class BoundsLedger:
     def gap(self) -> float | None:
         if not math.isfinite(self.upper) or not math.isfinite(self.lower):
             return None
-        return gap(self.upper, max(self.lower, 0.0))
+        return gap(self.upper, min(max(self.lower, 0.0), self.upper))
 
 
 @dataclass

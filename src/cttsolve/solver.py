@@ -438,20 +438,21 @@ def brute_force_instance(instance: Instance,
 
 def external_solve(model: MilpModel, command: list[str], workdir: str | Path,
                    config: SolveConfig | None = None) -> SolveResult:
-    """Write ``<workdir>/<model name>.mps``, run the command and read back
-    the point it writes to ``.sol`` and the lower bound it may write to
-    ``.bound`` (``LOWER_BOUND value``) next to it.  The command template
-    can name ``{mps}``, ``{solution}``, ``{bound}`` and ``{time_limit}``
-    (``config.time_limit``, or ``inf``); it is killed 60 s after a finite
-    limit.  A node limit raises ExternalSolverError; a cutoff or plunge
-    only steers a search, so the point comes back whatever they are.
+    """Write ``<workdir>/<model name>.mps``, run the command and read its
+    answer as ``cttsolve solve-mps`` gives it: the point in ``.sol`` next
+    to the model and the ``status:`` and ``lower bound:`` lines on standard
+    output (no bound line means ``-inf``).  The command can name ``{mps}``,
+    ``{solution}`` and ``{time_limit}`` (``config.time_limit``, or
+    ``inf``); it is killed 60 s after a finite limit.  Exit code 1 is taken
+    only as ``status: infeasible`` without a point.  A node limit raises
+    ExternalSolverError; a cutoff or plunge only steers a search.
 
-    Both output files are deleted before the command runs, so a file left
-    by an earlier call is never read as this call's answer.  The point is
-    re-checked against the model and the bound against the point: a
-    violated constraint or a bound above the point's objective is reported
-    as an inconsistency, never trusted.  The checked point goes once to
-    ``on_incumbent``, and is ``optimal`` when the bound meets it.
+    The ``.sol`` file is deleted first, so an earlier call's point is never
+    read as this one's.  Without a point, only ``infeasible``, ``cutoff``,
+    ``unbounded`` or ``limit-reached`` comes back.  A point is re-checked
+    against the model and the bound against the point, never trusted; the
+    checked point goes once to ``on_incumbent`` and is ``optimal`` when the
+    bound meets it.
     """
     config = config or SolveConfig()
     if config.node_limit is not None:
@@ -460,49 +461,48 @@ def external_solve(model: MilpModel, command: list[str], workdir: str | Path,
         raise ExternalSolverError(f"model name {model.name!r} has a path")
     workdir = Path(workdir).resolve()  # the command runs inside it
     workdir.mkdir(parents=True, exist_ok=True)
-    paths = {ext: workdir / f"{model.name}.{ext}"
-             for ext in ("mps", "sol", "bound")}
-    for ext in ("sol", "bound"):
-        paths[ext].unlink(missing_ok=True)
-    paths["mps"].write_text(export_mps(model))
+    mps, sol = (workdir / f"{model.name}.{ext}" for ext in ("mps", "sol"))
+    sol.unlink(missing_ok=True)
+    mps.write_text(export_mps(model))
 
     limit = math.inf if config.time_limit is None else config.time_limit
     timeout = limit + 60 if math.isfinite(limit) else None
-    command = [arg.format(mps=paths["mps"], solution=paths["sol"],
-                          bound=paths["bound"], time_limit=limit)
+    command = [arg.format(mps=mps, solution=sol, time_limit=limit)
                for arg in command]
     try:
         proc = subprocess.run(command, cwd=workdir, capture_output=True,
                               text=True, timeout=timeout)
     except (OSError, subprocess.TimeoutExpired) as exc:
         raise ExternalSolverError(f"external process failed: {exc}")
-    if proc.returncode != 0:
+    answer = {key.strip(): value.strip() for key, _, value in
+              (line.partition(":") for line in proc.stdout.splitlines())}
+    status, point = answer.get("status"), sol.exists()
+    accepted = (0, 1) if (status, point) == ("infeasible", False) else (0,)
+    if proc.returncode not in accepted:
         raise ExternalSolverError(
             f"external process exited with {proc.returncode} "
             f"(command {command}, workdir {workdir}): {proc.stderr}")
-    if not paths["sol"].exists():
-        raise ExternalSolverError(f"missing solution file {paths['sol']}")
+    text = answer.get("lower bound", "-inf")
+    try:
+        lower = float(text)
+    except ValueError:
+        lower = math.nan
+    if math.isnan(lower):
+        raise ExternalSolverError(f"malformed lower bound {text!r}")
+    if not point:
+        if status in ("infeasible", "cutoff", "unbounded", "limit-reached"):
+            return SolveResult(status, None, lower, 0)
+        raise ExternalSolverError(f"missing solution file {sol}")
 
-    imported = import_solution(model, paths["sol"].read_text())
+    imported = import_solution(model, sol.read_text())
     violated = model.first_violation(imported.values)
     if violated is not None:
         raise ExternalSolverError(
             f"external solution is inconsistent (violates {violated})")
-
-    lower = -math.inf
-    if paths["bound"].exists():
-        fields = paths["bound"].read_text().split()
-        try:
-            if len(fields) != 2 or fields[0] != "LOWER_BOUND":
-                raise ValueError
-            lower = float(fields[1])
-        except ValueError:
-            raise ExternalSolverError("malformed bound file")
-        # NaN fails this test too
-        if not lower <= imported.objective_value + FEAS_TOL:
-            raise ExternalSolverError(
-                f"external lower bound {lower:g} is not at most the"
-                f" returned point's objective {imported.objective_value:g}")
+    if lower > imported.objective_value + FEAS_TOL:
+        raise ExternalSolverError(
+            f"external lower bound {lower:g} is not at most the"
+            f" returned point's objective {imported.objective_value:g}")
     if config.on_incumbent is not None:
         config.on_incumbent(imported.values.copy(), imported.objective_value)
     status = ("optimal" if lower >= imported.objective_value - FEAS_TOL

@@ -51,6 +51,12 @@ class TestLedger:
         with pytest.raises(ControlError):
             ledger.record_lower(6.0, "surface")
 
+    def test_gap_with_lower_just_above_upper(self):
+        ledger = BoundsLedger()
+        ledger.record_upper(3, "dive")
+        assert ledger.record_lower(3.0000005, "exact")  # within tolerance
+        assert ledger.gap() == 0.0
+
     def test_upper_below_lower_rejected(self):
         ledger = BoundsLedger()
         ledger.record_lower(5.0, "surface")
@@ -368,7 +374,8 @@ class TestExternalEngine:
         """Every search goes through the module global ``branch_and_bound``,
         so swapping it for the external adapter running ``cttsolve
         solve-mps`` puts each search in a child process.  That command
-        writes no bound file, so only upper bounds reach the ledger."""
+        prints its status and lower bound, so the children's proofs reach
+        the ledger, and a search without a point ends as its child did."""
         limits = []
 
         def engine(model, config):
@@ -376,23 +383,29 @@ class TestExternalEngine:
             return external_solve(model, self_adapter, tmp_path, config)
         monkeypatch.setattr(control, "branch_and_bound", engine)
         rng = random.Random(7)
-        checked = 0
-        while checked < 3:
+        wanted = {"optimal": 3, "infeasible": 1}
+        while any(wanted.values()):
             instance = random_tiny_instance(rng)
             exact = brute_force_instance(instance)
-            if exact.status == "infeasible":  # the child writes no point
+            if not wanted[exact.status]:
                 continue
+            wanted[exact.status] -= 1
+            optimum = exact.lower_bound
             for strategy in STRATEGIES:
                 # a total time gives every child a timeout
                 result = run_strategy(instance, StrategyConfig(
                     strategy=strategy, total_time=600.0))
-                if strategy == "exact":
-                    assert result.upper_bound == exact.lower_bound
+                if exact.status == "infeasible":
+                    assert result.status == "infeasible"
+                elif strategy == "exact":
+                    assert result.status == "optimal"
+                    assert result.lower_bound == pytest.approx(optimum)
+                    assert result.upper_bound == optimum
                 else:
-                    assert result.upper_bound >= exact.lower_bound
-            checked += 1
+                    assert (result.lower_bound <= optimum + 1e-6
+                            and result.upper_bound >= optimum)
         # every search ran in a child, under a finite time limit
-        assert len(limits) >= 9 and all(0 < t <= 600 for t in limits)
+        assert len(limits) >= 12 and all(0 < t <= 600 for t in limits)
 
 
 class TestRoomBound:

@@ -1,9 +1,7 @@
 import math
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +9,6 @@ import pytest
 import scipy.optimize
 from scipy import sparse
 
-import cttsolve
 from conftest import random_tiny_instance
 from cttsolve import solver
 from cttsolve.formulations import (DIVE_KINDS, build_dive, build_monolithic,
@@ -538,20 +535,23 @@ class TestBruteForce:
 
 
 class TestExternalAdapter:
-    def test_self_adapter_round_trip(self, tmp_path, monkeypatch):
-        # The child runs in tmp_path and inherits this environment, so a
-        # relative PYTHONPATH entry (such as ``src``) would not resolve there.
-        # Put the directory holding the imported package first, absolutely.
-        package_root = str(Path(cttsolve.__file__).resolve().parents[1])
-        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-        result = external_solve(
-            knapsack_model(),
-            [sys.executable, "-m", "cttsolve.cli", "solve-mps", "{mps}",
-             "-o", "{solution}"], tmp_path)
-        assert result.status == "feasible"
+    def test_self_adapter_round_trip(self, tmp_path, self_adapter):
+        # solve-mps prints its proof, so the point comes back optimal
+        result = external_solve(knapsack_model(), self_adapter, tmp_path)
+        assert result.status == "optimal"
+        assert result.lower_bound == -9.0
         assert result.incumbent.objective_value == pytest.approx(-9.0)
         assert (tmp_path / "knapsack.sol").exists()
+
+    def test_self_adapter_infeasible(self, tmp_path, self_adapter):
+        # solve-mps exits 1 on a proven infeasible model and writes no point
+        model = MilpModel("m")
+        model.add_variable("x", "binary")
+        model.add_constraint("c", [(1.0, "x")], ">=", 2.0)
+        model.set_objective([(1.0, "x")])
+        result = external_solve(model, self_adapter, tmp_path)
+        assert (result.status, result.incumbent) == ("infeasible", None)
+        assert result.lower_bound == math.inf
 
     def test_violating_point_rejected(self, tmp_path):
         model = MilpModel("m")
@@ -575,12 +575,37 @@ class TestExternalAdapter:
             external_solve(knapsack_model(), [sys.executable, "-c", "pass"],
                            tmp_path)
 
-    def test_bound_file(self, tmp_path):
+    @pytest.mark.parametrize("status", ["optimal", "feasible"])
+    def test_status_with_a_point_without_one_raises(self, tmp_path, status):
+        with pytest.raises(ExternalSolverError, match="missing solution"):
+            external_solve(knapsack_model(),
+                           write_files(None, f"status: {status}"), tmp_path)
+
+    @pytest.mark.parametrize("status, lower, code", [
+        ("infeasible", math.inf, 0), ("infeasible", math.inf, 1),
+        ("cutoff", -7.0, 0), ("unbounded", -math.inf, 0),
+        ("limit-reached", -12.5, 0)])
+    def test_status_without_a_point_returned(self, tmp_path, status, lower,
+                                             code):
+        # exit code 1 is solve-mps's answer for a proven infeasible model
+        calls = []
         result = external_solve(
-            knapsack_model(), write_files("a 1\nb 1", "LOWER_BOUND -10"),
-            tmp_path)
-        assert result.lower_bound == -10.0
-        assert result.incumbent.objective_value == pytest.approx(-9.0)
+            knapsack_model(),
+            write_files(None, f"status: {status}", f"lower bound: {lower}",
+                        code=code),
+            tmp_path, SolveConfig(on_incumbent=lambda *c: calls.append(c)))
+        assert (result.status, result.incumbent) == (status, None)
+        assert result.lower_bound == lower and calls == []
+
+    @pytest.mark.parametrize("solution, status, code", [
+        (None, "cutoff", 1), (None, "limit-reached", 1), (None, "optimal", 1),
+        (None, "", 1), ("a 1", "infeasible", 1), (None, "infeasible", 2)])
+    def test_other_nonzero_exit_raises(self, tmp_path, solution, status,
+                                       code):
+        # only an infeasible answer without a point may exit with 1
+        command = write_files(solution, f"status: {status}", code=code)
+        with pytest.raises(ExternalSolverError, match=f"exited with {code}"):
+            external_solve(knapsack_model(), command, tmp_path)
 
     @pytest.mark.parametrize("name", ["../up", "sub/m", "/abs"])
     def test_model_name_with_a_path_rejected(self, tmp_path, name):
@@ -595,8 +620,8 @@ class TestExternalAdapter:
 
     def test_earlier_calls_files_are_not_read(self, tmp_path):
         external_solve(knapsack_model(),
-                       write_files("a 1\nb 1", "LOWER_BOUND -10"), tmp_path)
-        # a call whose command writes no bound has none
+                       write_files("a 1\nb 1", "lower bound: -10"), tmp_path)
+        # a call whose command prints no bound has none
         result = external_solve(knapsack_model(), write_files("a 1"),
                                 tmp_path)
         assert result.lower_bound == -math.inf
@@ -606,24 +631,27 @@ class TestExternalAdapter:
             external_solve(knapsack_model(), [sys.executable, "-c", "pass"],
                            tmp_path)
 
-    @pytest.mark.parametrize("bound, ok", [("-9", True), ("-8.9999995", True),
+    @pytest.mark.parametrize("lower, ok", [("-9", True), ("-8.9999995", True),
                                            ("-8.999998", False), ("-8", False),
-                                           ("nan", False)])
-    def test_bound_above_point_rejected(self, tmp_path, bound, ok):
-        command = write_files("a 1\nb 1", f"LOWER_BOUND {bound}")
+                                           ("inf", False), ("nan", False)])
+    def test_bound_above_point_rejected(self, tmp_path, lower, ok):
+        command = write_files("a 1\nb 1", f"lower bound: {lower}")
         if ok:
             assert external_solve(knapsack_model(), command,
-                                  tmp_path).lower_bound == float(bound)
-        else:
-            with pytest.raises(ExternalSolverError, match="is not at most"):
+                                  tmp_path).lower_bound == float(lower)
+        else:  # a NaN bound is no number, above the point or not
+            message = "malformed lower" if lower == "nan" else "is not at most"
+            with pytest.raises(ExternalSolverError, match=message):
                 external_solve(knapsack_model(), command, tmp_path)
 
-    @pytest.mark.parametrize("text", ["LOWER_BOUND", "LOWER_BOUND x",
-                                      "UPPER_BOUND -10", "LOWER_BOUND -10 1"])
-    def test_malformed_bound_file(self, tmp_path, text):
-        with pytest.raises(ExternalSolverError, match="malformed bound"):
-            external_solve(knapsack_model(), write_files("a 1", text),
-                           tmp_path)
+    @pytest.mark.parametrize("solution", ["a 1", None])
+    @pytest.mark.parametrize("text", ["nan", "x", "", "-10 1"])
+    def test_malformed_lower_bound(self, tmp_path, solution, text):
+        # with a point or without one
+        command = write_files(solution, "status: limit-reached",
+                              f"lower bound: {text}")
+        with pytest.raises(ExternalSolverError, match="malformed lower"):
+            external_solve(knapsack_model(), command, tmp_path)
 
     def test_node_limit_rejected(self, tmp_path):
         with pytest.raises(ExternalSolverError, match="no node limit"):
@@ -664,13 +692,13 @@ class TestExternalAdapter:
         # a copy: the hook cannot change the returned point
         assert values is not result.incumbent.values
 
-    @pytest.mark.parametrize("bound, status", [("-9", "optimal"),
+    @pytest.mark.parametrize("lower, status", [("-9", "optimal"),
                                                ("-9.0000001", "optimal"),
                                                ("-9.5", "feasible")])
-    def test_status_from_the_bound(self, tmp_path, bound, status):
+    def test_status_from_the_bound(self, tmp_path, lower, status):
         result = external_solve(
             knapsack_model(),
-            write_files("a 1\nb 1", f"LOWER_BOUND {bound}"), tmp_path)
+            write_files("a 1\nb 1", f"lower bound: {lower}"), tmp_path)
         assert result.status == status
 
     def test_point_above_the_cutoff_returned(self, tmp_path):
@@ -691,10 +719,11 @@ class TestExternalAdapter:
         assert (tmp_path / "w" / "knapsack.sol").exists()
 
 
-def write_files(solution: str, bound: str | None = None) -> list[str]:
-    """Command writing the given solution and bound file texts."""
-    code = "import sys; open(sys.argv[1], 'w').write(sys.argv[2])"
-    if bound is not None:
-        code += "; open(sys.argv[3], 'w').write(sys.argv[4])"
-    return [sys.executable, "-c", code, "{solution}", solution + "\n",
-            "{bound}", f"{bound}\n"]
+def write_files(solution: str | None, *lines: str, code: int = 0) -> list[str]:
+    """Command writing the given solution text (none for None), printing
+    the given standard output lines and exiting with ``code``."""
+    script = ("import sys; print('\\n'.join(sys.argv[4:]));"
+              " sys.argv[2] and open(sys.argv[1], 'w').write(sys.argv[2]);"
+              " sys.exit(int(sys.argv[3]))")
+    return [sys.executable, "-c", script, "{solution}",
+            "" if solution is None else solution + "\n", str(code), *lines]
