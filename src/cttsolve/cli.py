@@ -116,7 +116,6 @@ def cmd_solve(args) -> int:
     config = StrategyConfig(
         strategy=args.strategy,
         surface_model=args.surface_model,
-        surface_time=args.surface_time,
         per_dive_time=args.per_dive_time,
         total_time=args.total_time,
         surface_nodes=args.surface_nodes,
@@ -194,18 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface-model", default="surface",
                    choices=("surface", "surface2"),
                    help="surface2 is an error with --strategy exact")
-    p.add_argument("--surface-time", type=float, default=None,
-                   help="seconds for the surface search of contract and"
-                        " anytime (anytime's dives run inside it); without"
-                        " it, contract's surface takes half of"
-                        " --total-time; an error with --strategy exact")
     p.add_argument("--per-dive-time", type=float, default=None,
                    help="seconds for each dive; an error with"
                         " --strategy exact")
     p.add_argument("--total-time", type=float, default=None,
                    help="seconds for the whole run: every search stops at"
-                        " it and no dive starts after it; with --strategy"
-                        " exact, the exact search's time limit")
+                        " it and no dive starts after it; contract's surface"
+                        " and room searches each take half of it, anytime's"
+                        " surface and the exact search run to it")
     p.add_argument("--surface-nodes", type=int, default=None,
                    help="node limit of the surface search, or with"
                         " --strategy exact of the exact search")

@@ -32,8 +32,8 @@ from .solver import SolveConfig, SolveResult, branch_and_bound
 STRATEGIES = ("exact", "contract", "anytime")
 # pattern cuts enumerate all 2**periods_per_day day patterns
 PATTERN_CUT_MAX_PERIODS = 6
-# contract's surface and room searches, given a total time but no surface
-# time, take this share of the total, so time is left to dive
+# contract's surface and room searches, given a total time, each take this
+# share of it, so time is left to dive
 CONTRACT_SURFACE_SHARE = 0.5
 
 
@@ -46,7 +46,6 @@ class StrategyConfig:
     strategy: str = "contract"
     surface_model: str = "surface"  # "surface" | "surface2"
     # budgets; node budgets keep runs deterministic, time budgets do not
-    surface_time: float | None = None
     per_dive_time: float | None = None
     total_time: float | None = None
     surface_nodes: int | None = None
@@ -58,7 +57,7 @@ class StrategyConfig:
             raise ControlError(f"unknown strategy {self.strategy!r}")
         if self.surface_model not in ("surface", "surface2"):
             raise ControlError(f"unknown surface model {self.surface_model!r}")
-        for name in ("surface_time", "per_dive_time", "total_time"):
+        for name in ("per_dive_time", "total_time"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ControlError(f"{name} must be positive")
@@ -66,18 +65,13 @@ class StrategyConfig:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ControlError(f"{name} must not be negative")
-        if (self.total_time is not None and self.surface_time is not None
-                and self.total_time < self.surface_time):
-            raise ControlError("total time must cover the surface time")
         if self.strategy == "exact":  # options only surfaces and dives read
-            for name in ("surface_model", "surface_time", "per_dive_time",
-                         "dive_nodes"):
+            for name in ("surface_model", "per_dive_time", "dive_nodes"):
                 if getattr(self, name) not in (None, "surface"):
                     raise ControlError(f"the exact strategy has no {name}")
 
     def timed(self) -> bool:
-        return any(t is not None for t in
-                   (self.surface_time, self.per_dive_time, self.total_time))
+        return self.per_dive_time is not None or self.total_time is not None
 
 
 @dataclass(frozen=True)
@@ -157,6 +151,7 @@ class RunReport:
     gap: float | None
     penalties: tuple[int, int, int, int] | None
     solution: dict[str, list[list]] | None
+    # of the surface search, or of the exact search under the exact strategy
     surface_status: str
     surface_nodes: int
     dives: list[DiveRecord]
@@ -179,8 +174,8 @@ class RunReport:
             cap, spread, comp, stab = self.penalties
             lines.append(f"penalties: capacity={cap} spread={spread}"
                          f" compactness={comp} stability={stab}")
-        lines.append(f"surface: {self.surface_status}"
-                     f" ({self.surface_nodes} nodes)")
+        lines.append(f"{'exact' if self.strategy == 'exact' else 'surface'}:"
+                     f" {self.surface_status} ({self.surface_nodes} nodes)")
         for d in self.dives:
             obj = "-" if d.objective is None else d.objective
             lines.append(f"dive {d.kind} from {d.source_objective}"
@@ -297,17 +292,17 @@ def run_strategy(instance: Instance,
                 dive(kind, len(sources) - 1)
 
     if config.strategy == "exact":
-        model = build_monolithic(instance)
-        time_limit, source = config.total_time, "exact"
+        model, source = build_monolithic(instance), "exact"
         on_incumbent = _recorder(instance, model, ledger, source, [])
     else:
         model = (build_surface(instance) if config.surface_model == "surface"
                  else build_surface2(instance))
-        time_limit, source = config.surface_time, "surface"
-        if (config.strategy == "contract" and time_limit is None
-                and config.total_time is not None):
-            time_limit = CONTRACT_SURFACE_SHARE * config.total_time
-        on_incumbent = harvest
+        source, on_incumbent = "surface", harvest
+    # contract keeps time to dive; anytime's surface and the exact search
+    # run to the deadline, which _search applies to every search
+    time_limit = (CONTRACT_SURFACE_SHARE * config.total_time
+                  if config.strategy == "contract"
+                  and config.total_time is not None else None)
     _add_cuts(instance, model, config)
     model.freeze()
     result = _search(model, time_limit, config.surface_nodes, deadline,

@@ -84,8 +84,8 @@ class MilpModel:
                 upper = 1.0
             if lower < 0 or upper > 1:
                 raise MilpError(f"binary variable {name!r} must lie in [0, 1]")
-        if lower > upper:
-            raise MilpError(f"variable {name!r} has lower > upper")
+        if not lower <= upper or lower == math.inf or upper == -math.inf:
+            raise MilpError(f"variable {name!r} has an empty domain")
         idx = len(self.variables)
         self.variables.append(Variable(name, kind, lower, upper, tag))
         self._var_index[name] = idx

@@ -291,16 +291,16 @@ def test_criterion_7_end_to_end_sanity():
     comp01 = directory / "comp01.ctt" if directory else None
     if comp01 is not None and comp01.exists():
         instance = parse_ctt(comp01.read_text())
-        # both dive kinds run, so the total budget keeps the run bounded
-        config = StrategyConfig(strategy="contract", surface_time=600.0,
-                                per_dive_time=180.0,
-                                total_time=600.0 + 2 * 180.0)
+        # contract gives its surface half the total; both dive kinds run
+        # in the other half
+        config = StrategyConfig(strategy="contract", per_dive_time=180.0,
+                                total_time=1200.0)
         detail = ("comp01 with 600s surface + 180s per dive,"
-                  " 960s in total")
+                  " 1200s in total")
     else:
         instance = parse_ctt(TIGHT_CTT)
-        config = StrategyConfig(strategy="contract", surface_time=5.0,
-                                per_dive_time=2.0, total_time=10.0)
+        config = StrategyConfig(strategy="contract", per_dive_time=2.0,
+                                total_time=10.0)
         detail = ("DEGRADED: comp01.ctt unavailable; contract strategy run"
                   " on a synthetic instance with scaled budgets instead"
                   " (set CTT_INSTANCE_DIR to enable the full check)")

@@ -244,16 +244,26 @@ class TestSolve:
                      "-o", str(out_file)]) == 0
         out = capsys.readouterr().out
         assert "status: optimal" in out
+        # the report names the search it ran: the exact strategy has no surface
+        assert re.search(r"^exact: optimal \(\d+ nodes\)$", out, re.MULTILINE)
+        assert "surface:" not in out
         assert out_file.exists()
         capsys.readouterr()
         assert main(["evaluate", tight_path, str(out_file)]) == 0
         assert "objective: 14" in capsys.readouterr().out
 
-    def test_exact_strategy_rejects_surface_time(self, tight_path, capsys):
+    def test_exact_strategy_rejects_per_dive_time(self, tight_path, capsys):
         assert main(["solve", tight_path, "--strategy", "exact",
-                     "--surface-time", "0.5"]) == 1
+                     "--per-dive-time", "0.5"]) == 1
         captured = capsys.readouterr()
-        assert "exact strategy has no surface_time" in captured.err
+        assert "exact strategy has no per_dive_time" in captured.err
+        assert captured.out == ""
+
+    def test_surface_time_is_no_option(self, tight_path, capsys):
+        # contract and anytime take their surface's time from --total-time
+        assert main(["solve", tight_path, "--surface-time", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --surface-time" in captured.err
         assert captured.out == ""
 
     def test_contract_json_report(self, tight_path, capsys):

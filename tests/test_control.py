@@ -112,19 +112,15 @@ class TestConfig:
             StrategyConfig(strategy="magic")
 
     @pytest.mark.parametrize("budget", [
-        {"surface_time": 0}, {"per_dive_time": 0}, {"total_time": -5},
+        {"per_dive_time": 0}, {"total_time": -5},
         {"per_dive_time": float("nan")}, {"surface_nodes": -1},
         {"dive_nodes": -1}])
     def test_budgets_checked_up_front(self, budget):
         with pytest.raises(ControlError, match=next(iter(budget))):
             StrategyConfig(**budget)
 
-    def test_total_time_covers_surface(self):
-        with pytest.raises(ControlError):
-            StrategyConfig(surface_time=10.0, total_time=5.0)
-
     @pytest.mark.parametrize("option", [
-        {"surface_time": 0.5}, {"per_dive_time": 0.5}, {"dive_nodes": 10},
+        {"per_dive_time": 0.5}, {"dive_nodes": 10},
         {"surface_model": "surface2"}])
     def test_exact_rejects_options_it_ignores(self, option):
         with pytest.raises(ControlError, match="exact strategy has no"):
@@ -298,12 +294,10 @@ class TestStrategies:
         assert result.dives == []
         assert result.upper_bound is None
 
-    @pytest.mark.parametrize("strategy, surface_time, expected", [
-        ("contract", None, 50.0), ("contract", 20.0, 20.0),
-        ("anytime", None, 100.0)])
+    @pytest.mark.parametrize("strategy, expected", [
+        ("contract", 50.0), ("anytime", 100.0), ("exact", 100.0)])
     def test_contract_leaves_half_the_total_time_to_dive(
-            self, tight_instance, monkeypatch, strategy, surface_time,
-            expected):
+            self, tight_instance, monkeypatch, strategy, expected):
         # a frozen clock keeps the whole total time remaining
         monkeypatch.setattr(control, "time",
                             SimpleNamespace(monotonic=lambda: 0.0))
@@ -316,7 +310,10 @@ class TestStrategies:
 
         monkeypatch.setattr(control, "branch_and_bound", recording)
         result = run_strategy(tight_instance, StrategyConfig(
-            strategy=strategy, surface_time=surface_time, total_time=100.0))
+            strategy=strategy, total_time=100.0))
+        if strategy == "exact":
+            assert limits == [("monolithic", expected)]
+            return
         assert result.dives
         assert [(n, t) for n, t in limits if n in ("surface", "rooms")] == [
             ("surface", expected), ("rooms", expected)]

@@ -11,6 +11,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -97,3 +98,14 @@ def test_missing_bindings_name_their_path(monkeypatch, tmp_path):
     with pytest.raises(ImportError) as info:
         solver._load_highs_core()
     assert str(tmp_path / "optimize" / "_highspy" / "_core") in str(info.value)
+
+
+def test_console_script_target_is_callable():
+    # pip writes the `cttsolve` command from this table, so a stale target
+    # breaks only the installed command, which no other test runs
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"cttsolve": "cttsolve.cli:entry"}
+    module, _, name = scripts["cttsolve"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))

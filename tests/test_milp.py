@@ -81,6 +81,13 @@ class TestBuilding:
         with pytest.raises(MilpError):
             model.add_variable("x", "binary", 0, 2)
 
+    @pytest.mark.parametrize("lower, upper",
+                             [(math.nan, 1.0), (0.0, math.nan)],
+                             ids=["lower-nan", "upper-nan"])
+    def test_nan_bound_rejected(self, lower, upper):
+        with pytest.raises(MilpError, match="'x' has an empty domain"):
+            MilpModel("m").add_variable("x", "continuous", lower, upper)
+
     def test_frozen_model_rejects_changes(self):
         model = simple_model().freeze()
         with pytest.raises(MilpError):
@@ -255,6 +262,21 @@ class TestMps:
         with pytest.raises(MilpError, match="'abc' is not a number: "
                            + re.escape(repr(new.rstrip("\n")))):
             parse_mps(text.replace(old, new))
+
+    @pytest.mark.parametrize("bounds", [
+        " LO BND  x  inf\n", " FX BND  x  inf\n", " FX BND  x  -inf\n",
+        " MI BND  x\n UP BND  x  -inf\n"],
+        ids=["lo-inf", "fx-inf", "fx-minus-inf", "mi-up-minus-inf"])
+    def test_empty_infinite_domain_rejected(self, bounds):
+        # each leaves x no finite value, which export_mps cannot write
+        model = MilpModel("m")
+        model.add_variable("x", "continuous", 0.0, 5.0)
+        model.add_constraint("c", [(1.0, "x")], "<=", 3.0)
+        model.set_objective([(1.0, "x")])
+        text = export_mps(model)
+        assert " UP BND  x  5\n" in text
+        with pytest.raises(MilpError, match="'x' has an empty domain"):
+            parse_mps(text.replace(" UP BND  x  5\n", bounds))
 
     def test_infinite_bound_accepted(self):
         text = export_mps(simple_model()).replace(" UP BND  x  1\n", "")

@@ -111,8 +111,10 @@ class TestLp:
             solver.linprog(arrays, arrays.lo, arrays.hi)
 
     def test_rejected_model_raises(self):
+        # the MILP layer rejects a NaN bound but passes a NaN right-hand side
         model = MilpModel("m")
-        model.add_variable("x", "continuous", math.nan, 1.0)
+        model.add_variable("x", "continuous", 0.0, 1.0)
+        model.add_constraint("c", [(1.0, "x")], "<=", math.nan)
         with pytest.raises(SolverError, match="rejected"):
             _Arrays(model)
 
