@@ -8,6 +8,8 @@ syntax errors, and an output file that cannot be written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import os
 import sys
 
@@ -113,16 +115,10 @@ def cmd_build(args) -> int:
 def cmd_solve(args) -> int:
     instance = _load_instance(args)
     _check_output(args.output)
-    config = StrategyConfig(
-        strategy=args.strategy,
-        surface_model=args.surface_model,
-        per_dive_time=args.per_dive_time,
-        total_time=args.total_time,
-        surface_nodes=args.surface_nodes,
-        dive_nodes=args.dive_nodes,
-        pattern_cuts=args.pattern_cuts,
-    )
-    report = run_strategy(instance, config)
+    # each of the strategy's options is a StrategyConfig field
+    report = run_strategy(instance, StrategyConfig(
+        **{field.name: getattr(args, field.name)
+           for field in dataclasses.fields(StrategyConfig)}))
     if args.json:
         print(report.to_json())
     else:
@@ -193,18 +189,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface-model", default="surface",
                    choices=("surface", "surface2"),
                    help="surface2 is an error with --strategy exact")
-    p.add_argument("--per-dive-time", type=float, default=None,
+    p.add_argument("--per-dive-time", type=float, default=math.inf,
                    help="seconds for each dive; an error with"
                         " --strategy exact")
-    p.add_argument("--total-time", type=float, default=None,
+    p.add_argument("--total-time", type=float, default=math.inf,
                    help="seconds for the whole run: every search stops at"
-                        " it and no dive starts after it; contract's surface"
-                        " and room searches each take half of it, anytime's"
-                        " surface and the exact search run to it")
-    p.add_argument("--surface-nodes", type=int, default=None,
+                        " it and no dive starts after it; the room search,"
+                        " then contract's surface search, each take at most"
+                        " half, anytime's surface and the exact search run"
+                        " to it")
+    p.add_argument("--surface-nodes", type=int, default=math.inf,
                    help="node limit of the surface search, or with"
                         " --strategy exact of the exact search")
-    p.add_argument("--dive-nodes", type=int, default=None,
+    p.add_argument("--dive-nodes", type=int, default=math.inf,
                    help="node limit of each dive; an error with"
                         " --strategy exact")
     p.add_argument("--pattern-cuts", action="store_true",
@@ -219,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-mps", help="solve an MPS model exactly")
     p.add_argument("model", help="model file (.mps)")
-    p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument("--time-limit", type=float, default=math.inf)
+    p.add_argument("--node-limit", type=int, default=math.inf)
     p.add_argument("-o", "--output", default=None,
                    help="write nonzero variable values to this file")
     p.set_defaults(func=cmd_solve_mps)

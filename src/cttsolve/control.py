@@ -45,11 +45,12 @@ class ControlError(Exception):
 class StrategyConfig:
     strategy: str = "contract"
     surface_model: str = "surface"  # "surface" | "surface2"
-    # budgets; node budgets keep runs deterministic, time budgets do not
-    per_dive_time: float | None = None
-    total_time: float | None = None
-    surface_nodes: int | None = None
-    dive_nodes: int | None = None
+    # budgets, math.inf for none; node budgets keep runs deterministic,
+    # time budgets do not
+    per_dive_time: float = math.inf
+    total_time: float = math.inf
+    surface_nodes: float = math.inf  # a node count
+    dive_nodes: float = math.inf  # a node count
     pattern_cuts: bool = False
 
     def __post_init__(self):
@@ -58,25 +59,23 @@ class StrategyConfig:
         if self.surface_model not in ("surface", "surface2"):
             raise ControlError(f"unknown surface model {self.surface_model!r}")
         for name in ("per_dive_time", "total_time"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
+            if not getattr(self, name) > 0:
                 raise ControlError(f"{name} must be positive")
         for name in ("surface_nodes", "dive_nodes"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
+            if not getattr(self, name) >= 0:
                 raise ControlError(f"{name} must not be negative")
         if self.strategy == "exact":  # options only surfaces and dives read
             for name in ("surface_model", "per_dive_time", "dive_nodes"):
-                if getattr(self, name) not in (None, "surface"):
+                if getattr(self, name) != getattr(StrategyConfig, name):
                     raise ControlError(f"the exact strategy has no {name}")
-
-    def timed(self) -> bool:
-        return self.per_dive_time is not None or self.total_time is not None
 
 
 @dataclass(frozen=True)
 class LedgerEvent:
-    at: float  # logical step count, or seconds when a time budget is set
+    # under a time budget the time.monotonic() reading, from which
+    # RunReport.to_text and bench/run.py subtract the run's start; without
+    # one a step count
+    at: float
     kind: str  # "lower" | "upper"
     value: float
     source: str
@@ -215,10 +214,7 @@ def _add_cuts(instance: Instance, model, config: StrategyConfig) -> None:
 def _search(model, limit_time, limit_nodes, deadline, **extra) -> SolveResult:
     """Every search of a run, under its limits cut short by the deadline,
     through the global ``branch_and_bound`` that ``bench/run.py`` wraps."""
-    if deadline is not None:
-        remaining = max(0.01, deadline - time.monotonic())
-        limit_time = remaining if limit_time is None else min(limit_time,
-                                                              remaining)
+    limit_time = min(limit_time, max(0.01, deadline - time.monotonic()))
     return branch_and_bound(model, SolveConfig(
         time_limit=limit_time, node_limit=limit_nodes, **extra))
 
@@ -248,12 +244,11 @@ def _run_dive(instance: Instance, monolithic, kind: str,
     model = build_dive(monolithic(), kind, basis)
     add_implied_bound_cuts(model)
     model.freeze()
-    cutoff = ledger.upper if math.isfinite(ledger.upper) else None
     objectives: list[float] = []
     # a dive is a heuristic: it plunges to its first incumbent
     result = _search(
         model, config.per_dive_time, config.dive_nodes, deadline,
-        cutoff=cutoff, plunge=True,
+        cutoff=ledger.upper, plunge=True,
         on_incumbent=_recorder(instance, model, ledger, f"dive:{kind}",
                                objectives))
     return DiveRecord(kind, objective, index, result.status,
@@ -264,10 +259,9 @@ def _run_dive(instance: Instance, monolithic, kind: str,
 def run_strategy(instance: Instance,
                  config: StrategyConfig | None = None) -> RunReport:
     config = config or StrategyConfig()
-    ledger = BoundsLedger(clock=time.monotonic if config.timed() else None)
-    # a total time makes the run timed, so the ledger has a start time
-    deadline = (ledger.started + config.total_time
-                if config.total_time is not None else None)
+    timed = min(config.per_dive_time, config.total_time) < math.inf
+    ledger = BoundsLedger(clock=time.monotonic if timed else None)
+    deadline = time.monotonic() + config.total_time
     if (config.pattern_cuts
             and instance.periods_per_day > PATTERN_CUT_MAX_PERIODS):
         raise ControlError(f"pattern cuts need days of at most"
@@ -280,7 +274,7 @@ def run_strategy(instance: Instance,
     dives: list[DiveRecord] = []
 
     def dive(kind: str, index: int) -> None:
-        if deadline is None or time.monotonic() < deadline:
+        if time.monotonic() < deadline:
             dives.append(_run_dive(instance, monolithic, kind,
                                    *sources[index], index, ledger, config,
                                    deadline))
@@ -298,28 +292,31 @@ def run_strategy(instance: Instance,
         model = (build_surface(instance) if config.surface_model == "surface"
                  else build_surface2(instance))
         source, on_incumbent = "surface", harvest
-    # contract keeps time to dive; anytime's surface and the exact search
-    # run to the deadline, which _search applies to every search
-    time_limit = (CONTRACT_SURFACE_SHARE * config.total_time
-                  if config.strategy == "contract"
-                  and config.total_time is not None else None)
     _add_cuts(instance, model, config)
     model.freeze()
-    result = _search(model, time_limit, config.surface_nodes, deadline,
+    share = CONTRACT_SURFACE_SHARE * config.total_time
+    # a model without rooms holds the period terms alone, and the room
+    # relaxation's the room terms alone, so their lower bounds add up;
+    # surface2 and the exact model have rooms and hold both.  The room
+    # search needs nothing from the surface, so it runs first, while the
+    # deadline is still ahead
+    rooms_lower = -math.inf
+    if "room_groups" not in model.metadata:
+        rooms_lower = _search(build_room_relaxation(instance).freeze(),
+                              share, config.surface_nodes,
+                              deadline).lower_bound
+    # contract keeps time to dive; anytime's surface and the exact search
+    # run to the deadline, which _search applies to every search
+    result = _search(model,
+                     share if config.strategy == "contract" else math.inf,
+                     config.surface_nodes, deadline,
                      on_incumbent=on_incumbent)
     # the surface relaxes the full problem and the exact model is the whole
     # problem, so either bound is a global one
     if math.isfinite(result.lower_bound):
         ledger.record_lower(result.lower_bound, source)
-    # a model without rooms holds the period terms alone, and the room
-    # relaxation's the room terms alone, so their lower bounds add up;
-    # surface2 and the exact model have rooms and hold both
-    if ("room_groups" not in model.metadata
-            and math.isfinite(result.lower_bound)):
-        rooms = _search(build_room_relaxation(instance).freeze(),
-                        time_limit, config.surface_nodes, deadline)
-        if math.isfinite(rooms.lower_bound):
-            ledger.record_lower(result.lower_bound + rooms.lower_bound,
+        if math.isfinite(rooms_lower):
+            ledger.record_lower(result.lower_bound + rooms_lower,
                                 "surface+rooms")
 
     # each incumbent beats the one before, so the newest source is the best

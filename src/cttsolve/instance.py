@@ -226,6 +226,8 @@ def parse_ctt(text: str, weights: tuple[int, int, int, int] | None = None) -> In
             key, value = key.strip(), value.strip()
             if key not in expected_header:
                 raise CttSyntaxError(idx, f"unknown header key {key!r}")
+            if key in header:
+                raise CttSyntaxError(idx, f"repeated header key {key!r}")
             if key in int_headers:
                 try:
                     int(value)

@@ -109,18 +109,18 @@ class MilpModel:
     def has_variable(self, name: str) -> bool:
         return name in self._var_index
 
-    def _resolve_terms(self, terms) -> tuple[tuple[float, int], ...]:
+    def _resolve_terms(self, terms, row: str) -> tuple[tuple[float, int], ...]:
+        """Terms merged by variable; a non-finite coefficient names ``row``."""
         merged: dict[int, float] = {}
-        order: list[int] = []
         for coef, ref in terms:
             idx = ref if isinstance(ref, int) else self.var(ref)
             if not 0 <= idx < len(self.variables):
                 raise MilpError(f"variable index {idx} out of range")
-            if idx not in merged:
-                merged[idx] = 0.0
-                order.append(idx)
-            merged[idx] += float(coef)
-        return tuple((merged[i], i) for i in order)
+            coef = float(coef)
+            if not math.isfinite(coef):
+                raise MilpError(f"{row}: coefficient {coef} is not finite")
+            merged[idx] = merged.get(idx, 0.0) + coef
+        return tuple((coef, idx) for idx, coef in merged.items())
 
     def add_constraint(self, name: str, terms, sense: Sense, rhs: float,
                        origin: str = "") -> int:
@@ -129,16 +129,23 @@ class MilpModel:
             raise MilpError(f"duplicate constraint name {name!r}")
         if sense not in ("<=", ">=", "="):
             raise MilpError(f"unknown constraint sense {sense!r}")
+        terms, rhs = self._resolve_terms(terms, f"row {name!r}"), float(rhs)
+        if not math.isfinite(rhs):
+            raise MilpError(
+                f"row {name!r}: right-hand side {rhs} is not finite")
         idx = len(self.constraints)
-        self.constraints.append(LinearConstraint(
-            name, self._resolve_terms(terms), sense, float(rhs), origin))
+        self.constraints.append(LinearConstraint(name, terms, sense, rhs,
+                                                 origin))
         self._con_index[name] = idx
         return idx
 
     def set_objective(self, terms, constant: float = 0.0) -> None:
         self._check_mutable()
-        self.objective_terms = self._resolve_terms(terms)
-        self.objective_constant = float(constant)
+        terms = self._resolve_terms(terms, "objective")
+        constant = float(constant)
+        if not math.isfinite(constant):
+            raise MilpError(f"objective: constant {constant} is not finite")
+        self.objective_terms, self.objective_constant = terms, constant
 
     def freeze(self) -> "MilpModel":
         self._frozen = True
@@ -273,14 +280,14 @@ def _pairs(fields: list[str], raw: str):
     return zip(pairs[0::2], pairs[1::2])
 
 
-def _number(field: str, raw: str, infinite: bool = False) -> float:
-    """The value in an MPS line's field; a non-number, NaN, and an infinity
-    unless ``infinite``, raise MilpError."""
+def _number(field: str, raw: str) -> float:
+    """The value in an MPS line's field, an infinity too (the model takes
+    one only as a bound); a non-number or NaN raises MilpError."""
     try:
         value = float(field)
     except ValueError:
         raise MilpError(f"MPS value {field!r} is not a number: {raw!r}")
-    if math.isnan(value) or (math.isinf(value) and not infinite):
+    if math.isnan(value):
         raise MilpError(f"MPS value {field!r} is not finite: {raw!r}")
     return value
 
@@ -359,15 +366,15 @@ def parse_mps(text: str) -> MilpModel:
                 raise MilpError(f"MPS bound on undeclared column {name!r}")
             lohi = bounds.setdefault(name, [0.0, math.inf])
             if btype == "LO":
-                lohi[0] = _number(fields[3], raw, infinite=True)
+                lohi[0] = _number(fields[3], raw)
             elif btype == "UP":
-                lohi[1] = _number(fields[3], raw, infinite=True)
+                lohi[1] = _number(fields[3], raw)
             elif btype == "MI":
                 lohi[0] = -math.inf
             elif btype == "FR":
                 lohi[0], lohi[1] = -math.inf, math.inf
             elif btype == "FX":
-                lohi[0] = lohi[1] = _number(fields[3], raw, infinite=True)
+                lohi[0] = lohi[1] = _number(fields[3], raw)
             elif btype == "BV":
                 lohi[0], lohi[1] = 0.0, 1.0
             else:

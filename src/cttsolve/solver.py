@@ -102,18 +102,19 @@ class ExternalSolverError(SolverError):
 
 @dataclass
 class SolveConfig:
-    """Limits, cutoff and incumbent hook of one search, by any engine."""
+    """Limits, cutoff and incumbent hook of one search, by any engine.
+    Each limit is a number, and ``math.inf`` means none."""
 
-    time_limit: float | None = None  # seconds; None disables the clock
-    cutoff: float | None = None  # prune nodes whose bound reaches this value
-    node_limit: int | None = None
+    time_limit: float = math.inf  # seconds
+    cutoff: float = math.inf  # prune nodes whose bound reaches this value
+    node_limit: float = math.inf  # a node count
     on_incumbent: Callable | None = None  # (point, objective) -> None
     plunge: bool = False  # depth-first until the first incumbent
 
     def __post_init__(self):
-        if self.time_limit is not None and not self.time_limit > 0:
+        if not self.time_limit > 0:
             raise SolverError("time limit must be positive")
-        if self.node_limit is not None and self.node_limit < 0:
+        if not self.node_limit >= 0:
             raise SolverError("node limit must not be negative")
 
 
@@ -284,16 +285,11 @@ def branch_and_bound(model: MilpModel,
     stop_status = None
 
     def cut_line() -> float:
-        if config.cutoff is None:
-            return inc_obj
         return min(config.cutoff, inc_obj)
 
     while nodes:
-        if config.node_limit is not None and explored >= config.node_limit:
-            stop_status = "limit-reached"
-            break
-        if (config.time_limit is not None
-                and time.monotonic() - start > config.time_limit):
+        if (explored >= config.node_limit
+                or time.monotonic() - start > config.time_limit):
             stop_status = "limit-reached"
             break
 
@@ -442,8 +438,8 @@ def external_solve(model: MilpModel, command: list[str], workdir: str | Path,
     answer as ``cttsolve solve-mps`` gives it: the point in ``.sol`` next
     to the model and the ``status:`` and ``lower bound:`` lines on standard
     output (no bound line means ``-inf``).  The command can name ``{mps}``,
-    ``{solution}`` and ``{time_limit}`` (``config.time_limit``, or
-    ``inf``); it is killed 60 s after a finite limit.  Exit code 1 is taken
+    ``{solution}`` and ``{time_limit}`` (``config.time_limit``, ``inf``
+    for none); it is killed 60 s after a finite limit.  Exit code 1 is taken
     only as ``status: infeasible`` without a point.  A node limit raises
     ExternalSolverError; a cutoff or plunge only steers a search.
 
@@ -455,7 +451,7 @@ def external_solve(model: MilpModel, command: list[str], workdir: str | Path,
     bound meets it.
     """
     config = config or SolveConfig()
-    if config.node_limit is not None:
+    if config.node_limit < math.inf:
         raise ExternalSolverError("an external solver takes no node limit")
     if Path(model.name).name != model.name:  # the files stay in workdir
         raise ExternalSolverError(f"model name {model.name!r} has a path")
@@ -465,8 +461,8 @@ def external_solve(model: MilpModel, command: list[str], workdir: str | Path,
     sol.unlink(missing_ok=True)
     mps.write_text(export_mps(model))
 
-    limit = math.inf if config.time_limit is None else config.time_limit
-    timeout = limit + 60 if math.isfinite(limit) else None
+    limit = config.time_limit
+    timeout = limit + 60 if limit < math.inf else None
     command = [arg.format(mps=mps, solution=sol, time_limit=limit)
                for arg in command]
     try:

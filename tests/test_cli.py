@@ -45,6 +45,14 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert "line" in capsys.readouterr().err
 
+    def test_repeated_header_key_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "twice.ctt"
+        path.write_text(TOY_CTT.replace("Days: 2\n", "Days: 1\nDays: 2\n"))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "line 5: repeated header key 'Days'" in captured.err
+        assert captured.out == ""
+
     def test_semantic_error_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.ctt"
         path.write_text(TOY_CTT.replace("Courses: 3", "Courses: 4"))
@@ -286,6 +294,14 @@ class TestSolve:
         stamps = re.findall(r"^  \[(.*)\] (?:lower|upper) -> ",
                             capsys.readouterr().out, re.MULTILINE)
         assert stamps == [str(i) for i in range(1, len(stamps) + 1)]
+
+    def test_explicit_inf_is_no_budget(self, tight_path, capsys):
+        argv = ["solve", tight_path, "--json"]
+        assert main(argv) == 0
+        unbudgeted = capsys.readouterr().out
+        assert main(argv + ["--total-time", "inf",
+                            "--per-dive-time", "inf"]) == 0
+        assert capsys.readouterr().out == unbudgeted
 
     def test_deterministic_output(self, tight_path, capsys):
         argv = ["solve", tight_path, "--strategy", "contract",

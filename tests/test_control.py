@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 from types import SimpleNamespace
 
@@ -298,7 +299,8 @@ class TestStrategies:
         ("contract", 50.0), ("anytime", 100.0), ("exact", 100.0)])
     def test_contract_leaves_half_the_total_time_to_dive(
             self, tight_instance, monkeypatch, strategy, expected):
-        # a frozen clock keeps the whole total time remaining
+        # a frozen clock keeps the whole total time remaining; the room
+        # search runs first under half of it, then the surface search
         monkeypatch.setattr(control, "time",
                             SimpleNamespace(monotonic=lambda: 0.0))
         limits = []
@@ -316,7 +318,7 @@ class TestStrategies:
             return
         assert result.dives
         assert [(n, t) for n, t in limits if n in ("surface", "rooms")] == [
-            ("surface", expected), ("rooms", expected)]
+            ("rooms", 50.0), ("surface", expected)]
         assert {t for n, t in limits if n.startswith("monolithic+")} == {100.0}
 
     @pytest.mark.parametrize("strategy", ["contract", "anytime", "exact"])
@@ -437,8 +439,34 @@ class TestRoomBound:
         result = run_strategy(contended_instance,
                               StrategyConfig(surface_nodes=3))
         assert [s for s in searches if s[0] == "rooms"] == [
-            ("rooms", 3, None, 3)]
+            ("rooms", 3, math.inf, 3)]
         assert lower_events(result)[-1] == (30, "surface+rooms")
+
+    @pytest.mark.parametrize("strategy", ["contract", "anytime"])
+    def test_room_search_runs_before_the_surface_reaches_the_deadline(
+            self, contended_instance, monkeypatch, strategy):
+        # a fake clock reaches the deadline as the surface search starts
+        clock = SimpleNamespace(now=0.0)
+        clock.monotonic = lambda: clock.now
+        monkeypatch.setattr(control, "time", clock)
+        limits = []
+        real = control.branch_and_bound
+
+        def recording(model, config):
+            limits.append((model.name, config.time_limit))
+            if model.name == "surface":
+                clock.now = 100.0
+            return real(model, config)
+
+        monkeypatch.setattr(control, "branch_and_bound", recording)
+        result = run_strategy(contended_instance, StrategyConfig(
+            strategy=strategy, total_time=100.0))
+        surface = 50.0 if strategy == "contract" else 100.0
+        # a dive would start past the deadline, so none runs
+        assert limits == [("rooms", 50.0), ("surface", surface)]
+        assert result.dives == []
+        assert lower_events(result) == [(0, "surface"),
+                                        (31, "surface+rooms")]
 
     @pytest.mark.parametrize("config, source", [
         ({"surface_model": "surface2"}, "surface"),

@@ -103,6 +103,12 @@ class TestParsing:
         with pytest.raises(CttSyntaxError):
             parse_ctt("Bogus: 1\n" + MINIMAL_CTT)
 
+    def test_repeated_header_key(self):
+        # the later value used to win: 3 days where the file said 1 first
+        with pytest.raises(CttSyntaxError,
+                           match="line 5: repeated header key 'Days'"):
+            parse_ctt(MINIMAL_CTT.replace("Days: 1\n", "Days: 1\nDays: 3\n"))
+
     def test_period_indexing(self, toy_instance):
         assert toy_instance.day_of(0) == 0
         assert toy_instance.day_of(3) == 1

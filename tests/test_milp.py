@@ -88,6 +88,28 @@ class TestBuilding:
         with pytest.raises(MilpError, match="'x' has an empty domain"):
             MilpModel("m").add_variable("x", "continuous", lower, upper)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda m: m.add_constraint("c", [(1.0, "x")], "<=", math.nan),
+         "row 'c': right-hand side nan is not finite"),
+        (lambda m: m.add_constraint("c", [(math.nan, "x")], "<=", 1.0),
+         "row 'c': coefficient nan is not finite"),
+        (lambda m: m.set_objective([(math.nan, "x")]),
+         "objective: coefficient nan is not finite"),
+        (lambda m: m.set_objective([(1.0, "x")], constant=-math.inf),
+         "objective: constant -inf is not finite"),
+    ], ids=["rhs", "row-coefficient", "objective-coefficient",
+            "objective-constant"])
+    def test_non_finite_number_rejected(self, build, message):
+        # each used to reach HiGHS, which named no row or took it silently
+        model = MilpModel("m")
+        model.add_variable("x", "continuous", 0.0, 1.0)
+        model.set_objective([(2.0, "x")], constant=1.0)
+        with pytest.raises(MilpError, match=re.escape(message)):
+            build(model)
+        assert model.constraints == []
+        assert model.objective_terms == ((2.0, 0),)
+        assert model.objective_constant == 1.0
+
     def test_frozen_model_rejects_changes(self):
         model = simple_model().freeze()
         with pytest.raises(MilpError):

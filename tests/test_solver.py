@@ -111,10 +111,11 @@ class TestLp:
             solver.linprog(arrays, arrays.lo, arrays.hi)
 
     def test_rejected_model_raises(self):
-        # the MILP layer rejects a NaN bound but passes a NaN right-hand side
+        # the MILP layer takes any finite coefficient; HiGHS refuses one
+        # this large
         model = MilpModel("m")
         model.add_variable("x", "continuous", 0.0, 1.0)
-        model.add_constraint("c", [(1.0, "x")], "<=", math.nan)
+        model.add_constraint("c", [(1e16, "x")], "<=", 1.0)
         with pytest.raises(SolverError, match="rejected"):
             _Arrays(model)
 
@@ -662,7 +663,7 @@ class TestExternalAdapter:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("limit, text, timeout", [(2.5, "2.5", 62.5),
-                                                      (None, "inf", None)])
+                                                      (math.inf, "inf", None)])
     def test_time_limit(self, tmp_path, monkeypatch, limit, text, timeout):
         run = subprocess.run
         timeouts = []
