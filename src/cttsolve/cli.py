@@ -59,6 +59,18 @@ def _check_output(path: str | None) -> None:
         raise OSError(f"cannot write {path}: {target} is missing or read-only")
 
 
+def _write_output(path: str | None, text: str | None, detail: str = "",
+                  nothing: str = "no timetable found") -> None:
+    """Write ``text`` to the ``-o`` file ``path``, if one was given, and say
+    on stderr that it was written, or with no text, that it was not."""
+    if path and text is None:
+        print(f"{nothing}; {path} not written", file=sys.stderr)
+    elif path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        print(f"wrote {path}{detail}", file=sys.stderr)
+
+
 def _load_instance(args):
     return parse_ctt(_read(args.instance), weights=args.weights)
 
@@ -102,13 +114,10 @@ def cmd_build(args) -> int:
     instance = _load_instance(args)
     model = _BUILDERS[args.formulation](instance)
     text = export_mps(model)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.output} ({len(model.variables)} variables,"
-              f" {len(model.constraints)} constraints)", file=sys.stderr)
-    else:
+    if not args.output:
         sys.stdout.write(text)
+    _write_output(args.output, text, f" ({len(model.variables)} variables,"
+                  f" {len(model.constraints)} constraints)")
     return 0
 
 
@@ -123,11 +132,8 @@ def cmd_solve(args) -> int:
         print(report.to_json())
     else:
         sys.stdout.write(report.to_text())
-    if report.solution is not None and args.output:
-        solution = solution_from_payload(report.solution)
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(format_solution(instance, solution))
-        print(f"wrote {args.output}", file=sys.stderr)
+    best = solution_from_payload(report.solution)
+    _write_output(args.output, best and format_solution(instance, best))
     return 1 if report.status == "infeasible" else 0
 
 
@@ -139,14 +145,12 @@ def cmd_solve_mps(args) -> int:
     result = branch_and_bound(model, config)
     print(f"status: {result.status}")
     print(f"lower bound: {result.lower_bound}")
-    if result.incumbent is None:
-        return 1 if result.status == "infeasible" else 0
-    print(f"objective: {result.incumbent.objective_value}")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(format_values(model, result.incumbent.values))
-        print(f"wrote {args.output}", file=sys.stderr)
-    return 0
+    point = result.incumbent
+    if point is not None:
+        print(f"objective: {point.objective_value}")
+    _write_output(args.output, point and format_values(model, point.values),
+                  nothing="no point found")
+    return 1 if result.status == "infeasible" else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,15 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface-model", default="surface",
                    choices=("surface", "surface2"),
                    help="surface2 is an error with --strategy exact")
-    p.add_argument("--per-dive-time", type=float, default=math.inf,
-                   help="seconds for each dive; an error with"
-                        " --strategy exact")
     p.add_argument("--total-time", type=float, default=math.inf,
-                   help="seconds for the whole run: every search stops at"
-                        " it and no dive starts after it; the room search,"
-                        " then contract's surface search, each take at most"
-                        " half, anytime's surface and the exact search run"
-                        " to it")
+                   help="seconds for the whole run: the room search and"
+                        " contract's surface search stop half-way, every"
+                        " other search at the end, and no dive starts later")
     p.add_argument("--surface-nodes", type=int, default=math.inf,
                    help="node limit of the surface search, or with"
                         " --strategy exact of the exact search")

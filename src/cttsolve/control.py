@@ -32,8 +32,8 @@ from .solver import SolveConfig, SolveResult, branch_and_bound
 STRATEGIES = ("exact", "contract", "anytime")
 # pattern cuts enumerate all 2**periods_per_day day patterns
 PATTERN_CUT_MAX_PERIODS = 6
-# contract's surface and room searches, given a total time, each take this
-# share of it, so time is left to dive
+# given a total time, the room search and contract's surface search stop
+# at this share of it, so the rest is left to dive
 CONTRACT_SURFACE_SHARE = 0.5
 
 
@@ -46,8 +46,7 @@ class StrategyConfig:
     strategy: str = "contract"
     surface_model: str = "surface"  # "surface" | "surface2"
     # budgets, math.inf for none; node budgets keep runs deterministic,
-    # time budgets do not
-    per_dive_time: float = math.inf
+    # total_time does not (it is split by CONTRACT_SURFACE_SHARE)
     total_time: float = math.inf
     surface_nodes: float = math.inf  # a node count
     dive_nodes: float = math.inf  # a node count
@@ -58,14 +57,13 @@ class StrategyConfig:
             raise ControlError(f"unknown strategy {self.strategy!r}")
         if self.surface_model not in ("surface", "surface2"):
             raise ControlError(f"unknown surface model {self.surface_model!r}")
-        for name in ("per_dive_time", "total_time"):
-            if not getattr(self, name) > 0:
-                raise ControlError(f"{name} must be positive")
+        if not self.total_time > 0:
+            raise ControlError("total_time must be positive")
         for name in ("surface_nodes", "dive_nodes"):
             if not getattr(self, name) >= 0:
                 raise ControlError(f"{name} must not be negative")
         if self.strategy == "exact":  # options only surfaces and dives read
-            for name in ("surface_model", "per_dive_time", "dive_nodes"):
+            for name in ("surface_model", "dive_nodes"):
                 if getattr(self, name) != getattr(StrategyConfig, name):
                     raise ControlError(f"the exact strategy has no {name}")
 
@@ -211,12 +209,13 @@ def _add_cuts(instance: Instance, model, config: StrategyConfig) -> None:
         add_pattern_cuts(model)
 
 
-def _search(model, limit_time, limit_nodes, deadline, **extra) -> SolveResult:
-    """Every search of a run, under its limits cut short by the deadline,
-    through the global ``branch_and_bound`` that ``bench/run.py`` wraps."""
-    limit_time = min(limit_time, max(0.01, deadline - time.monotonic()))
+def _search(model, limit_nodes, deadline, **extra) -> SolveResult:
+    """Every search of a run, to its node limit or its ``time.monotonic()``
+    deadline, through the global ``branch_and_bound`` that ``bench/run.py``
+    wraps."""
     return branch_and_bound(model, SolveConfig(
-        time_limit=limit_time, node_limit=limit_nodes, **extra))
+        time_limit=max(0.01, deadline - time.monotonic()),
+        node_limit=limit_nodes, **extra))
 
 
 def _recorder(instance: Instance, model, ledger: BoundsLedger, source: str,
@@ -247,8 +246,7 @@ def _run_dive(instance: Instance, monolithic, kind: str,
     objectives: list[float] = []
     # a dive is a heuristic: it plunges to its first incumbent
     result = _search(
-        model, config.per_dive_time, config.dive_nodes, deadline,
-        cutoff=ledger.upper, plunge=True,
+        model, config.dive_nodes, deadline, cutoff=ledger.upper, plunge=True,
         on_incumbent=_recorder(instance, model, ledger, f"dive:{kind}",
                                objectives))
     return DiveRecord(kind, objective, index, result.status,
@@ -259,9 +257,11 @@ def _run_dive(instance: Instance, monolithic, kind: str,
 def run_strategy(instance: Instance,
                  config: StrategyConfig | None = None) -> RunReport:
     config = config or StrategyConfig()
-    timed = min(config.per_dive_time, config.total_time) < math.inf
-    ledger = BoundsLedger(clock=time.monotonic if timed else None)
-    deadline = time.monotonic() + config.total_time
+    ledger = BoundsLedger(
+        clock=time.monotonic if math.isfinite(config.total_time) else None)
+    start = time.monotonic()
+    halfway = start + CONTRACT_SURFACE_SHARE * config.total_time
+    deadline = start + config.total_time
     if (config.pattern_cuts
             and instance.periods_per_day > PATTERN_CUT_MAX_PERIODS):
         raise ControlError(f"pattern cuts need days of at most"
@@ -294,22 +294,20 @@ def run_strategy(instance: Instance,
         source, on_incumbent = "surface", harvest
     _add_cuts(instance, model, config)
     model.freeze()
-    share = CONTRACT_SURFACE_SHARE * config.total_time
     # a model without rooms holds the period terms alone, and the room
     # relaxation's the room terms alone, so their lower bounds add up;
     # surface2 and the exact model have rooms and hold both.  The room
-    # search needs nothing from the surface, so it runs first, while the
-    # deadline is still ahead
+    # search needs nothing from the surface, so it runs first, to the
+    # half-way point
     rooms_lower = -math.inf
     if "room_groups" not in model.metadata:
         rooms_lower = _search(build_room_relaxation(instance).freeze(),
-                              share, config.surface_nodes,
-                              deadline).lower_bound
-    # contract keeps time to dive; anytime's surface and the exact search
-    # run to the deadline, which _search applies to every search
-    result = _search(model,
-                     share if config.strategy == "contract" else math.inf,
-                     config.surface_nodes, deadline,
+                              config.surface_nodes, halfway).lower_bound
+    # contract's surface search stops half-way too, so the second half is
+    # left to dive; anytime's surface, the exact search and every dive run
+    # to the deadline
+    result = _search(model, config.surface_nodes,
+                     halfway if config.strategy == "contract" else deadline,
                      on_incumbent=on_incumbent)
     # the surface relaxes the full problem and the exact model is the whole
     # problem, so either bound is a global one

@@ -291,16 +291,13 @@ def test_criterion_7_end_to_end_sanity():
     comp01 = directory / "comp01.ctt" if directory else None
     if comp01 is not None and comp01.exists():
         instance = parse_ctt(comp01.read_text())
-        # contract gives its surface half the total; both dive kinds run
-        # in the other half
-        config = StrategyConfig(strategy="contract", per_dive_time=180.0,
-                                total_time=1200.0)
-        detail = ("comp01 with 600s surface + 180s per dive,"
-                  " 1200s in total")
+        # contract's surface stops half-way; both dive kinds run in the
+        # other half
+        config = StrategyConfig(strategy="contract", total_time=1200.0)
+        detail = "comp01 with 600 s surface, dives to 1200 s"
     else:
         instance = parse_ctt(TIGHT_CTT)
-        config = StrategyConfig(strategy="contract", per_dive_time=2.0,
-                                total_time=10.0)
+        config = StrategyConfig(strategy="contract", total_time=10.0)
         detail = ("DEGRADED: comp01.ctt unavailable; contract strategy run"
                   " on a synthetic instance with scaled budgets instead"
                   " (set CTT_INSTANCE_DIR to enable the full check)")

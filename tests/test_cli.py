@@ -244,6 +244,43 @@ class TestOutputFile:
         assert main(argv + ["-o", str(tmp_path / target)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write ")
 
+    def test_build_says_what_it_wrote(self, tight_path, tmp_path, capsys):
+        assert main(["build", tight_path]) == 0
+        text = capsys.readouterr().out
+        target = tmp_path / "tight.mps"
+        assert main(["build", tight_path, "-o", str(target)]) == 0
+        captured = capsys.readouterr()
+        model = parse_mps(text)
+        assert captured.err == (
+            f"wrote {target} ({len(model.variables)} variables,"
+            f" {len(model.constraints)} constraints)\n")
+        assert captured.out == ""
+        assert target.read_text() == text
+
+    def test_solve_says_when_no_timetable_is_written(self, tight_path,
+                                                     tmp_path, capsys):
+        # a surface search of no nodes gives no source, so nothing to dive
+        target = tmp_path / "tight.sol"
+        assert main(["solve", tight_path, "--surface-nodes", "0",
+                     "-o", str(target)]) == 0
+        captured = capsys.readouterr()
+        assert "status: bounds-only" in captured.out
+        assert captured.err == f"no timetable found; {target} not written\n"
+        assert not target.exists()
+
+    def test_solve_mps_says_when_no_point_is_written(self, tight_path,
+                                                     tmp_path, capsys):
+        mps = tmp_path / "tight.mps"
+        assert main(["build", tight_path, "-o", str(mps)]) == 0
+        capsys.readouterr()
+        target = tmp_path / "tight.sol"
+        assert main(["solve-mps", str(mps), "--node-limit", "0",
+                     "-o", str(target)]) == 0
+        captured = capsys.readouterr()
+        assert "objective:" not in captured.out
+        assert captured.err == f"no point found; {target} not written\n"
+        assert not target.exists()
+
 
 class TestSolve:
     def test_exact_strategy(self, tight_path, tmp_path, capsys):
@@ -260,19 +297,20 @@ class TestSolve:
         assert main(["evaluate", tight_path, str(out_file)]) == 0
         assert "objective: 14" in capsys.readouterr().out
 
-    def test_exact_strategy_rejects_per_dive_time(self, tight_path, capsys):
+    def test_exact_strategy_rejects_dive_nodes(self, tight_path, capsys):
         assert main(["solve", tight_path, "--strategy", "exact",
-                     "--per-dive-time", "0.5"]) == 1
+                     "--dive-nodes", "10"]) == 1
         captured = capsys.readouterr()
-        assert "exact strategy has no per_dive_time" in captured.err
+        assert "exact strategy has no dive_nodes" in captured.err
         assert captured.out == ""
 
     def test_surface_time_is_no_option(self, tight_path, capsys):
-        # contract and anytime take their surface's time from --total-time
-        assert main(["solve", tight_path, "--surface-time", "1"]) == 2
-        captured = capsys.readouterr()
-        assert "unrecognized arguments: --surface-time" in captured.err
-        assert captured.out == ""
+        # every search takes its time from --total-time
+        for flag in ("--surface-time", "--per-dive-time"):
+            assert main(["solve", tight_path, flag, "1"]) == 2
+            captured = capsys.readouterr()
+            assert f"unrecognized arguments: {flag}" in captured.err
+            assert captured.out == ""
 
     def test_contract_json_report(self, tight_path, capsys):
         assert main(["solve", tight_path, "--json"]) == 0
@@ -299,8 +337,7 @@ class TestSolve:
         argv = ["solve", tight_path, "--json"]
         assert main(argv) == 0
         unbudgeted = capsys.readouterr().out
-        assert main(argv + ["--total-time", "inf",
-                            "--per-dive-time", "inf"]) == 0
+        assert main(argv + ["--total-time", "inf"]) == 0
         assert capsys.readouterr().out == unbudgeted
 
     def test_deterministic_output(self, tight_path, capsys):
@@ -373,7 +410,7 @@ END.
         assert main(["solve", str(path), "--strategy", "contract"]) == 1
 
     @pytest.mark.parametrize("budget", [["--total-time", "-5"],
-                                        ["--per-dive-time", "0"],
+                                        ["--total-time", "0"],
                                         ["--dive-nodes", "-1"]])
     def test_bad_budget_exit_1(self, tight_path, capsys, budget):
         assert main(["solve", tight_path] + budget) == 1

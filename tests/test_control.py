@@ -113,16 +113,15 @@ class TestConfig:
             StrategyConfig(strategy="magic")
 
     @pytest.mark.parametrize("budget", [
-        {"per_dive_time": 0}, {"total_time": -5},
-        {"per_dive_time": float("nan")}, {"surface_nodes": -1},
+        {"total_time": 0}, {"total_time": -5},
+        {"total_time": float("nan")}, {"surface_nodes": -1},
         {"dive_nodes": -1}])
     def test_budgets_checked_up_front(self, budget):
         with pytest.raises(ControlError, match=next(iter(budget))):
             StrategyConfig(**budget)
 
     @pytest.mark.parametrize("option", [
-        {"per_dive_time": 0.5}, {"dive_nodes": 10},
-        {"surface_model": "surface2"}])
+        {"dive_nodes": 10}, {"surface_model": "surface2"}])
     def test_exact_rejects_options_it_ignores(self, option):
         with pytest.raises(ControlError, match="exact strategy has no"):
             StrategyConfig(strategy="exact", **option)
@@ -320,6 +319,36 @@ class TestStrategies:
         assert [(n, t) for n, t in limits if n in ("surface", "rooms")] == [
             ("rooms", 50.0), ("surface", expected)]
         assert {t for n, t in limits if n.startswith("monolithic+")} == {100.0}
+
+    @pytest.mark.parametrize("strategy, surface", [("contract", 40.0),
+                                                   ("anytime", 90.0)])
+    def test_searches_stop_half_way_or_at_the_deadline(
+            self, tight_instance, monkeypatch, strategy, surface):
+        # a fake clock moves from 0 to 10 in the room search and by 1 in
+        # every later search: the room search and contract's surface search
+        # stop at the half-way point 50, anytime's surface search and every
+        # dive at the deadline 100
+        clock = SimpleNamespace(now=0.0)
+        clock.monotonic = lambda: clock.now
+        monkeypatch.setattr(control, "time", clock)
+        limits = []
+        real = control.branch_and_bound
+
+        def recording(model, config):
+            limits.append((model.name, config.time_limit, clock.now))
+            clock.now += 10.0 if model.name == "rooms" else 1.0
+            return real(model, config)
+
+        monkeypatch.setattr(control, "branch_and_bound", recording)
+        result = run_strategy(tight_instance, StrategyConfig(
+            strategy=strategy, total_time=100.0))
+        dives = [(t, now) for n, t, now in limits
+                 if n.startswith("monolithic+")]
+        assert [(n, t) for n, t, _ in limits
+                if not n.startswith("monolithic+")] == [
+            ("rooms", 50.0), ("surface", surface)]
+        assert len(dives) == len(result.dives) > 1
+        assert all(t == 100.0 - now for t, now in dives)
 
     @pytest.mark.parametrize("strategy", ["contract", "anytime", "exact"])
     def test_only_dives_plunge(self, tight_instance, monkeypatch, strategy):

@@ -42,7 +42,7 @@ def test_strategies_script_summarises_both_strategies(tmp_path, capsys):
     path.write_text(TOY_CTT)
     for strategy in ("contract", "anytime"):
         assert main(["solve", str(path), "--strategy", strategy,
-                     "--total-time", "2", "--per-dive-time", "1"]) == 0
+                     "--total-time", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert f"strategy: {strategy}" in lines
         for field in ("lower bound:", "upper bound:", "gap:"):
