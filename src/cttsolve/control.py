@@ -12,7 +12,6 @@ alone.  All bound movements go through a monotonic ledger.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import time
@@ -88,9 +87,8 @@ class BoundsLedger:
     def __init__(self, clock=None):
         # the clock reading at the start; None under the step counter
         self.started = None if clock is None else clock()
-        if clock is None:
-            counter = itertools.count(1)
-            clock = lambda: float(next(counter))
+        if clock is None:  # an event's position in the history
+            clock = lambda: float(len(self.history) + 1)
         self._clock = clock
         self.lower = -math.inf
         self.upper = math.inf
@@ -240,9 +238,7 @@ def _run_dive(instance: Instance, monolithic, kind: str,
               deadline) -> DiveRecord:
     """Dive of one kind from the surface's `index`-th incumbent, of value
     `objective`; `monolithic` returns the frozen model the dive restricts."""
-    model = build_dive(monolithic(), kind, basis)
-    add_implied_bound_cuts(model)
-    model.freeze()
+    model = build_dive(monolithic(), kind, basis).freeze()
     objectives: list[float] = []
     # a dive is a heuristic: it plunges to its first incumbent
     result = _search(

@@ -314,7 +314,9 @@ def build_dive(monolithic: MilpModel, kind: str,
                basis: PeriodAssignment) -> MilpModel:
     """The monolithic model restricted around the basis, a surface
     solution's period assignment: a period-fixed dive fixes every occupancy
-    variable to it, a day-fixed dive only each course's events per day."""
+    variable to it, a day-fixed dive only each course's events per day.
+    The implied-bound rows follow the fixing rows, so the result is the
+    whole model a dive searches."""
     if kind not in DIVE_KINDS:
         raise FormulationError(f"unknown dive kind {kind!r}")
     instance: Instance = monolithic.metadata["instance"]
@@ -337,6 +339,7 @@ def build_dive(monolithic: MilpModel, kind: str,
                     f"day_fix[{c.id},{d}]",
                     [(1.0, var(("times", p, c.id))) for p in day],
                     "=", sum(1 for p in used if p in day), origin="day-fix")
+    add_implied_bound_cuts(model)
     return model
 
 

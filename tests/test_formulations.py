@@ -424,6 +424,17 @@ class TestRestrictions:
                        "day_fix[c2,0]": 0.0, "day_fix[c2,1]": 2.0,
                        "day_fix[c3,0]": 1.0, "day_fix[c3,1]": 1.0}
 
+    def test_dive_ends_with_implied_rows(self, toy_instance):
+        """A dive comes whole: the implied-bound rows of the monolithic
+        model follow its fixing rows, as every strategy searches it."""
+        mono = build_monolithic(toy_instance).freeze()
+        implied = [f"implied_{family}[{c.id}]" for c in toy_instance.courses
+                   for family in ("days", "rooms")]
+        for kind in DIVE_KINDS:
+            rows = build_dive(mono, kind, TOY_BASIS).constraints
+            assert [r.name for r in rows[-len(implied):]] == implied
+            assert rows[-len(implied) - 1].origin in ("period-fix", "day-fix")
+
     def test_neighborhood_rejects_unknown_kind(self, toy_instance):
         mono = build_monolithic(toy_instance).freeze()
         for kind in ("week-fixed", "day-decomp"):

@@ -74,10 +74,8 @@ def build(name, instance):
     if name == "surface2":
         return with_cuts(build_surface2(instance), instance)
     # a dive as the strategies build it, from the surface's period
-    # assignment: restrict, then implied-bound cuts
-    model = build_dive(build_monolithic(instance).freeze(), name, BASIS)
-    add_implied_bound_cuts(model)
-    return model
+    # assignment
+    return build_dive(build_monolithic(instance).freeze(), name, BASIS)
 
 
 @pytest.mark.parametrize("name", ["monolithic", "surface", "surface2",

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,6 +9,18 @@ from conftest import TOY_CTT
 from cttsolve.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_script(name: str):
+    """A script of `scripts/` as a module; its `main` does not run."""
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+held_out = load_script("held_out")
 
 
 def child_env() -> dict:
@@ -51,3 +64,33 @@ def test_strategies_script_summarises_both_strategies(tmp_path, capsys):
                       if line.startswith("  [")]
         assert ["lower", "->"] in trajectory
         assert ["upper", "->"] in trajectory
+
+
+class TestHeldOutVerdict:
+    """The held-out sweep's comparison on made-up calls: crossed bounds
+    fail the sweep, a moved bound is only counted."""
+
+    Call = held_out.Call
+    CALLS = [Call("small-0", "exact", 5.0, 5.0, "optimal"),
+             Call("small-0", "contract", 4.0, 6.0, "feasible"),
+             Call("mid-0", "anytime", 2.0, None, "bounds-only")]
+    TABLE = {"small-0": {"exact": [5, 5], "contract": [4, 6]},
+             "mid-0": {"anytime": [2, None]}}
+
+    def test_matching_table(self):
+        assert held_out.compare(self.CALLS, self.TABLE) == ([], 0, [])
+
+    def test_lower_bound_above_exact_optimum_fails(self):
+        calls = [*self.CALLS[:1], self.Call("small-0", "contract", 6.0,
+                                            6.0, "feasible")]
+        failures, better, _ = held_out.compare(calls, self.TABLE)
+        assert failures == ["small-0: contract lower bound 6 above exact"
+                            " upper bound 5"]
+        assert better == 1
+
+    def test_worse_upper_bound_is_named_and_passes(self):
+        calls = [*self.CALLS[:1], self.Call("small-0", "contract", 4.0,
+                                            7.0, "feasible")]
+        failures, better, worse = held_out.compare(calls, self.TABLE)
+        assert (failures, better) == ([], 0)
+        assert worse == ["small-0 contract: lower 4 -> 4, upper 6 -> 7"]
