@@ -11,7 +11,9 @@ from `bench/run.py`'s `WORKLOADS`, with `total_time=1e6`.
 
 The script prints one row per instance, then per preset and strategy the
 sums of the lower and upper bounds, the number of calls without an upper
-bound and the number of `optimal` calls.  It compares every call with
+bound and the number of `optimal` calls, then how many calls take their
+final upper bound from each ledger source (`greedy`, `surface+match`,
+`dive:<kind>` or `exact`).  It compares every call with
 `scripts/held_out_bounds.json` and prints how many calls are better and
 worse than the table, naming each worse one.  A moved bound fails nothing;
 `--pin` rewrites the table, so its diff shows what a search change moved.
@@ -33,6 +35,7 @@ import math
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -54,6 +57,7 @@ class Call(NamedTuple):
     lower: float | None
     upper: float | None
     status: str
+    source: str | None = None  # of the final upper bound
 
 
 def load(path: Path):
@@ -168,6 +172,12 @@ def summary(calls: list[Call], preset: str, strategy: str) -> str:
             f" ({missing} without an upper bound, {optimal} optimal)")
 
 
+def sources(calls: list[Call]) -> str:
+    counts = Counter(c.source or "none" for c in calls)
+    return "final upper bounds from: " + ", ".join(
+        f"{source} {n}" for source, n in sorted(counts.items()))
+
+
 def _bound(value: float | None) -> str:
     return "--" if value is None else f"{value:g}"
 
@@ -191,7 +201,9 @@ def main() -> int:
                     **spec, total_time=TOTAL_TIME))
                 call = Call(instance.name, report.strategy,
                             report.lower_bound, report.upper_bound,
-                            report.status)
+                            report.status,
+                            next((e.source for e in reversed(report.history)
+                                  if e.kind == "upper"), None))
                 calls.append(call)
                 row.append(f"{call.strategy} {_bound(call.lower)}/"
                            f"{_bound(call.upper)}")
@@ -210,6 +222,7 @@ def main() -> int:
     for preset, specs in budgets.items():
         for spec in specs:
             print(summary(calls, preset, spec["strategy"]))
+    print(sources(calls))
     print(f"{len(calls)} calls in {elapsed:.1f} s;"
           f" against {TABLE.name}: {better} better, {len(worse)} worse")
     for line in worse:

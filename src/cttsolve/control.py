@@ -3,10 +3,16 @@ lower bounds, a room relaxation adds a bound on the room terms, then
 restricted dives turn those assignments into full timetables and upper
 bounds.
 
-The contract strategy runs the surface to its budget first and dives
-afterwards; the anytime strategy dives as soon as the surface finds each
-improving assignment.  The exact strategy searches the monolithic model
-alone.  All bound movements go through a monotonic ledger.
+Before any search, every strategy records the timetable of a greedy
+period assignment (ledger event `greedy`), so a run has an upper bound
+within milliseconds.  Each surface incumbent's own timetable, its periods
+with the rooms matched by size, is recorded as `surface+match` before any
+dive from it.  The contract strategy runs the surface to its budget first
+and dives afterwards; the anytime strategy dives as soon as the surface
+finds each improving assignment.  The exact strategy searches the
+monolithic model alone.  All bound movements go through a monotonic
+ledger, which takes a timetable only after it passes the hard
+constraints.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .formulations import (DIVE_KINDS, PeriodAssignment, add_clique_cuts,
                            build_dive, build_monolithic,
                            build_room_relaxation, build_surface,
                            build_surface2, decode_monolithic, decode_surface,
-                           greedy_clique_cover)
+                           greedy_clique_cover, greedy_periods, match_rooms)
 from .instance import Instance, build_conflict_graph
 from .milp import FEAS_TOL
 from .solver import SolveConfig, SolveResult, branch_and_bound
@@ -216,19 +222,27 @@ def _search(model, limit_nodes, deadline, **extra) -> SolveResult:
         node_limit=limit_nodes, **extra))
 
 
+def _record(instance: Instance, ledger: BoundsLedger, source: str,
+            solution: Solution) -> float:
+    """Re-check a timetable against the hard constraints, evaluate it and
+    offer it to the ledger as an upper bound from `source`.  Returns its
+    value."""
+    violations = check_hard(instance, solution)
+    if violations:
+        raise ControlError(f"{source} produced an infeasible timetable:"
+                           f" {violations[0]}")
+    value = evaluate(instance, solution)
+    ledger.record_upper(value, source, solution)
+    return value
+
+
 def _recorder(instance: Instance, model, ledger: BoundsLedger, source: str,
               objectives: list[float]):
-    """``on_incumbent`` hook of a full-formulation search: decode each
-    incumbent, re-check its timetable against the hard constraints, and
-    record its objective as an upper bound and in ``objectives``."""
+    """``on_incumbent`` hook of a full-formulation search: record each
+    incumbent's timetable, and its value in ``objectives``."""
     def record(values, _objective) -> None:
-        solution = decode_monolithic(model, values)
-        violations = check_hard(instance, solution)
-        if violations:
-            raise ControlError(f"{source} produced an infeasible timetable:"
-                               f" {violations[0]}")
-        objectives.append(evaluate(instance, solution))
-        ledger.record_upper(objectives[-1], source, solution)
+        objectives.append(_record(instance, ledger, source,
+                                  decode_monolithic(model, values)))
     return record
 
 
@@ -263,6 +277,11 @@ def run_strategy(instance: Instance,
         raise ControlError(f"pattern cuts need days of at most"
                            f" {PATTERN_CUT_MAX_PERIODS} periods")
 
+    # a first upper bound with no LP; no dive starts from it
+    greedy = greedy_periods(instance)
+    if greedy is not None:
+        _record(instance, ledger, "greedy", match_rooms(instance, greedy))
+
     # built at the first dive: a surface that yields no source needs none
     monolithic = functools.cache(
         lambda: build_monolithic(instance).freeze())
@@ -276,7 +295,10 @@ def run_strategy(instance: Instance,
                                    deadline))
 
     def harvest(values, objective: float) -> None:
-        sources.append((decode_surface(model, values), objective))
+        basis = decode_surface(model, values)
+        sources.append((basis, objective))
+        _record(instance, ledger, "surface+match",
+                match_rooms(instance, basis))
         if config.strategy == "anytime":
             for kind in DIVE_KINDS:
                 dive(kind, len(sources) - 1)

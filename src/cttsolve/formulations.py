@@ -1,6 +1,8 @@
 """Model builders: the full timetabling formulation, the period-only
 surface relaxations, the period-free room relaxation, dive restrictions,
-cuts, and decoders.
+cuts, and decoders; and two constructions that need no LP, a greedy
+period assignment and the room matching that makes any period assignment
+a timetable.
 
 Builders are pure; callers may freeze produced models before sharing them.
 """
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .evaluation import Solution, check_hard, count_isolated
-from .instance import ConflictGraph, Instance
+from .instance import ConflictGraph, Instance, build_conflict_graph
 from .milp import FEAS_TOL, MilpModel
 
 PERIOD_FIXED = "period-fixed"
@@ -31,25 +33,71 @@ class PeriodAssignment:
     periods: dict[str, frozenset[int]]
 
     def validate(self, instance: Instance) -> None:
-        """Raise FormulationError unless some room assignment makes these
-        periods a timetable meeting every hard constraint.  Each period's
-        courses, in id order, take the rooms in turn, so a period with more
-        events than rooms shows up as a room clash."""
-        rooms = [r.id for r in instance.rooms]
-        if not rooms and any(self.periods.values()):
-            raise FormulationError("events placed but there are no rooms")
-        taken: dict[int, int] = {}  # rooms handed out so far, by period
-        assignments = {}
-        for cid, used in sorted(self.periods.items()):
-            pairs = []
-            for p in sorted(used):
-                k = taken.get(p, 0)
-                taken[p] = k + 1
-                pairs.append((p, rooms[k % len(rooms)]))
-            assignments[cid] = tuple(pairs)
-        violations = check_hard(instance, Solution(assignments))
+        """Raise FormulationError unless these periods, with the rooms
+        placed by match_rooms, make a timetable meeting every hard
+        constraint.  A period with more events than rooms shows up as a
+        room clash."""
+        violations = check_hard(instance, match_rooms(instance, self))
         if violations:
             raise FormulationError(violations[0].detail)
+
+
+# -- constructions: timetables without an LP ----------------------------------
+
+def match_rooms(instance: Instance, basis: PeriodAssignment) -> Solution:
+    """The basis as a timetable.  In each period the courses, by students
+    (most first, ties by id), take the rooms by capacity (largest first,
+    ties by id), starting over when a period holds more events than there
+    are rooms.  The capacity penalty max(0, students - capacity) is convex
+    in students - capacity, so this sorted matching gives the least
+    capacity term of any room assignment for these periods."""
+    rooms = sorted(instance.rooms, key=lambda r: (-r.capacity, r.id))
+    if not rooms and any(basis.periods.values()):
+        raise FormulationError("events placed but there are no rooms")
+    courses = instance.course_by_id
+
+    def size(cid: str) -> tuple[int, str]:  # an undeclared course seats 0
+        return -(courses[cid].students if cid in courses else 0), cid
+
+    by_period: dict[int, list[str]] = {}
+    for cid in sorted(basis.periods, key=size):
+        for p in basis.periods[cid]:
+            by_period.setdefault(p, []).append(cid)
+    pairs: dict[str, list] = {cid: [] for cid in basis.periods}
+    for p, cids in by_period.items():
+        for k, cid in enumerate(cids):
+            pairs[cid].append((p, rooms[k % len(rooms)].id))
+    return Solution({cid: tuple(sorted(v)) for cid, v in pairs.items()})
+
+
+def greedy_periods(instance: Instance) -> PeriodAssignment | None:
+    """A bounded colouring of the conflict graph, built greedily, or None
+    at a dead end.  The courses go by (clash degree + 1) * events, most
+    first, ties by id.  Each event takes an allowed period, on a day the
+    course does not use yet if it can, then the one with the fewest
+    events, then the lowest.  A period is allowed when it is not forbidden
+    to the course, not used by it or by a course it clashes with, and
+    holds fewer events than there are rooms."""
+    neighbours = build_conflict_graph(instance).adjacency
+    load = [0] * instance.periods
+    used: dict[str, set[int]] = {c.id: set() for c in instance.courses}
+    for c in sorted(instance.courses, key=lambda c: (
+            -(len(neighbours[c.id]) + 1) * c.events, c.id)):
+        blocked = instance.forbidden_periods(c.id).union(
+            *(used[n] for n in neighbours[c.id]))
+        own = used[c.id]
+        for _ in range(c.events):
+            days = {instance.day_of(p) for p in own}
+            free = [p for p in range(instance.periods)
+                    if p not in blocked and p not in own
+                    and load[p] < len(instance.rooms)]
+            if not free:
+                return None
+            p = min(free, key=lambda p: (instance.day_of(p) in days, load[p],
+                                         p))
+            own.add(p)
+            load[p] += 1
+    return PeriodAssignment({cid: frozenset(v) for cid, v in used.items()})
 
 
 # -- variables by tag ---------------------------------------------------------
@@ -405,7 +453,8 @@ def add_clique_cuts(model: MilpModel, cliques, graph: ConflictGraph) -> int:
 def greedy_clique_cover(graph: ConflictGraph) -> list[frozenset[str]]:
     """Maximal cliques covering all vertices, grown greedily from vertices in
     decreasing degree order."""
-    degree = {v: len(graph.neighbours(v)) for v in graph.vertices}
+    neighbours = graph.adjacency
+    degree = {v: len(neighbours[v]) for v in graph.vertices}
     order = sorted(graph.vertices, key=lambda v: (-degree[v], v))
     covered: set[str] = set()
     cliques: list[frozenset[str]] = []
@@ -413,7 +462,7 @@ def greedy_clique_cover(graph: ConflictGraph) -> list[frozenset[str]]:
         if v in covered:
             continue
         clique = {v}
-        candidates = sorted(graph.neighbours(v),
+        candidates = sorted(neighbours[v],
                             key=lambda u: (-degree[u], u))
         for u in candidates:
             if all(graph.are_adjacent(u, m) for m in clique):

@@ -163,14 +163,14 @@ class ConflictGraph:
     def are_adjacent(self, a: str, b: str) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
-    def neighbours(self, v: str) -> set[str]:
-        out = set()
+    @cached_property
+    def adjacency(self) -> dict[str, frozenset[str]]:
+        """Each vertex's neighbours, built once from the edges."""
+        out: dict[str, set[str]] = {v: set() for v in self.vertices}
         for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
+            out[a].add(b)
+            out[b].add(a)
+        return {v: frozenset(n) for v, n in out.items()}
 
     def density(self) -> float:
         n = len(self.vertices)

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from conftest import TIGHT_CTT, TOY_CTT
-from cttsolve import cli
+from cttsolve import cli, control
 from cttsolve.cli import main
 from cttsolve.formulations import DIVE_KINDS
 from cttsolve.milp import parse_mps
@@ -258,8 +258,11 @@ class TestOutputFile:
         assert target.read_text() == text
 
     def test_solve_says_when_no_timetable_is_written(self, tight_path,
-                                                     tmp_path, capsys):
-        # a surface search of no nodes gives no source, so nothing to dive
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        # a surface search of no nodes gives no source, so nothing to dive,
+        # and without the greedy timetable the run has none
+        monkeypatch.setattr(control, "greedy_periods", lambda instance: None)
         target = tmp_path / "tight.sol"
         assert main(["solve", tight_path, "--surface-nodes", "0",
                      "-o", str(target)]) == 0

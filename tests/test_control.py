@@ -292,7 +292,8 @@ class TestStrategies:
         result = run_strategy(tight_instance, config)
         assert result.surface_nodes > 0
         assert result.dives == []
-        assert result.upper_bound is None
+        assert not any(e.source.startswith("dive:") for e in result.history
+                       if e.kind == "upper")
 
     @pytest.mark.parametrize("strategy, expected", [
         ("contract", 50.0), ("anytime", 100.0), ("exact", 100.0)])
@@ -367,6 +368,44 @@ class TestStrategies:
             assert kinds == {None}
         else:
             assert kinds == {None, *DIVE_KINDS}
+
+    def test_greedy_timetable_without_surface_nodes(self, tight_instance):
+        # no surface node gives no source and no dive, but the greedy
+        # period assignment is a timetable before any search
+        result = run_strategy(tight_instance, StrategyConfig(surface_nodes=0))
+        assert result.dives == []
+        assert [(e.kind, e.source) for e in result.history] == [
+            ("upper", "greedy")]
+        assert result.status == "feasible"
+        solution = solution_from_payload(result.solution)
+        assert check_hard(tight_instance, solution) == []
+        assert evaluate(tight_instance, solution) == result.upper_bound
+
+    def test_constructions_come_before_dives(self):
+        # greedy gives 4 and the surface's matched timetable 1, then a
+        # dive finds the optimum 0
+        instance = make_instance(
+            [("c0", "t1", 1, 1, 27), ("c1", "t2", 1, 1, 14),
+             ("c2", "t1", 2, 1, 9)],
+            [("r0", 35), ("r1", 35)], [("q0", ["c0", "c1"])],
+            days=2, periods_per_day=3,
+            unavailability=[("c0", 0), ("c0", 3), ("c1", 1), ("c1", 2),
+                            ("c2", 3), ("c2", 5)])
+        result = run_strategy(instance)
+        uppers = [(e.value, e.source) for e in result.history
+                  if e.kind == "upper"]
+        assert uppers == [(4, "greedy"), (1, "surface+match"),
+                          (0, "dive:period-fixed")]
+        assert result.status == "optimal"
+
+    def test_infeasible_construction_raises(self, tight_instance,
+                                            monkeypatch):
+        # every timetable is re-checked before it reaches the ledger
+        monkeypatch.setattr(control, "match_rooms",
+                            lambda instance, basis: Solution({}))
+        with pytest.raises(ControlError,
+                           match="greedy produced an infeasible timetable"):
+            run_strategy(tight_instance)
 
     def test_history_monotone(self, tight_instance):
         result = run_strategy(tight_instance)
@@ -565,10 +604,11 @@ class TestReports:
         ledger.record_upper(9.0, "dive")
         assert ledger.gap() == 44.4
 
-    def test_bounds_only_report(self):
+    def test_bounds_only_report(self, monkeypatch):
         instance = make_instance(
             [("c1", "t1", 2, 2, 5)], [("r1", 9)], [("q1", ["c1"])],
             days=2, periods_per_day=2)
+        monkeypatch.setattr(control, "greedy_periods", lambda instance: None)
         config = StrategyConfig(surface_nodes=0, dive_nodes=0)
         result = run_strategy(instance, config)
         assert result.upper_bound is None

@@ -16,7 +16,8 @@ from cttsolve.formulations import (DAY_FIXED, DIVE_KINDS, PERIOD_FIXED,
                                    build_monolithic, build_room_relaxation,
                                    build_surface, build_surface2,
                                    decode_monolithic, decode_surface,
-                                   greedy_clique_cover)
+                                   greedy_clique_cover, greedy_periods,
+                                   match_rooms)
 from cttsolve.instance import build_conflict_graph
 from cttsolve.milp import MilpError
 from cttsolve.solver import (SearchSpaceError, _Arrays, branch_and_bound,
@@ -75,6 +76,83 @@ class TestPeriodAssignment:
                                   "c3": frozenset({1, 5})})
         with pytest.raises(FormulationError, match="forbidden period 0"):
             basis.validate(toy_instance)
+
+
+def random_periods(instance, rng):
+    """Random periods for each course's events, at most as many events in
+    a period as there are rooms, or None when a draw overfills one."""
+    periods = {c.id: frozenset(rng.sample(range(instance.periods), c.events))
+               for c in instance.courses}
+    load = Counter(p for used in periods.values() for p in used)
+    if max(load.values()) > len(instance.rooms):
+        return None
+    return PeriodAssignment(periods)
+
+
+class TestMatchRooms:
+    def test_least_capacity_penalty_on_tiny_corpus(self):
+        checked = 0
+        for seed in range(40):
+            instance = random_tiny_instance(random.Random(seed))
+            rng = random.Random(seed)
+            for _ in range(5):
+                basis = random_periods(instance, rng)
+                if basis is None:
+                    continue
+                least = 0
+                for p in range(instance.periods):
+                    students = [instance.course_by_id[cid].students
+                                for cid, used in basis.periods.items()
+                                if p in used]
+                    least += min(
+                        sum(max(0, s - r.capacity)
+                            for s, r in zip(students, rooms))
+                        for rooms in itertools.permutations(
+                            instance.rooms, len(students)))
+                solution = match_rooms(instance, basis)
+                assert penalties(instance, solution).capacity == least
+                assert project_solution(solution) == basis
+                checked += 1
+        assert checked >= 100
+
+    def test_largest_course_takes_largest_room(self):
+        instance = make_instance(
+            [("a", "t1", 1, 1, 5), ("b", "t2", 1, 1, 30),
+             ("c", "t3", 1, 1, 30)],
+            [("r1", 10), ("r2", 40), ("r3", 20), ("r0", 20)], [])
+        basis = PeriodAssignment({cid: frozenset({0}) for cid in "abc"})
+        assert match_rooms(instance, basis).assignments == {
+            "b": ((0, "r2"),), "c": ((0, "r0"),), "a": ((0, "r3"),)}
+
+
+class TestGreedyPeriods:
+    def test_valid_or_none_on_tiny_corpus(self):
+        found = 0
+        for seed in range(40):
+            instance = random_tiny_instance(random.Random(seed))
+            basis = greedy_periods(instance)
+            if basis is None:
+                continue
+            basis.validate(instance)
+            found += 1
+        assert found >= 30
+
+    def test_none_at_a_dead_end(self):
+        # three courses of one curriculum need three periods; there are two
+        instance = make_instance(
+            [("a", "t1", 1, 1, 5), ("b", "t2", 1, 1, 5),
+             ("c", "t3", 1, 1, 5)],
+            [("r1", 9)], [("q1", ["a", "b", "c"])],
+            days=1, periods_per_day=2)
+        assert greedy_periods(instance) is None
+
+    def test_spreads_over_days_within_the_room_bound(self):
+        # a takes one period on each day; b, with one room, the two left
+        instance = make_instance(
+            [("a", "t1", 2, 2, 5), ("b", "t2", 2, 2, 5)], [("r1", 9)], [],
+            days=2, periods_per_day=2)
+        assert greedy_periods(instance) == PeriodAssignment({
+            "a": frozenset({0, 2}), "b": frozenset({1, 3})})
 
 
 class TestMonolithic:

@@ -152,6 +152,12 @@ class TestConflictGraph:
             assert a < b
             assert graph.are_adjacent(b, a)
 
+    def test_adjacency_matches_edges(self, lectures_instance):
+        graph = build_conflict_graph(lectures_instance)
+        assert graph.adjacency == {"Juggling": {"Algo101"},
+                                   "Math101": {"Algo101"},
+                                   "Algo101": {"Juggling", "Math101"}}
+
     def test_removing_curriculum_never_adds_edges(self, toy_instance):
         full = build_conflict_graph(toy_instance)
         reduced_instance = make_instance(

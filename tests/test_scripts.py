@@ -94,3 +94,11 @@ class TestHeldOutVerdict:
         failures, better, worse = held_out.compare(calls, self.TABLE)
         assert (failures, better) == ([], 0)
         assert worse == ["small-0 contract: lower 4 -> 4, upper 6 -> 7"]
+
+    def test_final_upper_bound_sources_are_counted(self):
+        calls = [call._replace(source=source) for call, source
+                 in zip(self.CALLS, ("exact", "dive:day-fixed", None))]
+        calls.append(self.Call("mid-0", "contract", 2.0, 9.0, "feasible",
+                               "dive:day-fixed"))
+        assert held_out.sources(calls) == (
+            "final upper bounds from: dive:day-fixed 2, exact 1, none 1")
