@@ -3,7 +3,11 @@ out (LP-based branch and bound, a file-based external adapter), and oracles.
 
 Each solve is single-threaded; distinct models may be solved concurrently.
 An ``_Arrays`` holds the HiGHS instance its node LPs run on, so one must
-not be shared between threads.
+not be shared between threads.  A search's first LP is solved cold, by
+HiGHS's dual simplex as ``scipy.optimize.linprog`` solves it, or, for a
+model of more than ``IPM_MIN_COLUMNS`` columns, by HiGHS's interior-point
+solver with crossover; every later LP starts from the basis the LP before
+it left, by dual simplex.
 """
 
 from __future__ import annotations
@@ -80,6 +84,16 @@ _HIGHS_OPTIONS.output_flag = False
 _HIGHS_OPTIONS.log_to_console = False
 _HIGHS_OPTIONS.simplex_strategy = (
     simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+
+# a model of more than this many columns solves its first, cold LP by
+# HiGHS's interior-point solver (IPX) with crossover, and every later LP by
+# dual simplex from crossover's basis.  IPX's lead grows with size: the comp
+# preset's full formulation (7080 columns) solves cold in 0.77 s against
+# 1.36 s by dual simplex (2-CPU VM, scipy 1.17.1).  At or below 3000 columns dual simplex was the
+# faster on all but one model measured, among them every small and mid
+# model (at most 784 columns) and the comp surface (1500); the grid is in
+# BENCH_33.json
+IPM_MIN_COLUMNS = 3000
 
 _LP_STATUS = {
     HighsModelStatus.kOptimal: "optimal",
@@ -188,6 +202,9 @@ class _Arrays:
         lp.row_upper_ = self.row_upper
         self.highs = _Highs()
         self.highs.passOptions(_HIGHS_OPTIONS)
+        self.cold_ipm = n > IPM_MIN_COLUMNS
+        if self.cold_ipm:
+            self.highs.setOptionValue("solver", "ipm")
         # a rejected model would leave HiGHS to solve an empty one
         if self.highs.passModel(lp) == HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP")
@@ -198,9 +215,13 @@ def linprog(arrays: _Arrays, lo, hi):
     Every call changes only the column bounds of the instance's LP, so each
     starts from the basis the call before it left, and the first from
     scratch.  The LP, options and result check are those of
-    ``scipy.optimize.linprog`` with ``method="highs"``, so a search's first
-    LP matches it bit for bit; a later LP may end at another optimal
-    vertex, with the same value up to rounding.
+    ``scipy.optimize.linprog`` with ``method="highs"``, so for a model of at
+    most ``IPM_MIN_COLUMNS`` columns a search's first LP matches it bit for
+    bit; a later LP may end at another optimal vertex, with the same value
+    up to rounding.  A larger model's first LP goes to IPM with crossover,
+    which ends at an optimal vertex of its own; when IPM ends in a status
+    other than optimal, infeasible or unbounded, or crossover leaves no
+    basis, dual simplex solves that LP again from scratch.
 
     Returns (status, value incl. constant, point array or None), with
     status optimal, infeasible or unbounded; any other HiGHS status, and an
@@ -221,6 +242,16 @@ def linprog(arrays: _Arrays, lo, hi):
             == HighsStatus.kError):
         raise SolverError("HiGHS rejected the LP")
     highs.run()
+    if arrays.cold_ipm:
+        arrays.cold_ipm = False
+        highs.setOptionValue("solver", _HIGHS_OPTIONS.solver)
+        # IPX may end in another status or, after crossover, without a
+        # basis to warm-start from: then dual simplex solves the LP again
+        status = _LP_STATUS.get(highs.getModelStatus())
+        if status is None or (status == "optimal"
+                              and not highs.getBasis().valid):
+            highs.clearSolver()
+            highs.run()
     model_status = highs.getModelStatus()
     status = _LP_STATUS.get(model_status)
     if status is None:

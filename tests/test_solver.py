@@ -1,7 +1,10 @@
+import importlib.util
 import math
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -145,6 +148,136 @@ class TestLp:
         arrays = _Arrays(model)
         with pytest.raises(SolverError, match="outside"):
             solver.linprog(arrays, arrays.lo, arrays.hi)
+
+
+@pytest.fixture
+def cold_ipm(monkeypatch):
+    """Every model past the IPM threshold: its first LP goes to IPM."""
+    monkeypatch.setattr(solver, "IPM_MIN_COLUMNS", 0)
+
+
+@pytest.mark.usefixtures("cold_ipm")
+class TestLpByIpm(TestLp):
+    """TestLp again with each first LP solved by IPM with crossover (and any
+    fallback to dual simplex): the IPM path gives the same statuses and
+    raises the same SolverErrors."""
+
+
+def load_generate():
+    """bench/generate.py as a module, for the comp preset; registered
+    before it runs, because ``dataclass`` looks its module up."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("test_solver_generate",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestIpm:
+    """A model past IPM_MIN_COLUMNS solves its first LP by IPM with
+    crossover, then warm-starts every later LP by dual simplex."""
+
+    def test_threshold_by_columns(self):
+        generate = load_generate()
+        # build-comp's instance: its full formulation has 7080 columns, its
+        # surface 1500
+        instance, = generate.load(generate.corpus_texts("comp", 1, 1))
+        sent = {build.__name__:
+                _Arrays(build(instance)).highs.getOptionValue("solver")[1]
+                for build in (build_monolithic, build_surface,
+                              build_room_relaxation)}
+        assert sent == {"build_monolithic": "ipm", "build_surface": "choose",
+                        "build_room_relaxation": "choose"}
+
+    @pytest.mark.usefixtures("cold_ipm")
+    def test_root_value_matches_linprog(self, toy_instance):
+        for model in cross_check_models(toy_instance):
+            arrays = _Arrays(model)
+            assert arrays.cold_ipm
+            status, value, _ = solver.linprog(arrays, arrays.lo, arrays.hi)
+            assert not arrays.cold_ipm
+            assert arrays.highs.getOptionValue("solver")[1] == "choose"
+            res = scipy.optimize.linprog(
+                **linprog_arrays(model),
+                bounds=np.column_stack([arrays.lo, arrays.hi]),
+                method="highs")
+            assert status == "optimal" and res.status == 0
+            expected = res.fun + model.objective_constant
+            assert abs(value - expected) <= 1e-9 * max(1.0, abs(value))
+
+    @pytest.mark.usefixtures("cold_ipm")
+    def test_two_solves_repeat_bit_for_bit(self, toy_instance):
+        model = build_monolithic(toy_instance)
+        solves = []
+        for _ in range(2):
+            arrays = _Arrays(model)
+            solves.append(solver.linprog(arrays, arrays.lo, arrays.hi))
+        (s1, v1, x1), (s2, v2, x2) = solves
+        assert s1 == s2 == "optimal" and v1 == v2
+        assert np.array_equal(x1, x2)
+
+    def test_search_matches_dual_simplex(self, monkeypatch, toy_instance):
+        rng = random.Random(29)
+        models = [build_monolithic(toy_instance), build_surface2(toy_instance),
+                  build_monolithic(random_tiny_instance(rng))]
+        dual = [branch_and_bound(m, SolveConfig(node_limit=200))
+                for m in models]
+        monkeypatch.setattr(solver, "IPM_MIN_COLUMNS", 0)
+        ipm = [branch_and_bound(m, SolveConfig(node_limit=200))
+               for m in models]
+        for a, b in zip(dual, ipm):
+            assert a.status == b.status
+            assert a.lower_bound == b.lower_bound
+            assert a.incumbent.objective_value == b.incumbent.objective_value
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task")
+    @pytest.mark.usefixtures("cold_ipm")
+    def test_stays_single_threaded(self, toy_instance):
+        # HiGHS's own threads would make its answers depend on timing
+        model = build_monolithic(toy_instance)
+        before = len(os.listdir("/proc/self/task"))
+        arrays = _Arrays(model)
+        assert solver.linprog(arrays, arrays.lo, arrays.hi)[0] == "optimal"
+        assert len(os.listdir("/proc/self/task")) == before
+
+    @pytest.mark.parametrize("status, basis", [
+        ("kUnboundedOrInfeasible", True), ("kSolveError", True),
+        ("kOptimal", False)])
+    def test_fallback_to_dual_simplex(self, monkeypatch, toy_instance,
+                                      status, basis):
+        # an IPM run that ends in another status, or without a basis, is
+        # solved again cold by dual simplex, and gives what that gives
+        model = build_monolithic(toy_instance)
+        arrays = _Arrays(model)
+        expected = solver.linprog(arrays, arrays.lo, arrays.hi)
+
+        class FakeHighs(solver._Highs):
+            runs = []
+
+            def run(self):
+                self.runs.append(self.getOptionValue("solver")[1])
+                return super().run()
+
+            def getModelStatus(self):
+                if len(self.runs) == 1:
+                    return getattr(solver.HighsModelStatus, status)
+                return super().getModelStatus()
+
+            def getBasis(self):
+                if len(self.runs) == 1:
+                    return SimpleNamespace(valid=basis)
+                return super().getBasis()
+
+        monkeypatch.setattr(solver, "_Highs", FakeHighs)
+        monkeypatch.setattr(solver, "IPM_MIN_COLUMNS", 0)
+        arrays = _Arrays(model)
+        result = solver.linprog(arrays, arrays.lo, arrays.hi)
+        assert FakeHighs.runs == ["ipm", "choose"]
+        assert result[:2] == expected[:2]
+        assert np.array_equal(result[2], expected[2])
 
 
 def cross_check_models(instance):
