@@ -21,7 +21,7 @@ from .evaluation import (check_hard, format_solution, objective,
 from .formulations import build_monolithic, build_surface, build_surface2
 from .instance import (CttError, CttSemanticError, CttSyntaxError,
                        instance_stats, parse_ctt)
-from .milp import MilpError, export_mps, format_values, parse_mps
+from .milp import MilpError, format_values, mps_chunks, parse_mps
 from .solver import SolveConfig, SolverError, branch_and_bound
 
 
@@ -59,15 +59,16 @@ def _check_output(path: str | None) -> None:
         raise OSError(f"cannot write {path}: {target} is missing or read-only")
 
 
-def _write_output(path: str | None, text: str | None, detail: str = "",
+def _write_output(path: str | None, chunks, detail: str = "",
                   nothing: str = "no timetable found") -> None:
-    """Write ``text`` to the ``-o`` file ``path``, if one was given, and say
-    on stderr that it was written, or with no text, that it was not."""
-    if path and text is None:
+    """Write the strings ``chunks`` to the ``-o`` file ``path``, if one was
+    given, and say on stderr that it was written, or with chunks None, that
+    it was not."""
+    if path and chunks is None:
         print(f"{nothing}; {path} not written", file=sys.stderr)
     elif path:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         print(f"wrote {path}{detail}", file=sys.stderr)
 
 
@@ -113,10 +114,10 @@ def cmd_evaluate(args) -> int:
 def cmd_build(args) -> int:
     instance = _load_instance(args)
     model = _BUILDERS[args.formulation](instance)
-    text = export_mps(model)
     if not args.output:
-        sys.stdout.write(text)
-    _write_output(args.output, text, f" ({len(model.variables)} variables,"
+        sys.stdout.writelines(mps_chunks(model))
+    _write_output(args.output, mps_chunks(model),
+                  f" ({len(model.variables)} variables,"
                   f" {len(model.constraints)} constraints)")
     return 0
 
@@ -133,7 +134,7 @@ def cmd_solve(args) -> int:
     else:
         sys.stdout.write(report.to_text())
     best = solution_from_payload(report.solution)
-    _write_output(args.output, best and format_solution(instance, best))
+    _write_output(args.output, best and [format_solution(instance, best)])
     return 1 if report.status == "infeasible" else 0
 
 
@@ -148,7 +149,8 @@ def cmd_solve_mps(args) -> int:
     point = result.incumbent
     if point is not None:
         print(f"objective: {point.objective_value}")
-    _write_output(args.output, point and format_values(model, point.values),
+    _write_output(args.output,
+                  point and [format_values(model, point.values)],
                   nothing="no point found")
     return 1 if result.status == "infeasible" else 0
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import evaluation
 from .instance import Instance
-from .milp import (FEAS_TOL, MilpModel, MilpSolution, export_mps,
-                   import_solution)
+from .milp import (FEAS_TOL, MilpModel, MilpSolution, import_solution,
+                   mps_chunks)
 
 
 def _load_highs_core():
@@ -144,7 +144,14 @@ class SolveResult:
 class _Arrays:
     """Column bounds of one model, with its LP passed once to the HiGHS
     instance its node LPs run on; a node LP differs from the model's only
-    in its column bounds."""
+    in its column bounds.
+
+    The LP's rows are gathered from the model's CSR buffers with numpy,
+    in ``scipy.optimize.linprog``'s order and signs: the inequality rows
+    in model order, each >= row negated into a <= row, then the = rows.
+    HiGHS then solves the very LP linprog would, so both end at the same
+    vertex; other rows would change the vertices found, and with them the
+    search."""
 
     def __init__(self, model: MilpModel):
         n = len(model.variables)
@@ -168,28 +175,27 @@ class _Arrays:
         ) and float(self.constant).is_integer()
         self.integral_objective = obj_vars_integer and obj_coefs_integral
 
-        # rows row_lower <= A x <= row_upper in scipy.optimize.linprog's
-        # order and signs: the <= rows, each >= row negated into one, then
-        # the = rows.  HiGHS then solves the very LP linprog would, so both
-        # end at the same vertex; other rows would change the vertices
-        # found, and with them the search
-        rows = sorted(model.constraints, key=lambda con: con.sense == "=")
-        start, index, value = [0], [], []
-        self.row_lower = np.full(len(rows), -np.inf)
-        self.row_upper = np.empty(len(rows))
-        for r, con in enumerate(rows):
-            sign = -1.0 if con.sense == ">=" else 1.0
-            for coef, idx in con.terms:
-                index.append(idx)
-                value.append(sign * coef)
-            start.append(len(index))
-            self.row_upper[r] = sign * con.rhs
-            if con.sense == "=":
-                self.row_lower[r] = con.rhs
+        # sense codes: 0 for <=, 1 for >=, 2 for =
+        senses = np.array(model._senses, dtype=np.uint8)
+        lengths = np.diff(np.array(model._starts))
+        # the LP's rows are the model's with the = rows moved last, so one
+        # stable sort of the entries by "on an = row" gathers them
+        order = np.argsort(senses == 2, kind="stable")
+        gather = np.argsort(np.repeat(senses == 2, lengths), kind="stable")
+        start = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(lengths[order], out=start[1:])
+        index = np.array(model._cols)[gather]
+        value = np.array(model._coefs)
+        np.negative(value, out=value, where=np.repeat(senses == 1, lengths))
+        value = value[gather]
+        rhs = np.array(model._rhs)
+        np.negative(rhs, out=rhs, where=senses == 1)
+        self.row_upper = rhs[order]
+        self.row_lower = np.where(senses == 2, rhs, -np.inf)[order]
 
         lp = HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
-        lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(order)
         # HiGHS lays the rows out column-wise and drops explicit zeros
         lp.a_matrix_.format_ = MatrixFormat.kRowwise
         lp.a_matrix_.start_ = start
@@ -490,7 +496,8 @@ def external_solve(model: MilpModel, command: list[str], workdir: str | Path,
     workdir.mkdir(parents=True, exist_ok=True)
     mps, sol = (workdir / f"{model.name}.{ext}" for ext in ("mps", "sol"))
     sol.unlink(missing_ok=True)
-    mps.write_text(export_mps(model))
+    with mps.open("w", encoding="utf-8") as handle:
+        handle.writelines(mps_chunks(model))
 
     limit = config.time_limit
     timeout = limit + 60 if limit < math.inf else None

@@ -4,6 +4,7 @@ command that makes ``cttsolve solve-mps`` an external solver."""
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 import sys
@@ -99,6 +100,26 @@ def self_adapter(monkeypatch):
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     return [sys.executable, "-m", "cttsolve.cli", "solve-mps", "{mps}",
             "--time-limit", "{time_limit}", "-o", "{solution}"]
+
+
+def load_generate():
+    """bench/generate.py as a module, for the comp preset; registered
+    before it runs, because ``dataclass`` looks its module up."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("tests_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def comp_instance():
+    """build-comp's instance: 30 courses, 6 rooms; its full formulation has
+    7080 columns, its surface 1500."""
+    generate = load_generate()
+    instance, = generate.load(generate.corpus_texts("comp", 1, 1))
+    return instance
 
 
 @pytest.fixture

@@ -7,7 +7,8 @@ from conftest import TIGHT_CTT, TOY_CTT
 from cttsolve import cli, control
 from cttsolve.cli import main
 from cttsolve.formulations import DIVE_KINDS
-from cttsolve.milp import parse_mps
+from cttsolve.instance import parse_ctt
+from cttsolve.milp import export_mps, parse_mps
 
 FEASIBLE_TOY_SOLUTION = """\
 c1 rA 0 1
@@ -256,6 +257,19 @@ class TestOutputFile:
             f" {len(model.constraints)} constraints)\n")
         assert captured.out == ""
         assert target.read_text() == text
+
+    @pytest.mark.parametrize("formulation", tuple(cli._BUILDERS))
+    def test_build_writes_export_mps(self, toy_path, tmp_path, capsys,
+                                     formulation):
+        # the text goes out a column at a time, to a file or to stdout
+        text = export_mps(cli._BUILDERS[formulation](parse_ctt(TOY_CTT)))
+        target = tmp_path / "toy.mps"
+        argv = ["build", toy_path, "--formulation", formulation]
+        assert main(argv + ["-o", str(target)]) == 0
+        assert target.read_bytes() == text.encode()
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
 
     def test_solve_says_when_no_timetable_is_written(self, tight_path,
                                                      tmp_path, capsys,

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from cttsolve.milp import (MilpError, MilpModel, export_mps, format_values,
-                           import_solution, parse_mps)
+from cttsolve.formulations import build_monolithic
+from cttsolve.milp import (LinearConstraint, MilpError, MilpModel, export_mps,
+                           format_values, import_solution, parse_mps)
 from cttsolve.solver import _Arrays, linprog
 from oracles import oracle_lp_model
 
@@ -138,6 +139,98 @@ class TestBuilding:
         assert {c.origin for c in simple_model().constraints} == {"test"}
 
 
+# a model's row store, in the order MilpModel keeps it
+ROW_BUFFERS = ("_starts", "_cols", "_coefs", "_names", "_senses", "_rhs",
+               "_origins")
+
+
+def row_buffers(model):
+    return [getattr(model, name)[:] for name in ROW_BUFFERS]
+
+
+class TestRowStore:
+    """Rows live in CSR buffers; ``constraints`` is a read-only view that
+    builds each row it reads."""
+
+    ROWS = [LinearConstraint("a", ((1.0, 0), (2.0, 1)), "<=", 3.0, "o"),
+            LinearConstraint("b", ((-1.0, 2),), ">=", -2.0),
+            LinearConstraint("c", ((1.0, 2), (1.0, 0), (4.0, 1)), "=", 1.0)]
+
+    @staticmethod
+    def rows_model():
+        model = MilpModel("rows")
+        for name in "xyz":
+            model.add_variable(name, "integer", 0, 3)
+        model.add_constraint("a", [(1.0, "x"), (2.0, "y")], "<=", 3,
+                             origin="o")
+        model.add_constraint("b", [(-1.0, "z")], ">=", -2)
+        model.add_constraint("c", [(1.0, "z"), (1.0, "x"), (4.0, "y")], "=",
+                             1)
+        return model
+
+    def test_view(self):
+        rows = self.rows_model().constraints
+        expected = self.ROWS
+        assert len(rows) == 3
+        assert rows[-1] == expected[2] and rows[-3] == expected[0]
+        assert rows[1:] == expected[1:] and rows[::-2] == expected[::-2]
+        assert list(rows) == [row for row in rows] == expected
+        assert rows == expected and expected == rows
+        assert rows == self.rows_model().constraints
+        assert rows != expected[:2] and rows != tuple(expected)
+        for index in (3, -4):
+            with pytest.raises(IndexError):
+                rows[index]
+        with pytest.raises(TypeError):
+            rows[0] = expected[0]
+
+    def test_row_types(self):
+        # the view gives back Python floats and ints, as the rows were
+        # written
+        row = self.rows_model().constraints[0]
+        assert [type(x) for term in row.terms for x in term] == [
+            float, int, float, int]
+        assert type(row.rhs) is float
+
+    def test_copy_is_independent(self):
+        source = self.rows_model().freeze()
+        before = row_buffers(source)
+        dive = source.copy(name="dive")
+        dive.add_constraint("fix", [(1.0, "x")], "=", 1)
+        assert len(source.constraints) == 3 and len(dive.constraints) == 4
+        assert row_buffers(source) == before
+        assert list(source.constraints) == self.ROWS
+        assert dive.constraints[:3] == self.ROWS
+        with pytest.raises(MilpError, match="frozen"):
+            source.add_constraint("fix", [(1.0, "x")], "=", 1)
+
+    @pytest.mark.parametrize("name, terms, sense, rhs, message", [
+        ("a", [(1.0, "x")], "<=", 1.0, "duplicate constraint name"),
+        ("d", [(1.0, "x")], "<>", 1.0, "unknown constraint sense"),
+        ("d", [(1.0, "x"), (math.inf, "y")], "<=", 1.0, "not finite"),
+        ("d", [(1.0, "x"), (1.0, 3)], "<=", 1.0, "out of range"),
+        ("d", [(1.0, "x")], "<=", math.inf, "not finite"),
+    ], ids=["duplicate-name", "unknown-sense", "non-finite-coefficient",
+            "index-out-of-range", "non-finite-rhs"])
+    def test_rejected_row_leaves_no_trace(self, name, terms, sense, rhs,
+                                          message):
+        model = self.rows_model()
+        before = row_buffers(model)
+        with pytest.raises(MilpError, match=message):
+            model.add_constraint(name, terms, sense, rhs)
+        assert len(model.constraints) == 3 and len(model._cols) == 6
+        assert row_buffers(model) == before
+        # nor is the name taken
+        assert model.add_constraint("d", [(1.0, "x")], "<=", 1.0) == 3
+
+    def test_comp_rows_take_at_most_16_bytes_a_nonzero(self, comp_instance):
+        model = build_monolithic(comp_instance)
+        nonzeros = sum(len(row.terms) for row in model.constraints)
+        assert nonzeros == len(model._cols) > 30000
+        csr = (model._starts, model._cols, model._coefs)
+        assert sum(b.itemsize * len(b) for b in csr) <= 16 * nonzeros
+
+
 class TestMps:
     def test_single_variable_model(self):
         model = MilpModel("one")
@@ -214,6 +307,28 @@ class TestMps:
             "BOUNDS\n", f"{section}\nBOUNDS\n")
         with pytest.raises(MilpError, match="unsupported MPS section"):
             parse_mps(text)
+
+    @pytest.mark.parametrize("again", [" G  cover\n", " N  cover\n"],
+                             ids=["same-type", "free-row"])
+    def test_row_declared_twice_rejected(self, again):
+        text = export_mps(simple_model()).replace(" G  cover\n",
+                                                  " G  cover\n" + again)
+        with pytest.raises(MilpError, match="row 'cover' declared twice"):
+            parse_mps(text)
+
+    def test_long_text_parsed_in_blocks(self):
+        # the lines are split a block at a time; a long model, with a CR
+        # before each LF, reads back as written
+        model = MilpModel("long")
+        for i in range(3000):
+            model.add_variable(f"x{i}", "integer", 0, i % 7 + 1)
+            model.add_constraint(f"c{i}", [(1.0, i), (-2.0, i // 2)], "<=",
+                                 i % 5)
+        model.set_objective([(1.0, i) for i in range(3000)])
+        text = export_mps(model)
+        assert len(text) > 3 * (1 << 16)
+        assert export_mps(parse_mps(text)) == text
+        assert export_mps(parse_mps(text.replace("\n", "\r\n"))) == text
 
     def test_unknown_row_type_rejected(self):
         text = export_mps(simple_model()).replace(" G  cover", " X  cover")

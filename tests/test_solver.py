@@ -1,10 +1,8 @@
-import importlib.util
 import math
 import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,10 +12,14 @@ from scipy import sparse
 
 from conftest import random_tiny_instance
 from cttsolve import solver
-from cttsolve.formulations import (DIVE_KINDS, build_dive, build_monolithic,
+from cttsolve.formulations import (DIVE_KINDS, add_clique_cuts,
+                                   add_implied_bound_cuts, add_pattern_cuts,
+                                   build_dive, build_monolithic,
                                    build_room_relaxation, build_surface,
-                                   build_surface2, decode_surface)
-from cttsolve.milp import MilpModel
+                                   build_surface2, decode_surface,
+                                   greedy_clique_cover)
+from cttsolve.instance import build_conflict_graph
+from cttsolve.milp import MilpModel, export_mps
 from cttsolve.solver import (ExternalSolverError, SearchSpaceError,
                              SolveConfig, SolverError, _Arrays,
                              _most_fractional, branch_and_bound,
@@ -163,29 +165,14 @@ class TestLpByIpm(TestLp):
     raises the same SolverErrors."""
 
 
-def load_generate():
-    """bench/generate.py as a module, for the comp preset; registered
-    before it runs, because ``dataclass`` looks its module up."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "generate.py"
-    spec = importlib.util.spec_from_file_location("test_solver_generate",
-                                                  path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestIpm:
     """A model past IPM_MIN_COLUMNS solves its first LP by IPM with
     crossover, then warm-starts every later LP by dual simplex."""
 
-    def test_threshold_by_columns(self):
-        generate = load_generate()
-        # build-comp's instance: its full formulation has 7080 columns, its
-        # surface 1500
-        instance, = generate.load(generate.corpus_texts("comp", 1, 1))
+    def test_threshold_by_columns(self, comp_instance):
         sent = {build.__name__:
-                _Arrays(build(instance)).highs.getOptionValue("solver")[1]
+                _Arrays(build(comp_instance)).highs.getOptionValue(
+                    "solver")[1]
                 for build in (build_monolithic, build_surface,
                               build_room_relaxation)}
         assert sent == {"build_monolithic": "ipm", "build_surface": "choose",
@@ -417,6 +404,78 @@ class TestAssembly:
         assert sum(len(con.terms) for con in model.constraints) == 6
         matrix = self.assert_csc_layout(model)
         assert len(matrix.value_) == 3 and 0.0 not in matrix.value_
+
+
+def linprog_csr(model):
+    """The rows scipy.optimize.linprog takes, built in plain Python from
+    ``model.constraints``: the inequality rows in model order, each >= row
+    negated, then the = rows.  Returns the row-wise matrix (start, index,
+    value) and the row bounds (lower, upper)."""
+    start, index, value, lower, upper = [0], [], [], [], []
+    for equality in (False, True):
+        for con in model.constraints:
+            if (con.sense == "=") != equality:
+                continue
+            sign = -1.0 if con.sense == ">=" else 1.0
+            for coef, idx in con.terms:
+                index.append(idx)
+                value.append(sign * coef)
+            start.append(len(index))
+            lower.append(con.rhs if equality else -math.inf)
+            upper.append(sign * con.rhs)
+    return start, index, value, lower, upper
+
+
+def column_wise(columns, start, index, value):
+    """A row-wise matrix laid out column-wise as HiGHS keeps it: each
+    column's rows ascending, explicit zeros dropped."""
+    entries = [[] for _ in range(columns)]
+    for row in range(len(start) - 1):
+        for k in range(start[row], start[row + 1]):
+            if value[k] != 0.0:
+                entries[index[k]].append((row, value[k]))
+    col_start, rows, values = [0], [], []
+    for column in entries:
+        rows += [row for row, _ in column]
+        values += [v for _, v in column]
+        col_start.append(len(rows))
+    return col_start, rows, values
+
+
+class TestLpAssembly:
+    """``_Arrays`` gathers the LP's rows from the model's CSR buffers with
+    numpy; the LP HiGHS holds must be the one ``linprog_csr`` builds row
+    by row, bit for bit, or every search would change."""
+
+    @staticmethod
+    def assert_lp(model):
+        start, index, value, lower, upper = linprog_csr(model)
+        lp = _Arrays(model).highs.getLp()
+        assert lp.a_matrix_.format_ == solver.MatrixFormat.kColwise
+        col_start, rows, values = column_wise(len(model.variables), start,
+                                              index, value)
+        assert list(lp.a_matrix_.start_) == col_start
+        assert list(lp.a_matrix_.index_) == rows
+        # bytes, so a -0.0 for a 0.0 shows too
+        for got, expected in ((lp.a_matrix_.value_, values),
+                              (lp.row_lower_, lower), (lp.row_upper_, upper)):
+            assert (np.array(got, dtype=float).tobytes()
+                    == np.array(expected, dtype=float).tobytes())
+        return len(index)
+
+    def test_toy_models(self, toy_instance):
+        for model in cross_check_models(toy_instance):
+            self.assert_lp(model)
+
+    def test_comp_surface_with_pattern_rows(self, comp_instance):
+        model = build_surface(comp_instance)
+        graph = build_conflict_graph(comp_instance)
+        add_clique_cuts(model, greedy_clique_cover(graph), graph)
+        add_implied_bound_cuts(model)
+        assert add_pattern_cuts(model) > 0
+        assert {"<=", ">=", "="} <= {con.sense for con in model.constraints}
+        # build-comp's contract surface: 1500 columns, 91,192 nonzeros
+        assert self.assert_lp(model) == 91192
 
 
 class TestBranchAndBound:
@@ -688,6 +747,15 @@ class TestExternalAdapter:
         result = external_solve(model, self_adapter, tmp_path)
         assert (result.status, result.incumbent) == ("infeasible", None)
         assert result.lower_bound == math.inf
+
+    def test_model_file_is_export_mps(self, tmp_path, toy_instance):
+        # the MPS text goes to the file a column at a time
+        for model in (knapsack_model(), build_monolithic(toy_instance)):
+            result = external_solve(
+                model, write_files(None, "status: infeasible"), tmp_path)
+            assert result.status == "infeasible"
+            written = (tmp_path / f"{model.name}.mps").read_bytes()
+            assert written == export_mps(model).encode()
 
     def test_violating_point_rejected(self, tmp_path):
         model = MilpModel("m")
