@@ -13,7 +13,9 @@ The script prints one row per instance, then per preset and strategy the
 sums of the lower and upper bounds, the number of calls without an upper
 bound and the number of `optimal` calls, then how many calls take their
 final upper bound from each ledger source (`greedy`, `surface+match`,
-`dive:<kind>` or `exact`).  It compares every call with
+`dive:<kind>` or `exact`), and per preset and strategy the time from
+each call's start to its first upper bound, summed over the calls.  It
+compares every call with
 `scripts/held_out_bounds.json` and prints how many calls are better and
 worse than the table, naming each worse one.  A moved bound fails nothing;
 `--pin` rewrites the table, so its diff shows what a search change moved.
@@ -58,6 +60,8 @@ class Call(NamedTuple):
     upper: float | None
     status: str
     source: str | None = None  # of the final upper bound
+    # seconds from the call's start to its first upper bound
+    first_upper: float | None = None
 
 
 def load(path: Path):
@@ -178,6 +182,20 @@ def sources(calls: list[Call]) -> str:
         f"{source} {n}" for source, n in sorted(counts.items()))
 
 
+def first_upper(calls: list[Call], budgets: dict) -> str:
+    """Per preset and strategy, the summed time from each call's start to
+    its first upper bound; a call without one adds nothing."""
+    parts = []
+    for preset, specs in budgets.items():
+        for spec in specs:
+            seconds = sum(c.first_upper or 0.0 for c in calls
+                          if c.instance.startswith(f"{preset}-")
+                          and c.strategy == spec["strategy"])
+            parts.append(f"{preset} {spec['strategy']}"
+                         f" {1e3 * seconds:.1f} ms")
+    return "time to the first upper bound, summed: " + ", ".join(parts)
+
+
 def _bound(value: float | None) -> str:
     return "--" if value is None else f"{value:g}"
 
@@ -203,6 +221,8 @@ def main() -> int:
                             report.lower_bound, report.upper_bound,
                             report.status,
                             next((e.source for e in reversed(report.history)
+                                  if e.kind == "upper"), None),
+                            next((e.at - report.started for e in report.history
                                   if e.kind == "upper"), None))
                 calls.append(call)
                 row.append(f"{call.strategy} {_bound(call.lower)}/"
@@ -223,6 +243,7 @@ def main() -> int:
         for spec in specs:
             print(summary(calls, preset, spec["strategy"]))
     print(sources(calls))
+    print(first_upper(calls, budgets))
     print(f"{len(calls)} calls in {elapsed:.1f} s;"
           f" against {TABLE.name}: {better} better, {len(worse)} worse")
     for line in worse:

@@ -1,10 +1,15 @@
 """Solutions, hard feasibility, the four soft penalties, and the gap.
 
-All functions here are pure over immutable inputs.
+All functions here are pure over immutable inputs.  `check_hard` and
+`penalties` read a timetable's periods as bitmasks (Python ints, bit p for
+period p) that each call builds for itself; nothing is cached on the
+instance, and the violations and penalties are those of the set-based
+versions they replaced.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -56,116 +61,103 @@ class Violation:
     detail: str
 
 
+def periods_in(mask: int):
+    """The periods of a bitmask (bit p for period p), lowest first."""
+    while mask:
+        bit = mask & -mask
+        yield bit.bit_length() - 1
+        mask ^= bit
+
+
 def check_hard(instance: Instance, solution: Solution) -> list[Violation]:
-    """Return the list of hard-constraint violations (empty means feasible)."""
+    """Return the list of hard-constraint violations (empty means feasible).
+
+    Clashes are found over period bitmasks (bit p for period p) built in
+    this call, per course, room, teacher and curriculum; only a period
+    that clashes is then counted for its message."""
     violations: list[Violation] = []
     rooms = instance.room_by_id
     courses = instance.course_by_id
 
-    for cid, pairs in solution.assignments.items():
+    for cid in solution.assignments:
         if cid not in courses:
             violations.append(Violation("unknown-reference",
                                         f"course {cid!r} not declared"))
-    for cid, period, room in solution.events():
-        if room not in rooms:
-            violations.append(Violation("unknown-reference",
-                                        f"room {room!r} not declared"))
-        if not 0 <= period < instance.periods:
-            violations.append(Violation("unknown-reference",
-                                        f"period {period} out of range"))
+    for pairs in solution.assignments.values():
+        for period, room in pairs:
+            if room not in rooms:
+                violations.append(Violation("unknown-reference",
+                                            f"room {room!r} not declared"))
+            if not 0 <= period < instance.periods:
+                violations.append(Violation(
+                    "unknown-reference", f"period {period} out of range"))
     if violations:
         return violations
 
+    masks: dict[str, int] = {}
+    by_room: dict[str, int] = {}
+    by_teacher: dict[str, int] = {}
+    clash = 0  # the periods of a teacher or curriculum clash
     for c in instance.courses:
         pairs = solution.assignments.get(c.id, ())
         if len(pairs) != c.events:
             violations.append(Violation(
                 "event-count",
                 f"course {c.id} has {len(pairs)} events, needs {c.events}"))
-        periods = [p for p, _ in pairs]
-        if len(set(periods)) != len(periods):
+        mask = repeat = 0
+        for period, room in pairs:
+            bit = 1 << period
+            repeat |= mask & bit
+            mask |= bit
+            by_room[room] = by_room.get(room, 0) | bit
+        if repeat:
             violations.append(Violation(
                 "course-clash", f"course {c.id} meets twice in one period"))
+        masks[c.id] = mask
+        seen = by_teacher.get(c.teacher, 0)
+        clash |= seen & mask | repeat
+        by_teacher[c.teacher] = seen | mask
+    for u in instance.curricula:
+        once = 0
+        for cid in u.courses:
+            clash |= once & masks[cid]
+            once |= masks[cid]
 
-    by_slot: dict[tuple[int, str], list[str]] = {}
-    by_period: dict[int, list[str]] = {}
-    for cid, period, room in solution.events():
-        by_slot.setdefault((period, room), []).append(cid)
-        by_period.setdefault(period, []).append(cid)
+    # a room hosts two events at a period when its mask has fewer periods
+    # than it has events
+    events = sum(len(pairs) for pairs in solution.assignments.values())
+    if sum(mask.bit_count() for mask in by_room.values()) < events:
+        by_slot = Counter((period, room)
+                          for _, period, room in solution.events())
+        for (period, room), n in sorted(by_slot.items()):
+            if n > 1:
+                violations.append(Violation(
+                    "room-clash",
+                    f"room {room} hosts {n} events at period {period}"))
 
-    for (period, room), cids in sorted(by_slot.items()):
-        if len(cids) > 1:
-            violations.append(Violation(
-                "room-clash",
-                f"room {room} hosts {len(cids)} events at period {period}"))
-
-    for period, cids in sorted(by_period.items()):
-        by_teacher: dict[str, int] = {}
-        for cid in cids:
-            t = instance.course_by_id[cid].teacher
-            by_teacher[t] = by_teacher.get(t, 0) + 1
-        for t, n in sorted(by_teacher.items()):
+    for period in periods_in(clash):
+        teachers = Counter(courses[cid].teacher
+                           for cid, p, _ in solution.events() if p == period)
+        for t, n in sorted(teachers.items()):
             if n > 1:
                 violations.append(Violation(
                     "teacher-clash",
                     f"teacher {t} teaches {n} events at period {period}"))
-        present = set(cids)
         for u in instance.curricula:
-            hits = len(present & u.courses)
+            hits = sum(masks[cid] >> period & 1 for cid in u.courses)
             # course-clash above covers repeated periods within one course
             if hits > 1:
                 violations.append(Violation(
                     "curriculum-clash",
                     f"curriculum {u.id} has {hits} events at period {period}"))
 
-    for cid, period, _room in solution.events():
-        if (cid, period) in instance.unavailability:
-            violations.append(Violation(
-                "forbidden-period",
-                f"course {cid} placed at forbidden period {period}"))
+    if any(masks[cid] >> p & 1 for cid, p in instance.unavailability):
+        for cid, period, _room in solution.events():
+            if (cid, period) in instance.unavailability:
+                violations.append(Violation(
+                    "forbidden-period",
+                    f"course {cid} placed at forbidden period {period}"))
     return violations
-
-
-def penalty_capacity(instance: Instance, solution: Solution) -> int:
-    """Students left without a seat, summed over events."""
-    total = 0
-    for cid, _period, room in solution.events():
-        students = instance.course_by_id[cid].students
-        total += max(0, students - instance.room_by_id[room].capacity)
-    return total
-
-
-def penalty_min_days(instance: Instance, solution: Solution) -> int:
-    """Shortfall against each course's prescribed distinct days."""
-    total = 0
-    for c in instance.courses:
-        pairs = solution.assignments.get(c.id, ())
-        days_used = {instance.day_of(p) for p, _ in pairs}
-        total += max(0, c.min_days - len(days_used))
-    return total
-
-
-def penalty_compactness(instance: Instance, solution: Solution) -> int:
-    """Isolated lectures in daily curriculum timetables.
-
-    A curriculum's lecture is isolated when no period adjacent to it within
-    the same day carries another lecture of the same curriculum; each
-    occupied period is scored once per curriculum.
-    """
-    total = 0
-    occupied_by_course: dict[str, set[int]] = {
-        cid: {p for p, _ in pairs}
-        for cid, pairs in solution.assignments.items()
-    }
-    for u in instance.curricula:
-        periods = set()
-        for cid in u.courses:
-            periods |= occupied_by_course.get(cid, set())
-        for d in range(instance.days):
-            day = list(instance.day_periods(d))
-            occ = [p in periods for p in day]
-            total += count_isolated(occ)
-    return total
 
 
 def count_isolated(occupancy: list[bool]) -> int:
@@ -182,24 +174,55 @@ def count_isolated(occupancy: list[bool]) -> int:
     return count
 
 
-def penalty_stability(instance: Instance, solution: Solution) -> int:
-    """Distinct rooms per course beyond the first."""
-    total = 0
+def penalties(instance: Instance, solution: Solution) -> PenaltyVector:
+    """The four soft penalties.
+
+    - capacity: students left without a seat, summed over events;
+    - spread: each course's shortfall against its prescribed distinct days;
+    - compactness: isolated lectures in daily curriculum timetables.  A
+      curriculum's lecture is isolated when no period adjacent to it within
+      the same day carries another lecture of the same curriculum; each
+      occupied period is scored once per curriculum;
+    - stability: distinct rooms per course beyond the first.
+
+    Compactness reads each curriculum's periods as a bitmask built in this
+    call: the isolated ones are ``occ & ~left & ~right``, where ``left`` and
+    ``right`` are ``occ`` shifted by one period with the shifts that cross a
+    day boundary masked off.  Spread counts the days a course's periods
+    touch.  A period outside ``0..periods-1`` counts as a day for spread
+    and is ignored by compactness."""
+    courses, rooms = instance.course_by_id, instance.room_by_id
+    periods, ppd = instance.periods, instance.periods_per_day
+    capacity = spread = stability = 0
+    masks: dict[str, int] = {}
+    for cid, pairs in solution.assignments.items():
+        students = courses[cid].students
+        mask = 0
+        for period, room in pairs:
+            short = students - rooms[room].capacity
+            if short > 0:
+                capacity += short
+            if 0 <= period < periods:
+                mask |= 1 << period
+        masks[cid] = mask
     for c in instance.courses:
         pairs = solution.assignments.get(c.id, ())
-        rooms = {room for _, room in pairs}
-        if rooms:
-            total += len(rooms) - 1
-    return total
-
-
-def penalties(instance: Instance, solution: Solution) -> PenaltyVector:
-    return PenaltyVector(
-        capacity=penalty_capacity(instance, solution),
-        spread=penalty_min_days(instance, solution),
-        compactness=penalty_compactness(instance, solution),
-        stability=penalty_stability(instance, solution),
-    )
+        days = len({period // ppd for period, _ in pairs})
+        if days < c.min_days:
+            spread += c.min_days - days
+        used = len({room for _, room in pairs})
+        if used > 1:
+            stability += used - 1
+    first = sum(1 << start for start in range(0, periods, ppd))
+    last = first << (ppd - 1)
+    compactness = 0
+    for u in instance.curricula:
+        occ = 0
+        for cid in u.courses:
+            occ |= masks.get(cid, 0)
+        left, right = occ << 1 & ~first, occ >> 1 & ~last
+        compactness += (occ & ~left & ~right).bit_count()
+    return PenaltyVector(capacity, spread, compactness, stability)
 
 
 def objective(weights: WeightVector, p: PenaltyVector) -> int:

@@ -13,7 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .evaluation import Solution, check_hard, count_isolated
+from .evaluation import (Solution, check_hard, count_isolated,
+                         periods_in)
 from .instance import ConflictGraph, Instance, build_conflict_graph
 from .milp import FEAS_TOL, MilpModel
 
@@ -77,27 +78,44 @@ def greedy_periods(instance: Instance) -> PeriodAssignment | None:
     course does not use yet if it can, then the one with the fewest
     events, then the lowest.  A period is allowed when it is not forbidden
     to the course, not used by it or by a course it clashes with, and
-    holds fewer events than there are rooms."""
+    holds fewer events than there are rooms.
+
+    Sets of periods are bitmasks, bit p for period p, built in each call:
+    a course's blocked periods are its forbidden mask ORed with its
+    neighbours' masks, and ``level[k]`` holds the periods with k events,
+    so ``level[-1]`` holds the full ones."""
     neighbours = build_conflict_graph(instance).adjacency
-    load = [0] * instance.periods
-    used: dict[str, set[int]] = {c.id: set() for c in instance.courses}
+    periods, ppd = instance.periods, instance.periods_per_day
+    every, first_day = (1 << periods) - 1, (1 << ppd) - 1
+    used = {c.id: 0 for c in instance.courses}
+    forbidden = dict(used)
+    for cid, p in instance.unavailability:
+        forbidden[cid] |= 1 << p
+    level = [every] + [0] * len(instance.rooms)
     for c in sorted(instance.courses, key=lambda c: (
             -(len(neighbours[c.id]) + 1) * c.events, c.id)):
-        blocked = instance.forbidden_periods(c.id).union(
-            *(used[n] for n in neighbours[c.id]))
-        own = used[c.id]
+        blocked = forbidden[c.id]
+        for n in neighbours[c.id]:
+            blocked |= used[n]
+        own = days = 0  # days: the periods of the days the course uses
         for _ in range(c.events):
-            days = {instance.day_of(p) for p in own}
-            free = [p for p in range(instance.periods)
-                    if p not in blocked and p not in own
-                    and load[p] < len(instance.rooms)]
+            free = every & ~(blocked | own | level[-1])
             if not free:
                 return None
-            p = min(free, key=lambda p: (instance.day_of(p) in days, load[p],
-                                         p))
-            own.add(p)
-            load[p] += 1
-    return PeriodAssignment({cid: frozenset(v) for cid, v in used.items()})
+            candidates = free & ~days or free
+            for k, at_load in enumerate(level):
+                pick = candidates & at_load
+                if pick:
+                    break
+            bit = pick & -pick
+            p = bit.bit_length() - 1
+            level[k] ^= bit
+            level[k + 1] |= bit
+            own |= bit
+            days |= first_day << (p - p % ppd)
+        used[c.id] = own
+    return PeriodAssignment({cid: frozenset(periods_in(mask))
+                             for cid, mask in used.items()})
 
 
 # -- variables by tag ---------------------------------------------------------

@@ -5,9 +5,9 @@ Each solve is single-threaded; distinct models may be solved concurrently.
 An ``_Arrays`` holds the HiGHS instance its node LPs run on, so one must
 not be shared between threads.  A search's first LP is solved cold, by
 HiGHS's dual simplex as ``scipy.optimize.linprog`` solves it, or, for a
-model of more than ``IPM_MIN_COLUMNS`` columns, by HiGHS's interior-point
-solver with crossover; every later LP starts from the basis the LP before
-it left, by dual simplex.
+model of more than ``IPM_MIN_COLUMNS`` columns other than a period-fixed
+dive, by HiGHS's interior-point solver with crossover; every later LP
+starts from the basis the LP before it left, by dual simplex.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import evaluation
+from .formulations import PERIOD_FIXED
 from .instance import Instance
 from .milp import (FEAS_TOL, MilpModel, MilpSolution, import_solution,
                    mps_chunks)
@@ -92,7 +93,10 @@ _HIGHS_OPTIONS.simplex_strategy = (
 # 1.36 s by dual simplex (2-CPU VM, scipy 1.17.1).  At or below 3000 columns dual simplex was the
 # faster on all but one model measured, among them every small and mid
 # model (at most 784 columns) and the comp surface (1500); the grid is in
-# BENCH_33.json
+# BENCH_33.json.  A period-fixed dive's root goes to dual simplex at any
+# size: its fixing rows leave an easy LP, which on comp solved cold in
+# 0.065 s by dual simplex against 0.075 s by IPM (the day-fixed root: 0.97
+# against 0.58 s)
 IPM_MIN_COLUMNS = 3000
 
 _LP_STATUS = {
@@ -208,7 +212,8 @@ class _Arrays:
         lp.row_upper_ = self.row_upper
         self.highs = _Highs()
         self.highs.passOptions(_HIGHS_OPTIONS)
-        self.cold_ipm = n > IPM_MIN_COLUMNS
+        self.cold_ipm = (n > IPM_MIN_COLUMNS
+                         and model.metadata.get("dive") != PERIOD_FIXED)
         if self.cold_ipm:
             self.highs.setOptionValue("solver", "ipm")
         # a rejected model would leave HiGHS to solve an empty one
@@ -222,9 +227,10 @@ def linprog(arrays: _Arrays, lo, hi):
     starts from the basis the call before it left, and the first from
     scratch.  The LP, options and result check are those of
     ``scipy.optimize.linprog`` with ``method="highs"``, so for a model of at
-    most ``IPM_MIN_COLUMNS`` columns a search's first LP matches it bit for
-    bit; a later LP may end at another optimal vertex, with the same value
-    up to rounding.  A larger model's first LP goes to IPM with crossover,
+    most ``IPM_MIN_COLUMNS`` columns, and for a period-fixed dive, a
+    search's first LP matches it bit for bit; a later LP may end at another
+    optimal vertex, with the same value up to rounding.  Any other larger
+    model's first LP goes to IPM with crossover,
     which ends at an optimal vertex of its own; when IPM ends in a status
     other than optimal, infeasible or unbounded, or crossover leaves no
     basis, dual simplex solves that LP again from scratch.

@@ -3,12 +3,19 @@
 These deliberately avoid the package's own algorithms: the LP oracle is a
 naive dense two-phase tableau simplex, and the penalty oracles restate the
 definitions with different mechanics (regex scans, set arithmetic).
+The references at the end are the list-and-set versions of
+``greedy_periods`` and ``check_hard`` that the bitmask versions replaced,
+kept as they were so the tests can compare old and new.
 """
 
 from __future__ import annotations
 
 import math
 import re
+
+from cttsolve.evaluation import Violation
+from cttsolve.formulations import PeriodAssignment
+from cttsolve.instance import build_conflict_graph
 
 EPS = 1e-9
 
@@ -239,3 +246,106 @@ def oracle_lp_model(model):
     if status == "optimal":
         value += model.objective_constant
     return status, value
+
+
+# -- references: the set-based versions the bitmask code replaced ------------
+
+def reference_greedy_periods(instance: Instance) -> PeriodAssignment | None:
+    """A bounded colouring of the conflict graph, built greedily, or None
+    at a dead end.  The courses go by (clash degree + 1) * events, most
+    first, ties by id.  Each event takes an allowed period, on a day the
+    course does not use yet if it can, then the one with the fewest
+    events, then the lowest.  A period is allowed when it is not forbidden
+    to the course, not used by it or by a course it clashes with, and
+    holds fewer events than there are rooms."""
+    neighbours = build_conflict_graph(instance).adjacency
+    load = [0] * instance.periods
+    used: dict[str, set[int]] = {c.id: set() for c in instance.courses}
+    for c in sorted(instance.courses, key=lambda c: (
+            -(len(neighbours[c.id]) + 1) * c.events, c.id)):
+        blocked = instance.forbidden_periods(c.id).union(
+            *(used[n] for n in neighbours[c.id]))
+        own = used[c.id]
+        for _ in range(c.events):
+            days = {instance.day_of(p) for p in own}
+            free = [p for p in range(instance.periods)
+                    if p not in blocked and p not in own
+                    and load[p] < len(instance.rooms)]
+            if not free:
+                return None
+            p = min(free, key=lambda p: (instance.day_of(p) in days, load[p],
+                                         p))
+            own.add(p)
+            load[p] += 1
+    return PeriodAssignment({cid: frozenset(v) for cid, v in used.items()})
+
+
+def reference_check_hard(instance: Instance,
+                          solution: Solution) -> list[Violation]:
+    """Return the list of hard-constraint violations (empty means feasible)."""
+    violations: list[Violation] = []
+    rooms = instance.room_by_id
+    courses = instance.course_by_id
+
+    for cid, pairs in solution.assignments.items():
+        if cid not in courses:
+            violations.append(Violation("unknown-reference",
+                                        f"course {cid!r} not declared"))
+    for cid, period, room in solution.events():
+        if room not in rooms:
+            violations.append(Violation("unknown-reference",
+                                        f"room {room!r} not declared"))
+        if not 0 <= period < instance.periods:
+            violations.append(Violation("unknown-reference",
+                                        f"period {period} out of range"))
+    if violations:
+        return violations
+
+    for c in instance.courses:
+        pairs = solution.assignments.get(c.id, ())
+        if len(pairs) != c.events:
+            violations.append(Violation(
+                "event-count",
+                f"course {c.id} has {len(pairs)} events, needs {c.events}"))
+        periods = [p for p, _ in pairs]
+        if len(set(periods)) != len(periods):
+            violations.append(Violation(
+                "course-clash", f"course {c.id} meets twice in one period"))
+
+    by_slot: dict[tuple[int, str], list[str]] = {}
+    by_period: dict[int, list[str]] = {}
+    for cid, period, room in solution.events():
+        by_slot.setdefault((period, room), []).append(cid)
+        by_period.setdefault(period, []).append(cid)
+
+    for (period, room), cids in sorted(by_slot.items()):
+        if len(cids) > 1:
+            violations.append(Violation(
+                "room-clash",
+                f"room {room} hosts {len(cids)} events at period {period}"))
+
+    for period, cids in sorted(by_period.items()):
+        by_teacher: dict[str, int] = {}
+        for cid in cids:
+            t = instance.course_by_id[cid].teacher
+            by_teacher[t] = by_teacher.get(t, 0) + 1
+        for t, n in sorted(by_teacher.items()):
+            if n > 1:
+                violations.append(Violation(
+                    "teacher-clash",
+                    f"teacher {t} teaches {n} events at period {period}"))
+        present = set(cids)
+        for u in instance.curricula:
+            hits = len(present & u.courses)
+            # course-clash above covers repeated periods within one course
+            if hits > 1:
+                violations.append(Violation(
+                    "curriculum-clash",
+                    f"curriculum {u.id} has {hits} events at period {period}"))
+
+    for cid, period, _room in solution.events():
+        if (cid, period) in instance.unavailability:
+            violations.append(Violation(
+                "forbidden-period",
+                f"course {cid} placed at forbidden period {period}"))
+    return violations

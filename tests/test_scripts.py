@@ -102,3 +102,14 @@ class TestHeldOutVerdict:
                                "dive:day-fixed"))
         assert held_out.sources(calls) == (
             "final upper bounds from: dive:day-fixed 2, exact 1, none 1")
+
+    def test_time_to_first_upper_bound_is_summed(self):
+        calls = [call._replace(first_upper=seconds) for call, seconds
+                 in zip(self.CALLS, (0.002, 0.0005, None))]
+        calls.append(self.Call("small-1", "exact", 5.0, 5.0, "optimal",
+                               "greedy", 0.001))
+        budgets = {"small": ({"strategy": "exact"}, {"strategy": "contract"}),
+                   "mid": ({"strategy": "anytime"},)}
+        assert held_out.first_upper(calls, budgets) == (
+            "time to the first upper bound, summed: small exact 3.0 ms,"
+            " small contract 0.5 ms, mid anytime 0.0 ms")

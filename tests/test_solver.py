@@ -12,12 +12,13 @@ from scipy import sparse
 
 from conftest import random_tiny_instance
 from cttsolve import solver
-from cttsolve.formulations import (DIVE_KINDS, add_clique_cuts,
-                                   add_implied_bound_cuts, add_pattern_cuts,
-                                   build_dive, build_monolithic,
-                                   build_room_relaxation, build_surface,
-                                   build_surface2, decode_surface,
-                                   greedy_clique_cover)
+from cttsolve.formulations import (DAY_FIXED, DIVE_KINDS, PERIOD_FIXED,
+                                   add_clique_cuts, add_implied_bound_cuts,
+                                   add_pattern_cuts, build_dive,
+                                   build_monolithic, build_room_relaxation,
+                                   build_surface, build_surface2,
+                                   decode_surface, greedy_clique_cover,
+                                   greedy_periods)
 from cttsolve.instance import build_conflict_graph
 from cttsolve.milp import MilpModel, export_mps
 from cttsolve.solver import (ExternalSolverError, SearchSpaceError,
@@ -177,6 +178,15 @@ class TestIpm:
                               build_room_relaxation)}
         assert sent == {"build_monolithic": "ipm", "build_surface": "choose",
                         "build_room_relaxation": "choose"}
+
+    def test_period_fixed_dive_goes_to_dual_simplex(self, comp_instance):
+        # its fixing rows leave an easy LP; a day-fixed dive's stays on IPM
+        monolithic = build_monolithic(comp_instance).freeze()
+        basis = greedy_periods(comp_instance)
+        sent = {kind: _Arrays(build_dive(monolithic, kind, basis))
+                .highs.getOptionValue("solver")[1] for kind in DIVE_KINDS}
+        assert len(monolithic.variables) > solver.IPM_MIN_COLUMNS
+        assert sent == {PERIOD_FIXED: "choose", DAY_FIXED: "ipm"}
 
     @pytest.mark.usefixtures("cold_ipm")
     def test_root_value_matches_linprog(self, toy_instance):
