@@ -13,8 +13,10 @@ The script prints one row per instance, then per preset and strategy the
 sums of the lower and upper bounds, the number of calls without an upper
 bound and the number of `optimal` calls, then how many calls take their
 final upper bound from each ledger source (`greedy`, `surface+match`,
-`dive:<kind>` or `exact`), and per preset and strategy the time from
-each call's start to its first upper bound, summed over the calls.  It
+`dive:<kind>` or `exact`), per preset and strategy the time from each
+call's start to its first upper bound, summed over the calls, and the
+instances whose calls start without a `greedy` bound (the greedy period
+assignment dead-ends there, so the first bound waits for a search).  It
 compares every call with
 `scripts/held_out_bounds.json` and prints how many calls are better and
 worse than the table, naming each worse one.  A moved bound fails nothing;
@@ -62,6 +64,7 @@ class Call(NamedTuple):
     source: str | None = None  # of the final upper bound
     # seconds from the call's start to its first upper bound
     first_upper: float | None = None
+    first_source: str | None = None  # of the first upper bound
 
 
 def load(path: Path):
@@ -196,6 +199,15 @@ def first_upper(calls: list[Call], budgets: dict) -> str:
     return "time to the first upper bound, summed: " + ", ".join(parts)
 
 
+def dead_ends(calls: list[Call]) -> str:
+    """The instances with a call whose first upper bound is not `greedy`,
+    and how many such calls there are."""
+    ends = [c for c in calls if c.first_source != "greedy"]
+    names = ", ".join(dict.fromkeys(c.instance for c in ends)) or "none"
+    return (f"greedy dead ends: {names}"
+            f" ({len(ends)} of {len(calls)} calls)")
+
+
 def _bound(value: float | None) -> str:
     return "--" if value is None else f"{value:g}"
 
@@ -217,13 +229,13 @@ def main() -> int:
             for spec in specs:
                 report = run_strategy(instance, StrategyConfig(
                     **spec, total_time=TOTAL_TIME))
+                uppers = [e for e in report.history if e.kind == "upper"]
                 call = Call(instance.name, report.strategy,
                             report.lower_bound, report.upper_bound,
                             report.status,
-                            next((e.source for e in reversed(report.history)
-                                  if e.kind == "upper"), None),
-                            next((e.at - report.started for e in report.history
-                                  if e.kind == "upper"), None))
+                            uppers[-1].source if uppers else None,
+                            uppers[0].at - report.started if uppers else None,
+                            uppers[0].source if uppers else None)
                 calls.append(call)
                 row.append(f"{call.strategy} {_bound(call.lower)}/"
                            f"{_bound(call.upper)}")
@@ -244,6 +256,7 @@ def main() -> int:
             print(summary(calls, preset, spec["strategy"]))
     print(sources(calls))
     print(first_upper(calls, budgets))
+    print(dead_ends(calls))
     print(f"{len(calls)} calls in {elapsed:.1f} s;"
           f" against {TABLE.name}: {better} better, {len(worse)} worse")
     for line in worse:

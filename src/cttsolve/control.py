@@ -203,11 +203,11 @@ def solution_from_payload(payload: dict | None) -> Solution | None:
                      for cid, pairs in payload.items()})
 
 
-def _add_cuts(instance: Instance, model, config: StrategyConfig) -> None:
-    """Clique-cover rows, then implied-bound rows, then pattern rows if the
-    run asks for them."""
-    graph = build_conflict_graph(instance)
-    add_clique_cuts(model, greedy_clique_cover(graph), graph)
+def _add_cuts(model, neighbours: dict[str, frozenset[str]],
+              config: StrategyConfig) -> None:
+    """Clique-cover rows of the conflict graph `neighbours`, then
+    implied-bound rows, then pattern rows if the run asks for them."""
+    add_clique_cuts(model, greedy_clique_cover(neighbours), neighbours)
     add_implied_bound_cuts(model)
     if config.pattern_cuts:
         add_pattern_cuts(model)
@@ -277,8 +277,10 @@ def run_strategy(instance: Instance,
         raise ControlError(f"pattern cuts need days of at most"
                            f" {PATTERN_CUT_MAX_PERIODS} periods")
 
+    # the one conflict graph of the run, for the greedy and the cuts
+    neighbours = build_conflict_graph(instance)
     # a first upper bound with no LP; no dive starts from it
-    greedy = greedy_periods(instance)
+    greedy = greedy_periods(instance, neighbours)
     if greedy is not None:
         _record(instance, ledger, "greedy", match_rooms(instance, greedy))
 
@@ -310,7 +312,7 @@ def run_strategy(instance: Instance,
         model = (build_surface(instance) if config.surface_model == "surface"
                  else build_surface2(instance))
         source, on_incumbent = "surface", harvest
-    _add_cuts(instance, model, config)
+    _add_cuts(model, neighbours, config)
     model.freeze()
     # a model without rooms holds the period terms alone, and the room
     # relaxation's the room terms alone, so their lower bounds add up;

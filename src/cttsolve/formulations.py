@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .evaluation import (Solution, check_hard, count_isolated,
                          periods_in)
-from .instance import ConflictGraph, Instance, build_conflict_graph
+from .instance import Instance
 from .milp import FEAS_TOL, MilpModel
 
 PERIOD_FIXED = "period-fixed"
@@ -71,10 +71,12 @@ def match_rooms(instance: Instance, basis: PeriodAssignment) -> Solution:
     return Solution({cid: tuple(sorted(v)) for cid, v in pairs.items()})
 
 
-def greedy_periods(instance: Instance) -> PeriodAssignment | None:
+def greedy_periods(instance: Instance, neighbours: dict[str, frozenset[str]]
+                   ) -> PeriodAssignment | None:
     """A bounded colouring of the conflict graph, built greedily, or None
-    at a dead end.  The courses go by (clash degree + 1) * events, most
-    first, ties by id.  Each event takes an allowed period, on a day the
+    at a dead end; ``neighbours`` is the graph as ``build_conflict_graph``
+    gives it.  The courses go by (clash degree + 1) * events, most first,
+    ties by id.  Each event takes an allowed period, on a day the
     course does not use yet if it can, then the one with the fewest
     events, then the lowest.  A period is allowed when it is not forbidden
     to the course, not used by it or by a course it clashes with, and
@@ -84,7 +86,6 @@ def greedy_periods(instance: Instance) -> PeriodAssignment | None:
     a course's blocked periods are its forbidden mask ORed with its
     neighbours' masks, and ``level[k]`` holds the periods with k events,
     so ``level[-1]`` holds the full ones."""
-    neighbours = build_conflict_graph(instance).adjacency
     periods, ppd = instance.periods, instance.periods_per_day
     every, first_day = (1 << periods) - 1, (1 << ppd) - 1
     used = {c.id: 0 for c in instance.courses}
@@ -448,15 +449,17 @@ def decode_surface(model: MilpModel, values) -> PeriodAssignment:
 
 # -- cuts ---------------------------------------------------------------------
 
-def add_clique_cuts(model: MilpModel, cliques, graph: ConflictGraph) -> int:
+def add_clique_cuts(model: MilpModel, cliques,
+                    neighbours: dict[str, frozenset[str]]) -> int:
     """One at-most-one row per (clique, period).  Returns the number of rows
-    added; a clique already added raises MilpError."""
+    added; a clique already added raises MilpError, and a set that is not
+    a clique of the conflict graph FormulationError."""
     instance: Instance = model.metadata["instance"]
     added = 0
     for clique in cliques:
         members = sorted(clique)
         for a, b in itertools.combinations(members, 2):
-            if not graph.are_adjacent(a, b):
+            if b not in neighbours.get(a, ()):
                 raise FormulationError(
                     f"{{{a}, {b}}} is not an edge; not a clique")
         for p in range(instance.periods):
@@ -468,22 +471,24 @@ def add_clique_cuts(model: MilpModel, cliques, graph: ConflictGraph) -> int:
     return added
 
 
-def greedy_clique_cover(graph: ConflictGraph) -> list[frozenset[str]]:
-    """Maximal cliques covering all vertices, grown greedily from vertices in
-    decreasing degree order."""
-    neighbours = graph.adjacency
-    degree = {v: len(neighbours[v]) for v in graph.vertices}
-    order = sorted(graph.vertices, key=lambda v: (-degree[v], v))
+def greedy_clique_cover(neighbours: dict[str, frozenset[str]]
+                        ) -> list[frozenset[str]]:
+    """Maximal cliques of the conflict graph ``neighbours``, grown greedily.
+    From each course not yet covered, by decreasing degree then id, its
+    neighbours are tried in the same order, and one joins when the clique
+    so far lies inside its own neighbours.  A course without neighbours
+    gives no clique."""
+    def by_degree(v: str) -> tuple[int, str]:
+        return -len(neighbours[v]), v
+
     covered: set[str] = set()
     cliques: list[frozenset[str]] = []
-    for v in order:
+    for v in sorted(neighbours, key=by_degree):
         if v in covered:
             continue
         clique = {v}
-        candidates = sorted(neighbours[v],
-                            key=lambda u: (-degree[u], u))
-        for u in candidates:
-            if all(graph.are_adjacent(u, m) for m in clique):
+        for u in sorted(neighbours[v], key=by_degree):
+            if clique <= neighbours[u]:
                 clique.add(u)
         covered |= clique
         if len(clique) >= 2:

@@ -8,7 +8,6 @@ concurrent solver workers.  Periods are numbered globally from 0 to
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -150,33 +149,6 @@ class Instance:
                 raise CttSemanticError(
                     f"course {c.id!r} has more events than available periods"
                 )
-
-
-@dataclass(frozen=True)
-class ConflictGraph:
-    """Course-based conflict graph: courses clash when they share a
-    curriculum or a teacher."""
-
-    vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]  # pairs sorted lexicographically
-
-    def are_adjacent(self, a: str, b: str) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
-    @cached_property
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        """Each vertex's neighbours, built once from the edges."""
-        out: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            out[a].add(b)
-            out[b].add(a)
-        return {v: frozenset(n) for v, n in out.items()}
-
-    def density(self) -> float:
-        n = len(self.vertices)
-        if n < 2:
-            return 0.0
-        return len(self.edges) / (n * (n - 1) / 2)
 
 
 def parse_ctt(text: str, weights: tuple[int, int, int, int] | None = None) -> Instance:
@@ -347,20 +319,18 @@ def serialize_ctt(instance: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
-def build_conflict_graph(instance: Instance) -> ConflictGraph:
-    """Edge {c1, c2} iff the courses share a teacher or a curriculum."""
-    edges: set[tuple[str, str]] = set()
-    by_teacher: dict[str, list[str]] = {}
+def build_conflict_graph(instance: Instance) -> dict[str, frozenset[str]]:
+    """Each course's neighbours in the conflict graph, keyed in course
+    order: two courses clash iff they share a teacher or a curriculum."""
+    by_teacher: dict[str, set[str]] = {}
     for c in instance.courses:
-        by_teacher.setdefault(c.teacher, []).append(c.id)
-    for ids in by_teacher.values():
-        edges.update(itertools.combinations(sorted(ids), 2))
-    for u in instance.curricula:
-        edges.update(itertools.combinations(sorted(u.courses), 2))
-    return ConflictGraph(
-        vertices=tuple(c.id for c in instance.courses),
-        edges=frozenset(edges),
-    )
+        by_teacher.setdefault(c.teacher, set()).add(c.id)
+    neighbours: dict[str, set[str]] = {c.id: set() for c in instance.courses}
+    groups = [*by_teacher.values(), *(u.courses for u in instance.curricula)]
+    for group in groups:
+        for cid in group:
+            neighbours[cid] |= group
+    return {cid: frozenset(n - {cid}) for cid, n in neighbours.items()}
 
 
 @dataclass(frozen=True)
@@ -383,7 +353,8 @@ def instance_stats(instance: Instance) -> InstanceStats:
     slots = instance.periods * len(instance.rooms)
     seats = instance.periods * sum(r.capacity for r in instance.rooms)
     demand = sum(c.events * c.students for c in instance.courses)
-    graph = build_conflict_graph(instance)
+    edges = sum(map(len, build_conflict_graph(instance).values())) // 2
+    n = len(instance.courses)
     return InstanceStats(
         courses=len(instance.courses),
         rooms=len(instance.rooms),
@@ -392,6 +363,6 @@ def instance_stats(instance: Instance) -> InstanceStats:
         curricula=len(instance.curricula),
         frequency=events / slots if slots else 0.0,
         utilisation=demand / seats if seats else 0.0,
-        conflict_edges=len(graph.edges),
-        conflict_density=graph.density(),
+        conflict_edges=edges,
+        conflict_density=edges / (n * (n - 1) / 2) if n > 1 else 0.0,
     )

@@ -71,6 +71,22 @@ def oracle_stability(instance, solution) -> int:
     return total
 
 
+def oracle_clash(instance, a: str, b: str) -> bool:
+    """Two distinct courses clash iff they share a teacher or a
+    curriculum."""
+    courses = instance.course_by_id
+    return a != b and (
+        courses[a].teacher == courses[b].teacher
+        or any(a in u.courses and b in u.courses for u in instance.curricula))
+
+
+def oracle_neighbours(instance) -> dict[str, frozenset[str]]:
+    """Each course's neighbours, pair by pair, keyed in course order."""
+    ids = [c.id for c in instance.courses]
+    return {a: frozenset(b for b in ids if oracle_clash(instance, a, b))
+            for a in ids}
+
+
 def oracle_objective(instance, solution) -> int:
     w = instance.weights
     return (w.capacity * oracle_capacity(instance, solution)
@@ -258,7 +274,7 @@ def reference_greedy_periods(instance: Instance) -> PeriodAssignment | None:
     events, then the lowest.  A period is allowed when it is not forbidden
     to the course, not used by it or by a course it clashes with, and
     holds fewer events than there are rooms."""
-    neighbours = build_conflict_graph(instance).adjacency
+    neighbours = build_conflict_graph(instance)
     load = [0] * instance.periods
     used: dict[str, set[int]] = {c.id: set() for c in instance.courses}
     for c in sorted(instance.courses, key=lambda c: (

@@ -11,6 +11,7 @@ import pytest
 from conftest import load_generate, random_tiny_instance
 from cttsolve.evaluation import Solution, check_hard, penalties
 from cttsolve.formulations import greedy_periods, match_rooms
+from cttsolve.instance import build_conflict_graph
 from oracles import (oracle_capacity, oracle_compactness, oracle_min_days,
                      oracle_stability, reference_check_hard,
                      reference_greedy_periods)
@@ -37,7 +38,7 @@ def tiny_instances():
 
 def timetable(instance, rng):
     """The greedy timetable if there is one, else events at random."""
-    basis = greedy_periods(instance)
+    basis = greedy_periods(instance, build_conflict_graph(instance))
     if basis is not None:
         return match_rooms(instance, basis)
     return Solution({
@@ -93,14 +94,14 @@ class TestGreedyPeriods:
     def test_matches_reference_on_tiny_instances(self):
         outcomes = Counter()
         for instance in tiny_instances():
-            basis = greedy_periods(instance)
+            basis = greedy_periods(instance, build_conflict_graph(instance))
             assert basis == reference_greedy_periods(instance), instance.name
             outcomes[basis is None] += 1
         assert outcomes[False] >= 300 and outcomes[True] >= 1
 
     def test_matches_reference_on_generated_streams(self, generated):
         for instance in generated:
-            basis = greedy_periods(instance)
+            basis = greedy_periods(instance, build_conflict_graph(instance))
             assert basis is not None
             assert basis == reference_greedy_periods(instance), instance.name
             assert list(basis.periods) == [c.id for c in instance.courses]

@@ -276,7 +276,8 @@ class TestOutputFile:
                                                      monkeypatch):
         # a surface search of no nodes gives no source, so nothing to dive,
         # and without the greedy timetable the run has none
-        monkeypatch.setattr(control, "greedy_periods", lambda instance: None)
+        monkeypatch.setattr(control, "greedy_periods",
+                            lambda instance, neighbours: None)
         target = tmp_path / "tight.sol"
         assert main(["solve", tight_path, "--surface-nodes", "0",
                      "-o", str(target)]) == 0

@@ -273,6 +273,34 @@ class TestStrategies:
         assert len(result.dives) > 1
         assert built == ["tight"]  # once, shared by every dive
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_conflict_graph_built_once_per_run(self, toy_instance,
+                                               monkeypatch, strategy):
+        # the greedy and the cuts get the run's one graph
+        graphs, greedy_graphs, cut_graphs = [], [], []
+
+        def spy(name, record):
+            real = getattr(control, name)
+
+            def wrapper(*args):
+                result = real(*args)
+                record(args, result)
+                return result
+
+            monkeypatch.setattr(control, name, wrapper)
+
+        spy("build_conflict_graph", lambda args, graph: graphs.append(graph))
+        spy("greedy_periods", lambda args, _: greedy_graphs.append(args[1]))
+        spy("_add_cuts", lambda args, _: cut_graphs.append(args[1]))
+        for instance in (toy_instance,
+                         random_tiny_instance(random.Random(1))):
+            run_strategy(instance, StrategyConfig(strategy=strategy))
+            (graph,), (greedy_graph,), (cut_graph,) = (
+                graphs, greedy_graphs, cut_graphs)
+            assert greedy_graph is graph and cut_graph is graph
+            for calls in (graphs, greedy_graphs, cut_graphs):
+                calls.clear()
+
     @pytest.mark.parametrize("strategy", ["contract", "anytime"])
     def test_no_dive_after_deadline(self, tight_instance, monkeypatch,
                                     strategy):
@@ -608,7 +636,8 @@ class TestReports:
         instance = make_instance(
             [("c1", "t1", 2, 2, 5)], [("r1", 9)], [("q1", ["c1"])],
             days=2, periods_per_day=2)
-        monkeypatch.setattr(control, "greedy_periods", lambda instance: None)
+        monkeypatch.setattr(control, "greedy_periods",
+                            lambda instance, neighbours: None)
         config = StrategyConfig(surface_nodes=0, dive_nodes=0)
         result = run_strategy(instance, config)
         assert result.upper_bound is None

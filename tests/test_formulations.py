@@ -130,7 +130,8 @@ class TestGreedyPeriods:
         found = 0
         for seed in range(40):
             instance = random_tiny_instance(random.Random(seed))
-            basis = greedy_periods(instance)
+            basis = greedy_periods(instance,
+                                   build_conflict_graph(instance))
             if basis is None:
                 continue
             basis.validate(instance)
@@ -144,14 +145,16 @@ class TestGreedyPeriods:
              ("c", "t3", 1, 1, 5)],
             [("r1", 9)], [("q1", ["a", "b", "c"])],
             days=1, periods_per_day=2)
-        assert greedy_periods(instance) is None
+        neighbours = build_conflict_graph(instance)
+        assert greedy_periods(instance, neighbours) is None
 
     def test_spreads_over_days_within_the_room_bound(self):
         # a takes one period on each day; b, with one room, the two left
         instance = make_instance(
             [("a", "t1", 2, 2, 5), ("b", "t2", 2, 2, 5)], [("r1", 9)], [],
             days=2, periods_per_day=2)
-        assert greedy_periods(instance) == PeriodAssignment({
+        neighbours = build_conflict_graph(instance)
+        assert greedy_periods(instance, neighbours) == PeriodAssignment({
             "a": frozenset({0, 2}), "b": frozenset({1, 3})})
 
 
@@ -576,8 +579,12 @@ class TestCliqueCuts:
     def test_non_clique_rejected(self, toy_instance):
         graph = build_conflict_graph(toy_instance)
         model = build_surface(toy_instance)
-        with pytest.raises(FormulationError):
+        with pytest.raises(FormulationError,
+                           match=r"^\{c2, c3\} is not an edge; not a clique$"):
             add_clique_cuts(model, [{"c2", "c3"}], graph)  # not adjacent
+        with pytest.raises(FormulationError,
+                           match=r"^\{c1, ghost\} is not an edge"):
+            add_clique_cuts(model, [{"c1", "ghost"}], graph)  # unknown
 
     def test_repeated_clique_rejected(self):
         instance = self.triangle_instance()
@@ -602,10 +609,10 @@ class TestCliqueCuts:
 
     def test_greedy_cover_produces_cliques(self):
         instance = self.triangle_instance()
-        graph = build_conflict_graph(instance)
-        for clique in greedy_clique_cover(graph):
+        neighbours = build_conflict_graph(instance)
+        for clique in greedy_clique_cover(neighbours):
             for a, b in itertools.combinations(sorted(clique), 2):
-                assert graph.are_adjacent(a, b)
+                assert b in neighbours[a]
 
 
 class TestImpliedBoundCuts:

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from conftest import TOY_CTT, make_instance, random_tiny_instance
+from conftest import (TOY_CTT, load_generate, make_instance,
+                      random_tiny_instance)
 from cttsolve.instance import (CttSemanticError, CttSyntaxError,
                                build_conflict_graph, instance_stats,
                                parse_ctt, serialize_ctt)
+from oracles import oracle_neighbours
 
 MINIMAL_CTT = """\
 Name: minimal
@@ -130,33 +132,53 @@ class TestRoundTrip:
 
 class TestConflictGraph:
     def test_teacher_and_curriculum_edges(self, toy_instance):
-        graph = build_conflict_graph(toy_instance)
-        assert graph.are_adjacent("c1", "c3")  # same teacher
-        assert graph.are_adjacent("c1", "c2")  # same curriculum
-        assert not graph.are_adjacent("c2", "c3")
+        neighbours = build_conflict_graph(toy_instance)
+        assert "c3" in neighbours["c1"]  # same teacher
+        assert "c2" in neighbours["c1"]  # same curriculum
+        assert "c3" not in neighbours["c2"]
 
     def test_overlapping_curricula(self, lectures_instance):
-        graph = build_conflict_graph(lectures_instance)
-        assert len(graph.edges) == 2
-        assert graph.are_adjacent("Math101", "Algo101")
-        assert graph.are_adjacent("Juggling", "Algo101")
-        assert not graph.are_adjacent("Juggling", "Math101")
+        assert build_conflict_graph(lectures_instance) == {
+            "Juggling": {"Algo101"}, "Math101": {"Algo101"},
+            "Algo101": {"Juggling", "Math101"}}
 
     def test_single_course_no_edges(self):
         instance = parse_ctt(MINIMAL_CTT)
-        assert len(build_conflict_graph(instance).edges) == 0
+        assert build_conflict_graph(instance) == {"c1": frozenset()}
 
-    def test_symmetric_irreflexive(self, toy_instance):
-        graph = build_conflict_graph(toy_instance)
-        for a, b in graph.edges:
-            assert a < b
-            assert graph.are_adjacent(b, a)
+    def test_symmetric_irreflexive(self, toy_instance, lectures_instance):
+        for instance in (toy_instance, lectures_instance):
+            neighbours = build_conflict_graph(instance)
+            for a, others in neighbours.items():
+                assert a not in others
+                for b in others:
+                    assert a in neighbours[b]
 
-    def test_adjacency_matches_edges(self, lectures_instance):
-        graph = build_conflict_graph(lectures_instance)
-        assert graph.adjacency == {"Juggling": {"Algo101"},
-                                   "Math101": {"Algo101"},
-                                   "Algo101": {"Juggling", "Math101"}}
+    def test_keys_follow_course_order(self, lectures_instance):
+        instance = dataclasses.replace(
+            lectures_instance, courses=lectures_instance.courses[::-1])
+        assert list(build_conflict_graph(instance)) == [
+            "Algo101", "Math101", "Juggling"]
+
+    def test_matches_pairwise_oracle_on_tiny_instances(self):
+        edges = 0
+        for seed in range(300):
+            instance = random_tiny_instance(random.Random(seed))
+            neighbours = build_conflict_graph(instance)
+            assert neighbours == oracle_neighbours(instance), seed
+            assert list(neighbours) == [c.id for c in instance.courses]
+            edges += sum(map(len, neighbours.values()))
+        assert edges > 0
+
+    def test_matches_pairwise_oracle_on_generated_streams(self):
+        generate = load_generate()
+        for preset, count in (("small", 4), ("mid", 4), ("comp", 1)):
+            for instance in generate.load(
+                    generate.corpus_texts(preset, 1, count)):
+                neighbours = build_conflict_graph(instance)
+                assert neighbours == oracle_neighbours(instance), \
+                    instance.name
+                assert list(neighbours) == [c.id for c in instance.courses]
 
     def test_removing_curriculum_never_adds_edges(self, toy_instance):
         full = build_conflict_graph(toy_instance)
@@ -167,7 +189,7 @@ class TestConflictGraph:
             [], days=toy_instance.days,
             periods_per_day=toy_instance.periods_per_day)
         reduced = build_conflict_graph(reduced_instance)
-        assert reduced.edges <= full.edges
+        assert all(reduced[c] <= full[c] for c in full)
 
 
 class TestStats:

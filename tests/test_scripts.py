@@ -113,3 +113,13 @@ class TestHeldOutVerdict:
         assert held_out.first_upper(calls, budgets) == (
             "time to the first upper bound, summed: small exact 3.0 ms,"
             " small contract 0.5 ms, mid anytime 0.0 ms")
+
+    def test_greedy_dead_ends_are_named_and_counted(self):
+        calls = [call._replace(first_source=source) for call, source
+                 in zip(self.CALLS, ("greedy", "surface+match", None))]
+        calls.append(self.Call("small-0", "anytime", 4.0, 6.0, "feasible",
+                               first_source="surface+match"))
+        assert held_out.dead_ends(calls) == (
+            "greedy dead ends: small-0, mid-0 (3 of 4 calls)")
+        assert held_out.dead_ends(calls[:1]) == (
+            "greedy dead ends: none (0 of 1 calls)")

@@ -182,7 +182,8 @@ class TestIpm:
     def test_period_fixed_dive_goes_to_dual_simplex(self, comp_instance):
         # its fixing rows leave an easy LP; a day-fixed dive's stays on IPM
         monolithic = build_monolithic(comp_instance).freeze()
-        basis = greedy_periods(comp_instance)
+        basis = greedy_periods(comp_instance,
+                               build_conflict_graph(comp_instance))
         sent = {kind: _Arrays(build_dive(monolithic, kind, basis))
                 .highs.getOptionValue("solver")[1] for kind in DIVE_KINDS}
         assert len(monolithic.variables) > solver.IPM_MIN_COLUMNS
