@@ -8,6 +8,7 @@ concurrent solver workers.  Periods are numbered globally from 0 to
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -92,15 +93,9 @@ class Instance:
     def teachers(self) -> frozenset[str]:
         return frozenset(c.teacher for c in self.courses)
 
-    def day_of(self, period: int) -> int:
-        return period // self.periods_per_day
-
     def day_periods(self, day: int) -> range:
         start = day * self.periods_per_day
         return range(start, start + self.periods_per_day)
-
-    def forbidden_periods(self, course_id: str) -> frozenset[int]:
-        return frozenset(p for c, p in self.unavailability if c == course_id)
 
     def validate(self) -> None:
         """Raise CttSemanticError on the first violated invariant."""
@@ -135,6 +130,7 @@ class Instance:
                 raise CttSemanticError(
                     f"unavailability period {p} out of range for course {cid!r}"
                 )
+        forbidden = Counter(cid for cid, _ in self.unavailability)
         for c in self.courses:
             if c.events < 1:
                 raise CttSemanticError(f"course {c.id!r} has no events")
@@ -144,7 +140,7 @@ class Instance:
                 )
             if c.students < 0:
                 raise CttSemanticError(f"course {c.id!r} has negative students")
-            available = self.periods - len(self.forbidden_periods(c.id))
+            available = self.periods - forbidden[c.id]
             if c.events > self.periods or c.events > available:
                 raise CttSemanticError(
                     f"course {c.id!r} has more events than available periods"

@@ -163,9 +163,6 @@ class MilpModel:
         except KeyError:
             raise MilpError(f"unknown variable tag {tag!r}")
 
-    def has_variable(self, name: str) -> bool:
-        return name in self._var_index
-
     def _merge(self, terms, row: str) -> dict[int, float]:
         """Coefficients by variable index, in the order first named; a
         non-finite coefficient names ``row``."""
@@ -393,6 +390,14 @@ def _number(field: str, raw: str) -> float:
     return value
 
 
+def _finite(field: str, raw: str) -> float:
+    """The value in a COLUMNS or RHS line's field, which must be finite."""
+    value = _number(field, raw)
+    if math.isinf(value):
+        raise MilpError(f"MPS value {field!r} is not finite: {raw!r}")
+    return value
+
+
 def _lines(text: str):
     """The lines of ``text`` as ``str.splitlines`` gives them, split a
     block of about ``_BLOCK_CHARS`` characters at a time, so that no list of
@@ -409,20 +414,19 @@ def _lines(text: str):
 def parse_mps(text: str) -> MilpModel:
     """Inverse of export_mps for the subset it emits (tags are not carried).
 
-    The first N row is the objective, whatever its name; later N rows are
-    free rows and are dropped.  Any other section (OBJSENSE, RANGES, ...),
-    an unknown row type, a row declared twice, an entry on an undeclared
-    row or column, a line short of a name or value, a non-numeric or NaN
+    Sections come in MPS order: only a ROWS line declares a row.  The first
+    N row is the objective, whatever its name; later N rows are free rows
+    and are dropped.  Any other section (OBJSENSE, RANGES, ...), an unknown
+    row type, a row declared twice, an entry on a row or column no earlier
+    line declared, a line short of a name or value, a non-numeric or NaN
     value, an infinite coefficient or right-hand side and a text that ends
-    before ENDATA (a truncated or empty file) raise MilpError, never change
-    the model.
+    before ENDATA (a truncated or empty file) raise MilpError, quoting the
+    line at fault where there is one, and never change the model.
     """
     model = MilpModel("mps")
     section = None
-    row_ids: dict[str, int] = {}  # every row named, declared or not
-    row_types: list[str | None] = []  # by row id; None if undeclared
-    row_order: list[int] = []  # the declared rows other than N rows
-    objective = -1  # the id of the first N row
+    row_ids: dict[str, int] = {}  # by ROWS line, in the order declared
+    row_types: list[str] = []  # by row id
     col_ids: dict[str, int] = {}
     col_kind: list[str] = []
     # the COLUMNS entries in the order read, one (row, column, value) each
@@ -444,24 +448,19 @@ def parse_mps(text: str) -> MilpModel:
             elif head in _SECTIONS:
                 section = head
             else:
-                raise MilpError(f"unsupported MPS section {head!r}")
+                raise MilpError(f"unsupported MPS section {head!r}: {raw!r}")
             continue
         if section == "ROWS":
             if len(fields) < 2:
                 raise MilpError(f"MPS row without a name: {raw!r}")
             sense, name = fields[0], fields[1]
             if sense != "N" and sense not in _ROW_TO_SENSE:
-                raise MilpError(f"unknown MPS row type {sense!r} of {name!r}")
-            rid = row_ids.setdefault(name, len(row_types))
-            if rid == len(row_types):
-                row_types.append(None)
-            elif row_types[rid] is not None:
-                raise MilpError(f"MPS row {name!r} declared twice")
-            row_types[rid] = sense
-            if sense != "N":
-                row_order.append(rid)
-            elif objective < 0:
-                objective = rid
+                raise MilpError(f"unknown MPS row type {sense!r} of {name!r}:"
+                                f" {raw!r}")
+            if name in row_ids:
+                raise MilpError(f"MPS row {name!r} declared twice: {raw!r}")
+            row_ids[name] = len(row_types)
+            row_types.append(sense)
         elif section == "COLUMNS":
             if len(fields) >= 3 and fields[1] == "'MARKER'":
                 in_int = fields[2] == "'INTORG'"
@@ -473,17 +472,17 @@ def parse_mps(text: str) -> MilpModel:
             for row, coef in _pairs(fields, raw):
                 rid = row_ids.get(row)
                 if rid is None:
-                    rid = row_ids[row] = len(row_types)
-                    row_types.append(None)
+                    raise MilpError(f"MPS entry on undeclared row {row!r}:"
+                                    f" {raw!r}")
                 entry_row.append(rid)
                 entry_col.append(col)
-                entry_value.append(_number(coef, raw))
+                entry_value.append(_finite(coef, raw))
         elif section == "RHS":
             for row, value in _pairs(fields, raw):
-                rid = row_ids.get(row)
-                if rid is None or row_types[rid] is None:
-                    raise MilpError(f"MPS entry on undeclared row {row!r}")
-                rhs[rid] = _number(value, raw)
+                if row not in row_ids:
+                    raise MilpError(f"MPS entry on undeclared row {row!r}:"
+                                    f" {raw!r}")
+                rhs[row_ids[row]] = _finite(value, raw)
         elif section == "BOUNDS":
             btype = fields[0]
             if len(fields) < (4 if btype in ("LO", "UP", "FX") else 3):
@@ -491,7 +490,8 @@ def parse_mps(text: str) -> MilpModel:
                                 f"or value: {raw!r}")
             name = fields[2]
             if name not in col_ids:
-                raise MilpError(f"MPS bound on undeclared column {name!r}")
+                raise MilpError(f"MPS bound on undeclared column {name!r}:"
+                                f" {raw!r}")
             lohi = bounds.setdefault(name, [0.0, math.inf])
             if btype == "LO":
                 lohi[0] = _number(fields[3], raw)
@@ -506,7 +506,7 @@ def parse_mps(text: str) -> MilpModel:
             elif btype == "BV":
                 lohi[0], lohi[1] = 0.0, 1.0
             else:
-                raise MilpError(f"unsupported bound type {btype!r}")
+                raise MilpError(f"unsupported bound type {btype!r}: {raw!r}")
         else:
             raise MilpError(f"MPS data line outside a section: {raw!r}")
     else:
@@ -523,12 +523,7 @@ def parse_mps(text: str) -> MilpModel:
     rows, cols = np.array(entry_row), np.array(entry_col)
     values = np.array(entry_value)
     by_col = np.argsort(cols, kind="stable")
-    row_names = list(row_ids)
-    undeclared = np.array([t is None for t in row_types], dtype=bool)
-    if undeclared[rows].any():
-        first = by_col[undeclared[rows[by_col]]][0]
-        raise MilpError(
-            f"MPS entry on undeclared row {row_names[rows[first]]!r}")
+    objective = row_types.index("N") if "N" in row_types else -1
     on_objective = by_col[(rows[by_col] == objective)
                           & (values[by_col] != 0.0)]
     obj_terms = zip(values[on_objective].tolist(),
@@ -536,11 +531,13 @@ def parse_mps(text: str) -> MilpModel:
     by_row = np.lexsort((cols, rows))
     rows, cols, values = rows[by_row], cols[by_row], values[by_row]
     row_starts = np.searchsorted(rows, np.arange(len(row_ids) + 1)).tolist()
-    for rid in row_order:
+    for rid, (name, rtype) in enumerate(zip(row_ids, row_types)):
+        if rtype == "N":
+            continue
         s, e = row_starts[rid], row_starts[rid + 1]
-        model.add_constraint(row_names[rid],
+        model.add_constraint(name,
                              zip(values[s:e].tolist(), cols[s:e].tolist()),
-                             _ROW_TO_SENSE[row_types[rid]], rhs.get(rid, 0.0))
+                             _ROW_TO_SENSE[rtype], rhs.get(rid, 0.0))
     model.set_objective(obj_terms, constant=-rhs.get(objective, 0.0))
     return model
 
@@ -558,10 +555,11 @@ def import_solution(model: MilpModel, text: str) -> MilpSolution:
         if len(fields) != 2:
             raise MilpError(f"solution line {idx}: expected 'name value'")
         name, value = fields
-        if not model.has_variable(name):
+        col = model._var_index.get(name)
+        if col is None:
             raise MilpError(f"solution line {idx}: unknown variable {name!r}")
         try:
-            values[model.var(name)] = float(value)
+            values[col] = float(value)
         except ValueError:
             raise MilpError(f"solution line {idx}: bad value {value!r}")
     return MilpSolution(values, model.objective_value(values))

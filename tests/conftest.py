@@ -210,7 +210,7 @@ def encode_solution(instance: Instance, model: MilpModel,
         key = room_to_key.get(room)
         values[("times", period, cid)] = 1.0
         values[("taught", period, key, cid)] = 1.0
-        days_used[cid].add(instance.day_of(period))
+        days_used[cid].add(period // instance.periods_per_day)
         rooms_used[cid].add(key)
         for u in instance.curricula:
             if cid in u.courses:

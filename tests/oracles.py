@@ -277,20 +277,20 @@ def reference_greedy_periods(instance: Instance) -> PeriodAssignment | None:
     neighbours = build_conflict_graph(instance)
     load = [0] * instance.periods
     used: dict[str, set[int]] = {c.id: set() for c in instance.courses}
+    ppd = instance.periods_per_day
     for c in sorted(instance.courses, key=lambda c: (
             -(len(neighbours[c.id]) + 1) * c.events, c.id)):
-        blocked = instance.forbidden_periods(c.id).union(
-            *(used[n] for n in neighbours[c.id]))
+        blocked = {p for cid, p in instance.unavailability
+                   if cid == c.id}.union(*(used[n] for n in neighbours[c.id]))
         own = used[c.id]
         for _ in range(c.events):
-            days = {instance.day_of(p) for p in own}
+            days = {p // ppd for p in own}
             free = [p for p in range(instance.periods)
                     if p not in blocked and p not in own
                     and load[p] < len(instance.rooms)]
             if not free:
                 return None
-            p = min(free, key=lambda p: (instance.day_of(p) in days, load[p],
-                                         p))
+            p = min(free, key=lambda p: (p // ppd in days, load[p], p))
             own.add(p)
             load[p] += 1
     return PeriodAssignment({cid: frozenset(v) for cid, v in used.items()})

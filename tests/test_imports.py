@@ -1,5 +1,6 @@
-"""What importing cttsolve loads, checked in fresh interpreters, and how
-missing HiGHS bindings are reported.
+"""What importing cttsolve loads, checked in fresh interpreters, how
+missing HiGHS bindings are reported, and the ``pyproject.toml`` settings
+that the installed command and the test runs rely on.
 
 The solver loads scipy's bundled HiGHS bindings on their own, without
 ``scipy.optimize`` and what that pulls in (``scipy.sparse``,
@@ -109,3 +110,22 @@ def test_console_script_target_is_callable():
     assert scripts == {"cttsolve": "cttsolve.cli:entry"}
     module, _, name = scripts["cttsolve"].partition(":")
     assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_pyproject_fails_a_leaked_file(tmp_path):
+    # pyproject.toml's `filterwarnings = ["error", ...]` is what fails a
+    # test that leaves a file open, in a plain run without `-X dev` or
+    # `-W`; with the filters emptied the same test passes
+    (tmp_path / "test_leak.py").write_text(
+        "def test_leaves_a_file_open():\n    open(__file__)\n")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONWARNINGS", "PYTHONDEVMODE")}
+    codes = []
+    for override in ((), ("-o", "filterwarnings=")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "-c", str(pyproject), *override, str(tmp_path / "test_leak.py")],
+            env=env, capture_output=True, text=True, timeout=120)
+        codes.append(proc.returncode)
+    assert codes == [1, 0], proc.stdout

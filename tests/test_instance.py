@@ -83,6 +83,22 @@ class TestParsing:
                            match="line 23: repeated unavailability: 'c1 0 0'"):
             parse_ctt(text)
 
+    @pytest.mark.parametrize("forbidden, ok", [
+        (["c1 0 0", "c1 0 1", "c1 0 2"], True),
+        (["c1 0 0", "c1 0 1", "c1 0 2", "c1 1 0"], False),
+    ], ids=["events-fill-the-rest", "one-too-few"])
+    def test_events_need_available_periods(self, forbidden, ok):
+        # c1 has 3 events in the toy's 6 periods; c2's entry counts for c2
+        lines = forbidden + ["c2 1 1"]
+        text = TOY_CTT.replace("c1 0 0\n", "".join(f"{e}\n" for e in lines))
+        text = text.replace("Constraints: 1", f"Constraints: {len(lines)}")
+        if ok:
+            assert parse_ctt(text).course_by_id["c1"].events == 3
+        else:
+            with pytest.raises(CttSemanticError, match="course 'c1' has more"
+                               " events than available periods"):
+                parse_ctt(text)
+
     def test_negative_room_capacity(self):
         with pytest.raises(CttSemanticError,
                            match="room 'r1' has negative capacity"):
@@ -112,8 +128,6 @@ class TestParsing:
             parse_ctt(MINIMAL_CTT.replace("Days: 1\n", "Days: 1\nDays: 3\n"))
 
     def test_period_indexing(self, toy_instance):
-        assert toy_instance.day_of(0) == 0
-        assert toy_instance.day_of(3) == 1
         assert list(toy_instance.day_periods(1)) == [3, 4, 5]
 
 

@@ -117,7 +117,8 @@ class TestBuilding:
             model.add_variable("z", "binary")
         copy = model.copy()
         copy.add_variable("z", "binary")  # copies are mutable again
-        assert not model.has_variable("z")
+        with pytest.raises(MilpError, match="unknown variable 'z'"):
+            model.var("z")
 
     def test_first_violation(self):
         model = simple_model()
@@ -342,7 +343,43 @@ class TestMps:
     def test_entry_on_undeclared_row_rejected(self, old, new):
         text = export_mps(simple_model())
         assert old in text
-        with pytest.raises(MilpError, match="undeclared row 'other'"):
+        with pytest.raises(MilpError, match="undeclared row 'other'"
+                           + re.escape(f": {new.rstrip()!r}")):
+            parse_mps(text.replace(old, new))
+
+    @pytest.mark.parametrize("order, line", [
+        ("COLUMNS ROWS RHS BOUNDS", "    x  COST  1"),
+        ("RHS ROWS COLUMNS BOUNDS", "    RHS  cover  1"),
+    ], ids=["columns-before-rows", "rhs-before-rows"])
+    def test_section_before_rows_rejected(self, order, line):
+        # only a ROWS line declares a row, so the first entry read before
+        # ROWS names an undeclared one
+        text = export_mps(simple_model())
+        sections = {part.split()[0]: part
+                    for part in re.split(r"(?m)^(?=[A-Z])", text) if part}
+        text = "".join(sections[head] for head in
+                       ["NAME", *order.split(), "ENDATA"])
+        with pytest.raises(MilpError, match=r"undeclared row '\w+'"
+                           + re.escape(f": {line!r}")):
+            parse_mps(text)
+
+    @pytest.mark.parametrize("old, new", [
+        (" G  cover\n", " X  cover\n"),
+        (" G  cover\n", " G  cover\n L  cover\n"),
+        ("    y  cover  1\n", "    y  cover  inf\n"),
+        ("    RHS  cover  1\n", "    RHS  cover  -inf\n"),
+        (" UP BND  y  1\n", " UP BND  z  1\n"),
+        (" UP BND  y  1\n", " SC BND  y  1\n"),
+        ("BOUNDS\n", "RANGES\nBOUNDS\n"),
+    ], ids=["row-type", "declared-twice", "coef-inf", "rhs-inf",
+            "undeclared-column", "bound-type", "section"])
+    def test_rejection_quotes_its_line(self, old, new):
+        # the rejected line is the first line of new that old lacks
+        text = export_mps(simple_model())
+        assert old in text
+        bad = next(line for line in new.splitlines()
+                   if line not in old.splitlines())
+        with pytest.raises(MilpError, match=re.escape(f": {bad!r}") + "$"):
             parse_mps(text.replace(old, new))
 
     def test_bound_on_undeclared_column_rejected(self):
